@@ -17,6 +17,7 @@ from .features import (
     phi,
 )
 from .estimator import (
+    Design,
     EquivalentKernel,
     FitConfig,
     FitError,
@@ -24,7 +25,6 @@ from .estimator import (
     XiMatrix,
     build_xi,
     evaluate_g,
-    evaluate_h,
     fit,
     g_curve,
     intensity,

@@ -77,18 +77,17 @@ def phi_tilde(events: EventSequence, basis: FeatureBasis, A: float, s: float) ->
     return out.ravel()
 
 
-def _window_pairs(times: np.ndarray, A: float):
-    """Ordered event pairs (n, n') with n' < n and t_n - t_n' < A.
+def _pairs_lag_in_window(times: np.ndarray, A: float):
+    """Ordered event pairs (n, n') with n' < n and 0 < t_n - t_n' <= A.
 
-    Returns (idx_n, idx_np); pairs at lag >= A are pruned before any integral
-    is evaluated.
+    Returns (idx_n, idx_np), grouped by n in increasing order and by n'
+    within each group.
     """
-    starts = np.searchsorted(times, times - A, side="right")
+    starts = np.searchsorted(times, times - A, side="left")
     counts = np.arange(times.size) - starts
     idx_n = np.repeat(np.arange(times.size), counts)
-    idx_np = np.concatenate(
-        [np.arange(s, n) for n, s in enumerate(starts) if s < n]
-    ) if idx_n.size else np.empty(0, dtype=int)
+    first = np.cumsum(counts) - counts
+    idx_np = np.arange(idx_n.size) - np.repeat(first - starts, counts)
     return idx_n, idx_np
 
 
@@ -144,14 +143,15 @@ def _gram(events: EventSequence, basis: FeatureBasis, A: float,
     """int_lo^hi phi_tilde(t) phi_tilde(t)^T dt as a dense (MU, MU) array.
 
     Pair (n, n') contributes int_a^b phi(t-t_n) phi(t-t_n')^T dt with
-    a = max(t_n, lo) and b = min(A + t_n', hi) for t_n' <= t_n; each unordered
-    pair is integrated once into its (mark_n, mark_n') block and mirrored into
-    the transposed block, so the result is symmetric and deterministic.
+    a = max(t_n, lo) and b = min(A + t_n', hi) for t_n' <= t_n (a pair at lag
+    exactly A has a = b and drops out); each unordered pair is integrated once
+    into its (mark_n, mark_n') block and mirrored into the transposed block,
+    so the result is symmetric and deterministic.
     """
     times, marks = events.times, events.marks
     M, U = basis.M, events.U
 
-    idx_n, idx_np = _window_pairs(times, A)
+    idx_n, idx_np = _pairs_lag_in_window(times, A)
     all_n = np.concatenate([np.arange(times.size), idx_n])
     all_np = np.concatenate([np.arange(times.size), idx_np])
     t_n = times[all_n]
@@ -226,34 +226,133 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
     return XiMatrix(_gram(events, basis, A, lo, hi), basis.M, events.U)
 
 
-def _event_feature_sums(events: EventSequence, basis: FeatureBasis, A: float) -> np.ndarray:
-    """S[i] = sum over events n of dimension i of phi_tilde(t_n), shape (U, MU)."""
+def _event_feature_sums(events: EventSequence, basis: FeatureBasis, A: float,
+                        lo: float, hi: float) -> np.ndarray:
+    """S[i] = sum of phi_tilde(t_n) over events n of dimension i with
+    lo <= t_n < hi, shape (U, MU)."""
     times, marks = events.times, events.marks
     M, U = basis.M, events.U
     acc = np.zeros((U, U, M))
     idx_n, idx_np = _pairs_lag_in_window(times, A)
-    if idx_n.size:
-        rows = feature_matrix(basis, times[idx_n] - times[idx_np])
-        bi = marks[idx_n] - 1
-        bj = marks[idx_np] - 1
-        for i in range(U):
-            rows_i = bi == i
-            for j in range(U):
-                group = rows_i & (bj == j)
-                if np.any(group):
-                    acc[i, j] += rows[group].sum(axis=0)
+    inside = (times[idx_n] >= lo) & (times[idx_n] < hi)
+    idx_n, idx_np = idx_n[inside], idx_np[inside]
+    rows = feature_matrix(basis, times[idx_n] - times[idx_np])
+    bi = marks[idx_n] - 1
+    bj = marks[idx_np] - 1
+    for i in range(U):
+        rows_i = bi == i
+        for j in range(U):
+            group = rows_i & (bj == j)
+            if np.any(group):
+                acc[i, j] += rows[group].sum(axis=0)
     return acc.reshape(U, U * M)
 
 
-def _pairs_lag_in_window(times: np.ndarray, A: float):
-    """Pairs (n, n') with 0 < t_n - t_n' <= A (lag exactly A included)."""
-    starts = np.searchsorted(times, times - A, side="left")
-    counts = np.arange(times.size) - starts
-    idx_n = np.repeat(np.arange(times.size), counts)
-    idx_np = np.concatenate(
-        [np.arange(s, n) for n, s in enumerate(starts) if s < n]
-    ) if idx_n.size else np.empty(0, dtype=int)
-    return idx_n, idx_np
+def _solve_spd(Z: np.ndarray, rhs: np.ndarray, gamma: float):
+    """Cholesky solve of Z x = rhs with a condition estimate; raises FitError
+    naming gamma when Z is not numerically positive definite."""
+    anorm = np.abs(Z).sum(axis=0).max()
+    try:
+        factor = cho_factor(Z, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise FitError(
+            f"(1/gamma) I + Xi is not positive definite (gamma={gamma}, "
+            f"1-norm={anorm:.3e}); the system is numerically singular") from exc
+    rcond, _ = _lapack.dpocon(factor[0], anorm, uplo="L")
+    cond = np.inf if rcond == 0 else 1.0 / rcond
+    return cho_solve(factor, rhs), factor, cond
+
+
+class Design:
+    """Data statistics of the least-squares contrast over a window [lo, hi].
+
+    Intensities see the full event history, so events before lo still excite
+    inside the window.  With phi_tilde the stacked windowed feature sum:
+
+    - ``xi``: the Gram integral of phi_tilde phi_tilde^T over [lo, hi];
+    - ``window_vec``: the integral of phi_tilde over [lo, hi];
+    - ``event_sums[i]``: the sum of phi_tilde(t_n) over the events of
+      dimension i with lo <= t_n < hi, and ``counts[i]`` their number;
+    - ``length``: hi - lo.
+
+    Every statistic is additive in the window: the designs over [0, s] and
+    [s, T] sum to the design over [0, T].  The ridge strength enters only
+    through ``solve_system``, so one design serves every gamma.
+    """
+
+    def __init__(self, events: EventSequence, basis: FeatureBasis, A: float,
+                 lo: float = 0.0, hi: float | None = None):
+        if not A > 0:
+            raise ValueError(f"support window A must be positive, got {A}")
+        if hi is None:
+            hi = events.T
+        self.A = A
+        self.length = hi - lo
+        table = WindowIntegralTable(basis, events.times, hi, A, lo=lo)
+        window_vec = np.zeros((events.U, basis.M))
+        np.add.at(window_vec, events.marks - 1, table.vectors)
+        self.window_vec = window_vec.ravel()
+        inside = (events.times >= lo) & (events.times < hi)
+        self.counts = np.bincount(events.marks[inside] - 1,
+                                  minlength=events.U).astype(float)
+        self.event_sums = _event_feature_sums(events, basis, A, lo, hi)
+        self.xi = build_xi(events, basis, A, lo, hi)
+
+    def solve_system(self, gamma: float, rhs: np.ndarray):
+        """Solve ((1/gamma) I + Xi) x = rhs; returns (x, Cholesky factor,
+        condition estimate)."""
+        if not gamma > 0:
+            raise ValueError(f"gamma must be positive, got {gamma}")
+        Z = self.xi.values + np.eye(self.xi.values.shape[0]) / gamma
+        return _solve_spd(Z, rhs, gamma)
+
+    def solve(self, gamma: float):
+        """Baselines and kernel coefficients minimizing the penalized contrast
+        over the window; returns (mu_hat, coeff, stats).
+
+        Factorizes (1/gamma) I + Xi once and solves for the U + 1 right-hand
+        sides (the window vector and the U event sums).  Baselines are
+
+            mu_i = (|N_i| - I^T b_i) / (length - I^T b_0),
+
+        and the kernel coefficients are c_i = b_i - mu_i b_0.  The denominator
+        is strictly inside (0, length) in exact arithmetic; a nonpositive value
+        indicates numerical breakdown and raises FitError.
+        """
+        if not self.counts.any():
+            raise FitError("cannot fit an empty event sequence")
+        if self.A > self.length:
+            raise ValueError(
+                f"support window A={self.A} exceeds the horizon T={self.length}")
+        t0 = time.perf_counter()
+        rhs = np.column_stack([self.window_vec, self.event_sums.T])
+        solved, _, cond = self.solve_system(gamma, rhs)
+        stats = {"solve_s": time.perf_counter() - t0, "condition_estimate": cond}
+
+        b0 = solved[:, 0]
+        b_dims = solved[:, 1:]
+        denom = self.length - self.window_vec @ b0
+        stats["mu_denominator"] = denom
+        if denom <= 0:
+            raise FitError(
+                f"degenerate design: baseline denominator length - I^T b0 = {denom:.3e} <= 0 "
+                f"(gamma={gamma}, condition estimate {cond:.3e})")
+        mu_hat = (self.counts - self.window_vec @ b_dims) / denom
+        coeff = (b_dims - np.outer(b0, mu_hat)).T
+        return mu_hat, coeff, stats
+
+    def contrast(self, mu: np.ndarray, coeff: np.ndarray) -> float:
+        """Least-squares contrast of (mu, coeff) over the window,
+
+            sum_i [ int_lo^hi lambda_i(t)^2 dt - 2 sum_{events of i in window} lambda_i(t_n) ],
+
+        as a quadratic form in the design's statistics."""
+        mu = np.asarray(mu, dtype=float)
+        coeff = np.asarray(coeff, dtype=float)
+        quadratic = (self.length * mu * mu + 2.0 * mu * (coeff @ self.window_vec)
+                     + np.sum((coeff @ self.xi.values) * coeff, axis=1))
+        linear = self.counts @ mu + np.sum(coeff * self.event_sums)
+        return float(np.sum(quadratic) - 2.0 * linear)
 
 
 @dataclass(frozen=True)
@@ -310,71 +409,17 @@ class FittedModel:
         return model
 
 
-def _solve_spd(Z: np.ndarray, rhs: np.ndarray, gamma: float):
-    """Cholesky solve of Z x = rhs with a condition estimate; raises FitError
-    naming gamma when Z is not numerically positive definite."""
-    anorm = np.abs(Z).sum(axis=0).max()
-    try:
-        factor = cho_factor(Z, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise FitError(
-            f"(1/gamma) I + Xi is not positive definite (gamma={gamma}, "
-            f"1-norm={anorm:.3e}); the system is numerically singular") from exc
-    rcond, _ = _lapack.dpocon(factor[0], anorm, uplo="L")
-    cond = np.inf if rcond == 0 else 1.0 / rcond
-    return cho_solve(factor, rhs), factor, cond
-
-
 def fit(events: EventSequence, config: FitConfig) -> FittedModel:
-    """Fit baselines and triggering kernels by penalized least squares.
-
-    Computes Xi once, factorizes (1/gamma) I + Xi once, and solves for the
-    U + 1 right-hand sides (the window integral of phi_tilde and the U
-    per-dimension sums of phi_tilde at event times).  Baselines are
-
-        mu_i = (|N_i| - I^T b_i) / (T - I^T b_0),
-
-    and the kernel coefficients are c_i = b_i - mu_i b_0.  The denominator is
-    strictly inside (0, T) in exact arithmetic; a nonpositive value indicates
-    numerical breakdown and raises FitError.
-    """
-    if len(events) == 0:
-        raise FitError("cannot fit an empty event sequence")
-    if config.A > events.T:
-        raise ValueError(f"support window A={config.A} exceeds the horizon T={events.T}")
-    basis = config.basis
-    M, U = basis.M, events.U
-    stats: dict = {}
-
+    """Fit baselines and triggering kernels by penalized least squares on the
+    design over [0, T]; see ``Design.solve`` for the closed form."""
     t0 = time.perf_counter()
-    table = WindowIntegralTable(basis, events.times, events.T, config.A)
-    window_vec = np.zeros((U, M))
-    np.add.at(window_vec, events.marks - 1, table.vectors)
-    window_vec = window_vec.ravel()
-    event_sums = _event_feature_sums(events, basis, config.A)
-    xi = build_xi(events, basis, config.A)
-    stats["xi_build_s"] = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    Z = xi.values + np.eye(M * U) / config.gamma
-    rhs = np.column_stack([window_vec, event_sums.T])
-    solved, _, cond = _solve_spd(Z, rhs, config.gamma)
-    stats["solve_s"] = time.perf_counter() - t1
-    stats["condition_estimate"] = cond
-
-    b0 = solved[:, 0]
-    b_dims = solved[:, 1:]
-    denom = events.T - window_vec @ b0
-    stats["mu_denominator"] = denom
-    if denom <= 0:
-        raise FitError(
-            f"degenerate design: baseline denominator T - I^T b0 = {denom:.3e} <= 0 "
-            f"(gamma={config.gamma}, condition estimate {cond:.3e})")
-    mu_hat = (events.counts - window_vec @ b_dims) / denom
-    coeff = (b_dims - np.outer(b0, mu_hat)).T
+    design = Design(events, config.basis, config.A)
+    stats = {"xi_build_s": time.perf_counter() - t0}
+    mu_hat, coeff, solve_stats = design.solve(config.gamma)
+    stats.update(solve_stats)
     stats["total_s"] = time.perf_counter() - t0
-    return FittedModel(mu_hat=mu_hat, coeff=coeff, basis=basis, config=config,
-                       T=events.T, U=U, stats=stats)
+    return FittedModel(mu_hat=mu_hat, coeff=coeff, basis=config.basis, config=config,
+                       T=events.T, U=events.U, stats=stats)
 
 
 def evaluate_g(model: FittedModel, i: int, j: int, s: float) -> float:
@@ -420,21 +465,14 @@ class EquivalentKernel:
 
     def __init__(self, events: EventSequence, basis: FeatureBasis,
                  gamma: float, A: float):
-        if not gamma > 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
         self.events = events
         self.basis = basis
         self.gamma = gamma
         self.A = A
-        xi = build_xi(events, basis, A)
-        Z = xi.values + np.eye(basis.M * events.U) / gamma
-        table = WindowIntegralTable(basis, events.times, events.T, A)
-        window_vec = np.zeros((events.U, basis.M))
-        np.add.at(window_vec, events.marks - 1, table.vectors)
-        self.window_vec = window_vec.ravel()
-        _, self._factor, self.condition = _solve_spd(
-            Z, np.zeros(basis.M * events.U), gamma)
-        self._window_solution = cho_solve(self._factor, self.window_vec)
+        design = Design(events, basis, A)
+        self.window_vec = design.window_vec
+        self._window_solution, self._factor, self.condition = design.solve_system(
+            gamma, self.window_vec)
 
     def coefficients(self, s_prime: float) -> np.ndarray:
         """Solution vector ((1/gamma) I + Xi)^{-1} phi_tilde(s')."""
@@ -458,17 +496,11 @@ class EquivalentKernel:
         return float(phi(self.basis, s) @ self._window_solution[(j - 1) * M:j * M])
 
 
-def evaluate_h(events: EventSequence, basis: FeatureBasis, gamma: float,
-               A: float, j: int, s: float, s_prime: float) -> float:
-    """One-off equivalent-kernel evaluation.  Builds and factorizes the full
-    system per call; use ``EquivalentKernel`` for repeated evaluations."""
-    return EquivalentKernel(events, basis, gamma, A).h(j, s, s_prime)
-
-
 __all__ = [
     "FitError",
     "FitConfig",
     "XiMatrix",
+    "Design",
     "FittedModel",
     "phi_tilde",
     "build_xi",
@@ -477,5 +509,4 @@ __all__ = [
     "g_curve",
     "intensity",
     "EquivalentKernel",
-    "evaluate_h",
 ]

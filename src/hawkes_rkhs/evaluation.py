@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import simpson
 
-from .estimator import FitConfig, FittedModel, build_xi, fit, g_curve, phi_tilde
+from .estimator import Design, FitConfig, FitError, FittedModel, build_xi, fit, g_curve
 from .events import EventSequence
-from .features import KernelSpec, build_basis, integral_phi_range
+from .features import KernelSpec, build_basis
 from .simulation import ScenarioSpec, simulate, true_curves
 
 
@@ -79,36 +79,12 @@ def ls_contrast(mu: np.ndarray, coeff: np.ndarray, basis, events: EventSequence,
 
         sum_i [ int_t0^t1 lambda_i(t)^2 dt - 2 sum_{events of i in window} lambda_i(t_n) ]
 
-    The quadratic integral expands through the window-restricted Gram matrix
-    and feature window integrals; intensities always see the full history, so
-    events before t0 still excite inside the window.
+    The window holds the events with t0 <= t_n < t1; intensities always see
+    the full history, so events before t0 still excite inside the window.
     """
     if t0 < 0 or t1 > events.T or t0 > t1:
         raise ValueError(f"window [{t0}, {t1}] must lie inside [0, {events.T}]")
-    mu = np.asarray(mu, dtype=float)
-    coeff = np.asarray(coeff, dtype=float)
-    U, M = events.U, basis.M
-
-    xi_w = build_xi(events, basis, A, lo=t0, hi=t1).values
-    win_lo = np.clip(t0 - events.times, 0.0, A)
-    win_hi = np.clip(t1 - events.times, 0.0, A)
-    win_hi = np.maximum(win_lo, win_hi)
-    rows = integral_phi_range(basis, win_lo, win_hi)
-    window_vec = np.zeros((U, M))
-    np.add.at(window_vec, events.marks - 1, rows)
-    window_vec = window_vec.ravel()
-
-    total = 0.0
-    for i in range(U):
-        c = coeff[i]
-        total += (t1 - t0) * mu[i] ** 2 + 2.0 * mu[i] * (c @ window_vec) + c @ xi_w @ c
-
-    inside = (events.times >= t0) & (events.times <= t1)
-    for n in np.flatnonzero(inside):
-        i = events.marks[n] - 1
-        lam = mu[i] + coeff[i] @ phi_tilde(events, basis, A, events.times[n])
-        total -= 2.0 * lam
-    return float(total)
+    return Design(events, basis, A, t0, t1).contrast(mu, coeff)
 
 
 def penalized_objective(mu, coeff, basis, events, gamma: float, A: float) -> float:
@@ -136,14 +112,7 @@ def ise(truth: ScenarioSpec, model: FittedModel, A: float | None = None,
     if n_nodes % 2 == 0:
         n_nodes += 1
     s = np.linspace(0.0, A, n_nodes)
-    curves = true_curves(truth, s)
-    per_pair = np.empty((truth.U, truth.U))
-    for i in range(truth.U):
-        for j in range(truth.U):
-            diff = curves[i, j] - g_curve(model, i + 1, j + 1, s)
-            per_pair[i, j] = simpson(diff * diff, x=s)
-    return EvalReport(gamma=model.config.gamma, beta=model.basis.beta,
-                      delta_sq=float(per_pair.sum()), per_pair=per_pair)
+    return ise_on_grid(s, true_curves(truth, s), model)
 
 
 def ise_on_grid(s: np.ndarray, truth_curves: np.ndarray, model: FittedModel) -> EvalReport:
@@ -161,44 +130,57 @@ def ise_on_grid(s: np.ndarray, truth_curves: np.ndarray, model: FittedModel) -> 
                       delta_sq=float(per_pair.sum()), per_pair=per_pair)
 
 
-def _run_cell(args):
-    events, gamma, beta, M, A, seed, t_split = args
-    report = EvalReport(gamma=gamma, beta=beta)
-    t0 = time.perf_counter()
-    try:
-        basis = build_basis(KernelSpec(beta=beta), M, seed)
-        train = events.restrict(t_split)
-        model = fit(train, FitConfig(gamma=gamma, A=A, basis=basis))
-        report.ls_loss = ls_contrast(model.mu_hat, model.coeff, basis, events,
-                                     t_split, events.T, A)
-        report.wall_times = dict(model.stats)
-    except Exception as exc:  # failed cells are reported, not fatal
-        report.error = f"{type(exc).__name__}: {exc}"
-    report.wall_times["cell_s"] = time.perf_counter() - t0
-    return report
+# numerical failures a grid cell reports instead of raising; any other
+# exception is a programming error and propagates out of grid_search
+_CELL_FAILURES = (FitError, ValueError, np.linalg.LinAlgError)
+
+
+def _search_beta(events: EventSequence, gammas, beta: float, M: int, A: float,
+                 seed: int, t_split: float) -> list:
+    """Score every gamma for one beta: a training design on [0, t_split] and a
+    validation design on [t_split, T] serve all gammas, at one Cholesky
+    factorization per gamma.  Returns one report per gamma."""
+    basis = build_basis(KernelSpec(beta=beta), M, seed)
+    train = Design(events, basis, A, 0.0, t_split)
+    valid = Design(events, basis, A, t_split, events.T)
+    reports = []
+    for gamma in gammas:
+        report = EvalReport(gamma=gamma, beta=beta)
+        t0 = time.perf_counter()
+        try:
+            mu_hat, coeff, report.wall_times = train.solve(gamma)
+            report.ls_loss = valid.contrast(mu_hat, coeff)
+        except _CELL_FAILURES as exc:
+            report.error = f"{type(exc).__name__}: {exc}"
+        report.wall_times["cell_s"] = time.perf_counter() - t0
+        reports.append(report)
+    return reports
 
 
 def grid_search(events: EventSequence, grid: GridSpec, M: int, A: float,
                 seed: int, workers: int = 1):
     """Validation-split hyperparameter selection.
 
-    Each (gamma, beta) cell rebuilds the feature basis, fits on the events in
-    [0, split * T] with horizon split * T, and scores the least-squares
-    contrast on [split * T, T] with full history.  Returns (best, cells);
-    ties prefer larger gamma, then larger beta.  Cells whose fit fails carry
-    an error message and are skipped in the argmin.
+    Each (gamma, beta) cell fits on the events in [0, split * T] with horizon
+    split * T, and scores the least-squares contrast on [split * T, T] with
+    full history.  Both designs are built once per beta and shared by its
+    gammas; ``workers`` > 1 spreads the betas over processes.  Returns
+    (best, cells) with cells ordered gamma-major; ties prefer larger gamma,
+    then larger beta.  Cells whose fit fails numerically carry an error
+    message and are skipped in the argmin.
     """
     t_split = grid.split_fraction * events.T
     if len(events) == 0 or events.times.max() <= t_split:
         raise ValueError(
             f"validation window empty: no events after t={t_split:.6g}")
-    cells = [(gamma, beta) for gamma in grid.gamma_grid for beta in grid.beta_grid]
-    jobs = [(events, gamma, beta, M, A, seed, t_split) for gamma, beta in cells]
+    jobs = [(events, grid.gamma_grid, beta, M, A, seed, t_split)
+            for beta in grid.beta_grid]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_cell, jobs))
+            per_beta = list(pool.map(_search_beta, *zip(*jobs)))
     else:
-        reports = [_run_cell(job) for job in jobs]
+        per_beta = [_search_beta(*job) for job in jobs]
+    reports = [report for by_gamma in zip(*per_beta) for report in by_gamma]
     scored = [r for r in reports if r.error is None]
     if not scored:
         raise RuntimeError(

@@ -236,38 +236,20 @@ def _outer_batch(basis: FeatureBasis, t_n, t_np, a, b,
 
 
 class WindowIntegralTable:
-    """Per-event cache of feature-map integrals for a fixed event set.
+    """Per-event window integrals of the feature map for a fixed event set.
 
-    ``vectors[n]`` holds v_n = int_0^{L_n} phi(u) du with
-    L_n = max(0, min(T - t_n, A)); pair outer integrals are computed on
-    demand and memoized.
+    ``vectors[n]`` holds the integral of phi(t - t_n) over the part of
+    [lo, hi] where event n is active, int_{L_lo}^{L_hi} phi(u) du with
+    L_lo = clip(lo - t_n, 0, A) and L_hi = max(L_lo, clip(hi - t_n, 0, A)).
+    With the default lo = 0 this is the window integral over [0, hi].
     """
 
-    def __init__(self, basis: FeatureBasis, times: np.ndarray, T: float, A: float):
-        self.basis = basis
-        self.times = np.asarray(times, dtype=float)
-        self.T = float(T)
-        self.A = float(A)
-        L = np.clip(np.minimum(self.T - self.times, self.A), 0.0, None)
-        self.vectors = integral_phi_range(basis, np.zeros_like(L), L)
-        self._pairs: dict[tuple[int, int], np.ndarray] = {}
-
-    def pair(self, n: int, n_prime: int) -> np.ndarray:
-        """Outer integral of phi(t - t_n) phi(t - t_n')^T over the window where
-        both events are active, clipped to [0, T]."""
-        key = (n, n_prime)
-        cached = self._pairs.get(key)
-        if cached is not None:
-            return cached
-        t_n, t_np = self.times[n], self.times[n_prime]
-        a = max(t_n, t_np)
-        b = min(self.T, self.A + t_n, self.A + t_np)
-        if a >= b:
-            value = np.zeros((self.basis.M, self.basis.M))
-        else:
-            value = integral_phi_outer(self.basis, t_n, t_np, a, b)
-        self._pairs[key] = value
-        return value
+    def __init__(self, basis: FeatureBasis, times: np.ndarray, hi: float, A: float,
+                 lo: float = 0.0):
+        times = np.asarray(times, dtype=float)
+        L_lo = np.clip(lo - times, 0.0, A)
+        L_hi = np.maximum(L_lo, np.clip(hi - times, 0.0, A))
+        self.vectors = integral_phi_range(basis, L_lo, L_hi)
 
 
 __all__ = [

@@ -4,13 +4,13 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from hawkes_rkhs.estimator import (
+    Design,
     EquivalentKernel,
     FitConfig,
     FitError,
     FittedModel,
     build_xi,
     evaluate_g,
-    evaluate_h,
     fit,
     g_curve,
     intensity,
@@ -162,6 +162,38 @@ def test_xi_windowed_matches_quadrature():
     assert_allclose(got, want, atol=1e-9 * max(1.0, np.abs(want).max()))
 
 
+# --- design ---------------------------------------------------------------------
+
+def design_parts(design):
+    return (design.xi.values, design.window_vec, design.event_sums, design.counts)
+
+
+@pytest.mark.parametrize("seed,split", [(5, 0.5), (17, 0.8), (23, None)])
+def test_design_split_additivity(seed, split):
+    # the designs over [0, s] and [s, T] sum to the design over [0, T]
+    ev, basis = small_instance(seed=seed, U=2, n=20, T=12.0)
+    s = ev.times[len(ev) // 2] if split is None else split * ev.T  # None: s at an event
+    A = 3.0
+    whole = Design(ev, basis, A)
+    parts = zip(design_parts(Design(ev, basis, A, 0.0, s)),
+                design_parts(Design(ev, basis, A, s, ev.T)))
+    for (left, right), want in zip(parts, design_parts(whole)):
+        assert_allclose(left + right, want, rtol=0,
+                        atol=1e-10 * max(1.0, np.abs(want).max()))
+    assert whole.length == ev.T and whole.counts.sum() == len(ev)
+
+
+def test_design_prefix_matches_restricted_events():
+    # the training design of grid search equals the design of the truncated data
+    ev, basis = small_instance(seed=19, U=2, n=20, T=12.0)
+    s = 0.7 * ev.T
+    full = Design(ev, basis, 3.0, 0.0, s)
+    restricted = Design(ev.restrict(s), basis, 3.0)
+    assert restricted.length == full.length
+    for got, want in zip(design_parts(full), design_parts(restricted)):
+        assert_allclose(got, want, rtol=1e-10, atol=1e-14)
+
+
 # --- fit ------------------------------------------------------------------------
 
 def test_fit_requires_events_and_window():
@@ -299,13 +331,6 @@ def test_equivalent_kernel_vanishes_under_strong_penalty():
     eq = EquivalentKernel(ev, basis, 1e-9, 3.0)
     vals = [abs(eq.h(j, s, sp)) for j in (1, 2) for s in (0.2, 1.5) for sp in (2.0, 6.0)]
     assert max(vals) <= 1e-8
-
-
-def test_evaluate_h_convenience_matches_class():
-    ev, basis = small_instance(seed=37, n=6)
-    got = evaluate_h(ev, basis, 0.5, 3.0, 1, 0.7, 2.1)
-    eq = EquivalentKernel(ev, basis, 0.5, 3.0)
-    assert got == pytest.approx(eq.h(1, 0.7, 2.1), abs=1e-15)
 
 
 def test_representer_consistency():

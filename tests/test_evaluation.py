@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hawkes_rkhs.estimator import FitConfig, FittedModel, fit, g_curve
+from hawkes_rkhs import estimator, evaluation
+from hawkes_rkhs.estimator import Design, FitConfig, FittedModel, fit, g_curve
 from hawkes_rkhs.events import EventSequence
 from hawkes_rkhs.evaluation import (
     EvalReport,
@@ -272,15 +273,42 @@ def test_noisy_model_scores_worse_on_validation():
 
 
 def test_failed_cell_is_reported_not_fatal():
-    from hawkes_rkhs.evaluation import _run_cell
+    from hawkes_rkhs.evaluation import _search_beta
     events = sim_events(seed=14)
     # A larger than the training horizon makes the fit raise inside the cell
-    report = _run_cell((events, 1.0, 1.0, 8, events.T * 0.9, 0, 0.8 * events.T))
+    [report] = _search_beta(events, (1.0,), 1.0, 8, events.T * 0.9, 0, 0.8 * events.T)
     assert report.error is not None and "exceeds the horizon" in report.error
     assert report.ls_loss is None
     # when every cell fails the search itself raises
     with pytest.raises(RuntimeError, match="every grid cell failed"):
         grid_search(events, GridSpec((1.0,), (1.0,)), M=8, A=events.T * 0.9, seed=0)
+
+
+def test_grid_cell_programming_error_propagates(monkeypatch):
+    # only numerical failures become "error" cells; a bug must raise
+    def broken(self, gamma):
+        raise TypeError("broken solve")
+    monkeypatch.setattr(Design, "solve", broken)
+    with pytest.raises(TypeError, match="broken solve"):
+        grid_search(sim_events(seed=9), GridSpec((1.0,), (1.0,)), M=8, A=5.0, seed=0)
+
+
+def test_grid_search_builds_two_grams_per_beta(monkeypatch):
+    calls = []
+    original = estimator.build_xi
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # count every name the Gram build is reachable by
+    monkeypatch.setattr(estimator, "build_xi", counting)
+    monkeypatch.setattr(evaluation, "build_xi", counting)
+    grid = GridSpec((0.5, 1.0), (0.5, 1.0))
+    _, cells = grid_search(sim_events(seed=9), grid, M=8, A=5.0, seed=1)
+    assert len(calls) == 4
+    assert [(c.gamma, c.beta) for c in cells] == [(0.5, 0.5), (0.5, 1.0),
+                                                  (1.0, 0.5), (1.0, 1.0)]
 
 
 # --- benchmarks -------------------------------------------------------------------

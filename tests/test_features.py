@@ -185,10 +185,6 @@ def test_window_table_invariants():
     assert np.all(np.isfinite(table.vectors))
     assert_allclose(table.vectors[0], quad_phi_vector(basis, 0.0, 5.0), atol=1e-12)
     assert_allclose(table.vectors[2], quad_phi_vector(basis, 0.0, 1.0), atol=1e-12)
-    # pair cache: symmetric in its arguments up to transpose, memoized
-    G = table.pair(0, 1)
-    assert table.pair(0, 1) is G
-    assert_allclose(G, table.pair(1, 0).T, atol=1e-14)
     # an event at the horizon contributes nothing
     table2 = WindowIntegralTable(basis, np.array([10.0, 11.0]), 10.0, 5.0)
     assert_allclose(table2.vectors, 0.0)
