@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .estimator import FitConfig, FittedModel, fit, g_curve
+from .estimator import FitConfig, FitError, FittedModel, fit, g_curve
 from .events import read_events_csv, write_events_csv
 from .evaluation import GridSpec, bench_factorization, bench_scaling
 from .evaluation import grid_search, ise, ise_on_grid
@@ -173,7 +173,7 @@ def run_fit(args) -> int:
     config = FitConfig(gamma=float(opts["gamma"]), A=float(opts["window"]), basis=basis)
     try:
         model = fit(events, config)
-    except Exception as exc:
+    except (FitError, ValueError) as exc:  # LinAlgError is a ValueError
         print(f"error: fit failed on {opts['events']}: {exc}", file=sys.stderr)
         return 1
     _write_json(opts["out"], model.to_dict())
@@ -391,7 +391,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except Exception as exc:  # argparse handles usage; this is a runtime failure
+    except (OSError, ValueError, RuntimeError) as exc:  # argparse handles usage
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,9 +22,9 @@ from .events import EventSequence
 from .features import (
     FeatureBasis,
     WindowIntegralTable,
+    _outer_batch,
     feature_matrix,
     phi,
-    sinc_u,
 )
 
 
@@ -52,11 +52,16 @@ class FitConfig:
 @dataclass(frozen=True)
 class XiMatrix:
     """Dense symmetric MU x MU Gram integral of the windowed feature sum,
-    organized as U x U blocks of M x M submatrices."""
+    organized as U x U blocks of M x M submatrices.
+
+    ``event_sums[i]`` is the sum of phi_tilde(t_n) over the events of
+    dimension i in the same window, shape (U, MU): the pass over the pairs
+    that builds the Gram gives it at the cost of one more weighted sum."""
 
     values: np.ndarray
     M: int
     U: int
+    event_sums: np.ndarray | None = None
 
     def block(self, i: int, j: int) -> np.ndarray:
         """(i, j) block, 1-based dimensions."""
@@ -91,126 +96,137 @@ def _pairs_lag_in_window(times: np.ndarray, A: float):
     return idx_n, idx_np
 
 
-def _sincos_features(basis: FeatureBasis, shifts: np.ndarray):
-    """cos and sin of (omega_m x + theta_m) for an array of x, shape (P, M).
+# terms kept of the near-resonant Taylor series: with |y| < 1 the first term
+# dropped is below 1/21! ~ 2e-20 of the sum's scale
+_SERIES_TERMS = 20
+# elements per array of a chunk of pairs (1 MB): pairs x distinct frequencies
+# in the lag pass, pairs x M^2 in the boundary closed form
+_CHUNK = 1 << 17
 
-    Only the first M/2 frequencies need trig calls: the -pi/2 phase of the
-    duplicated half turns cos into sin and sin into -cos.
+
+def _resonance(basis: FeatureBasis, A: float):
+    """Split the (m, k) entries of a Gram block by y = (omega_m +- omega_k) A.
+
+    Returns R+ + R- and R+ - R-, where R+-[m, k] = 1 / (omega_m +- omega_k)
+    except where |y| < 1, there 0, and for each sign the (m, k, y) of those
+    near-resonant entries: they take the Taylor series in y instead.  The
+    criterion is dimensionless, so it does not depend on the time unit.
     """
-    half = basis.M // 2
-    ang = np.multiply.outer(shifts, basis.omega[:half])
-    c = np.cos(ang)
-    s = np.sin(ang)
-    return np.concatenate([c, s], axis=1), np.concatenate([s, -c], axis=1)
+    omega = basis.omega
+    recips, series = [], []
+    for sign in (1.0, -1.0):
+        x = omega[:, None] + sign * omega[None, :]
+        near = np.abs(x) * A < 1.0
+        recips.append(np.divide(1.0, x, out=np.zeros_like(x), where=~near))
+        m, k = np.nonzero(near)
+        series.append((m, k, x[m, k] * A))
+    r_plus, r_minus = recips
+    return r_plus + r_minus, r_plus - r_minus, series
 
 
-# below this |omega_m +- omega_n| threshold the divided-difference form of the
-# pair integral loses accuracy once summed over many pairs; those few entries
-# are recomputed with the product (sinc) form instead
-_NEAR_RESONANT = 0.05
+def _lag_sums(freq: np.ndarray, lag: np.ndarray, ell: np.ndarray,
+              weight: np.ndarray, summed: np.ndarray) -> np.ndarray:
+    """Weighted sums of exp(i freq lag_p) over pairs p, shape (J + 2, F).
 
-
-def _gram_part(acc, basis, denom, small, sign, t_n, t_np, a, b,
-               CB, SB, CB2, SB2, CA, SA, CA2, SA2):
-    """Accumulate sum_p [sin(B +- B') - sin(A +- A')] / (omega_m +- omega_n).
-
-    The pair sum factors into four (M, P) x (P, M) matrix products; entries
-    with a near-resonant denominator are overwritten with the numerically
-    stable per-entry product form.
+    Row 0 weighs pair p by weight_p, row j in 1..J by weight_p ell_p^j, and
+    the last row by summed_p; all rows come from one real GEMM per chunk.
     """
-    G1 = SB.T @ CB2
-    G3 = SA.T @ CA2
-    if sign > 0:
-        num = (G1 - G3) + (CB.T @ SB2 - CA.T @ SA2)
-    else:
-        num = (G1 - G3) - (CB.T @ SB2 - CA.T @ SA2)
-    part = num / denom
-    if small is not None:
-        mid = 0.5 * (a + b)
-        h = 0.5 * (b - a)
-        length = b - a
-        omega, theta = basis.omega, basis.theta
-        for m, n in small:
-            arg = omega[m] * (mid - t_n) + sign * omega[n] * (mid - t_np) \
-                + theta[m] + sign * theta[n]
-            x = h * (omega[m] + sign * omega[n])
-            part[m, n] = np.sum(length * np.cos(arg) * sinc_u(x))
-    acc += part
+    J = _SERIES_TERMS
+    out = np.zeros((J + 2, freq.size), dtype=complex)
+    step = max(1, _CHUNK // freq.size)
+    for start in range(0, lag.size, step):
+        part = slice(start, start + step)
+        W = np.empty((J + 2, lag[part].size))
+        W[0] = weight[part]
+        W[1:J + 1] = np.cumprod(np.broadcast_to(ell[part], (J, W.shape[1])), axis=0)
+        W[1:J + 1] *= W[0]
+        W[J + 1] = summed[part]
+        ang = np.multiply.outer(lag[part], freq)
+        out += W @ np.cos(ang)
+        out += 1j * (W @ np.sin(ang, out=ang))
+    return out
 
 
 def _gram(events: EventSequence, basis: FeatureBasis, A: float,
-          lo: float, hi: float) -> np.ndarray:
-    """int_lo^hi phi_tilde(t) phi_tilde(t)^T dt as a dense (MU, MU) array.
+          lo: float, hi: float):
+    """Gram integral of phi_tilde over [lo, hi], shape (MU, MU), and the event
+    sums of ``Design`` over lo <= t_n < hi, shape (U, MU), from one pass.
 
-    Pair (n, n') contributes int_a^b phi(t-t_n) phi(t-t_n')^T dt with
-    a = max(t_n, lo) and b = min(A + t_n', hi) for t_n' <= t_n (a pair at lag
-    exactly A has a = b and drops out); each unordered pair is integrated once
-    into its (mark_n, mark_n') block and mirrored into the transposed block,
-    so the result is symmetric and deterministic.
+    Pair (n, n'), t_n' <= t_n, adds int_a^b phi(t - t_n) phi(t - t_n')^T dt,
+    a = max(t_n, lo), b = min(t_n' + A, hi), to its (mark_n, mark_n') block,
+    which enters together with its transpose.  For an interior pair
+    (t_n >= lo, t_n' + A <= hi), with lag D = t_n - t_n' and L = A - D, that is
+    int_0^L phi(u) phi(u + D)^T du, and over the interior pairs of a block
+
+        (1/M) [ (Im(E_m F_k) - Im(e^{i theta_m} G_k)) / (omega_m + omega_k)
+              + (Im(E_m conj F_k) - Im(e^{i theta_m} conj G_k)) / (omega_m - omega_k) ]
+
+    with G_k = sum_p exp(i(omega_k D_p + theta_k)), E_m = sum_p exp(i(omega_m
+    L_p + theta_m)) (conj G turned by F) and F_k = exp(i(omega_k A + theta_k)):
+    O(P M) exponentials, on the distinct frequencies only, plus O(M^2)
+    arithmetic.  Entries with |y| < 1, y = (omega_m +- omega_k) A, take the
+    series A Re[e^{i theta_m} sum_j (iy)^j / (j+1)! H_k^(j)] (conj H for -)
+    with H_k^(j) = sum_p (L_p/A)^(j+1) exp(i(omega_k D_p + theta_k)).  Pairs
+    cut by the horizon or the window take ``_outer_batch``.  The event sums
+    are the lag sums over the pairs with lo <= t_n < hi.
     """
     times, marks = events.times, events.marks
-    M, U = basis.M, events.U
-
+    M, U, J = basis.M, events.U, _SERIES_TERMS
     idx_n, idx_np = _pairs_lag_in_window(times, A)
-    all_n = np.concatenate([np.arange(times.size), idx_n])
-    all_np = np.concatenate([np.arange(times.size), idx_np])
-    t_n = times[all_n]
-    t_np = times[all_np]
+    n = np.concatenate([np.arange(times.size), idx_n])
+    n2 = np.concatenate([np.arange(times.size), idx_np])
+    t_n, t_np = times[n], times[n2]
     a = np.maximum(t_n, lo)
-    b = np.minimum(np.minimum(t_np + A, t_n + A), hi)
-    keep = a < b
-    all_n, all_np, t_n, t_np, a, b = (
-        x[keep] for x in (all_n, all_np, t_n, t_np, a, b))
-    is_self = all_n == all_np
-    bi = marks[all_n] - 1
-    bj = marks[all_np] - 1
+    b = np.minimum(t_np + A, hi)
+    overlap = a < b
+    interior = overlap & (t_n >= lo) & (t_np + A <= hi)
+    boundary = overlap & ~interior
+    summed = (t_n >= lo) & (t_n < hi) & (n != n2)
+    # a same-event pair enters its diagonal block once, and every block is
+    # added together with its transpose
+    weight = np.where(n == n2, 0.5, 1.0)
+    block = (marks[n] - 1) * U + (marks[n2] - 1)
 
-    omega_plus = basis.omega[:, None] + basis.omega[None, :]
-    omega_minus = basis.omega[:, None] - basis.omega[None, :]
-    small_plus = np.abs(omega_plus) < _NEAR_RESONANT
-    small_minus = np.abs(omega_minus) < _NEAR_RESONANT
-    den_plus = np.where(small_plus, 1.0, omega_plus)
-    den_minus = np.where(small_minus, 1.0, omega_minus)
-    idx_plus = np.argwhere(small_plus) if small_plus.any() else None
-    idx_minus = np.argwhere(small_minus) if small_minus.any() else None
+    freq, inverse = np.unique(basis.omega, return_inverse=True)
+    turn = np.exp(1j * basis.theta)
+    F = np.exp(1j * (basis.omega * A + basis.theta))
+    inv_fact = 1.0 / np.cumprod(np.arange(1.0, J + 1.0))
+    r_sum, r_diff, series = _resonance(basis, A)
 
-    # cross[i, j]: ordered-pair contributions; self_acc[i]: same-event pairs
-    cross = np.zeros((U, U, M, M))
-    self_acc = np.zeros((U, M, M))
-    chunk = max(64, min(16384, 8_000_000 // max(M * M, 1)))
-
-    def accumulate(target, rows, same_event):
-        for start in range(0, rows.size, chunk):
-            r = rows[start:start + chunk]
-            tn, tp, aa, bb = t_n[r], t_np[r], a[r], b[r]
-            CB, SB = _sincos_features(basis, bb - tn)
-            CA, SA = _sincos_features(basis, aa - tn)
-            if same_event:
-                CB2, SB2, CA2, SA2 = CB, SB, CA, SA
-            else:
-                CB2, SB2 = _sincos_features(basis, bb - tp)
-                CA2, SA2 = _sincos_features(basis, aa - tp)
-            args = (tn, tp, aa, bb, CB, SB, CB2, SB2, CA, SA, CA2, SA2)
-            _gram_part(target, basis, den_plus, idx_plus, +1, *args)
-            _gram_part(target, basis, den_minus, idx_minus, -1, *args)
-
-    for i in range(U):
-        accumulate(self_acc[i], np.flatnonzero(is_self & (bi == i)), True)
-        for j in range(U):
-            accumulate(cross[i, j],
-                       np.flatnonzero(~is_self & (bi == i) & (bj == j)), False)
-
-    blocks = np.empty((U, U, M, M))
+    out = np.zeros((U * M, U * M))
+    event_sums = np.zeros((U, U, M))
+    outer = np.multiply.outer
+    chunk = max(1, _CHUNK // (M * M))
     for i in range(U):
         for j in range(U):
-            blocks[i, j] = cross[i, j] + cross[j, i].T
-        blocks[i, i] += self_acc[i]
-    out = blocks.transpose(0, 2, 1, 3).reshape(M * U, M * U)
-    out /= M
-    # make symmetry exact down to the last bit
-    out += out.T.copy()
-    out *= 0.5
-    return out
+            in_block = block == i * U + j
+            rows = np.flatnonzero(in_block & (interior | summed))
+            lag = t_n[rows] - t_np[rows]
+            sums = _lag_sums(freq, lag, (A - lag) / A,
+                             np.where(interior[rows], weight[rows], 0.0), summed[rows])
+            sums = sums[:, inverse]
+            event_sums[i, j] = basis.scale * (turn * sums[J + 1]).real
+            G = turn * sums[0]
+            E = F * np.conj(sums[0])
+            X = (outer(E.imag, F.real) - outer(turn.imag, G.real)) * r_sum
+            X += (outer(E.real, F.imag) - outer(turn.real, G.imag)) * r_diff
+            H = turn * sums[1:J + 1] * inv_fact[:, None]
+            for (m, k, y), moments in zip(series, (H, np.conj(H))):
+                acc = moments[J - 1, k]
+                for order in range(J - 2, -1, -1):
+                    acc = moments[order, k] + 1j * y * acc
+                X[m, k] += A * (turn[m] * acc).real
+            X /= M
+            rows = np.flatnonzero(in_block & boundary)
+            for start in range(0, rows.size, chunk):
+                r = rows[start:start + chunk]
+                X += np.tensordot(weight[r], _outer_batch(
+                    basis, t_n[r], t_np[r], a[r], b[r]), axes=1)
+            # each entry of out and its mirror sum the same two terms, so out
+            # is symmetric to the last bit
+            out[i * M:(i + 1) * M, j * M:(j + 1) * M] += X
+            out[j * M:(j + 1) * M, i * M:(i + 1) * M] += X.T
+    return out, event_sums.reshape(U, U * M)
 
 
 def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
@@ -219,33 +235,13 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
 
     With the default bounds this is the Gram integral of phi_tilde over
     [0, T]; restricting (lo, hi) yields the window-limited Gram used for
-    validation scoring.
+    validation scoring.  The event sums over the same window come from the
+    same pass over the pairs.
     """
     if hi is None:
         hi = events.T
-    return XiMatrix(_gram(events, basis, A, lo, hi), basis.M, events.U)
-
-
-def _event_feature_sums(events: EventSequence, basis: FeatureBasis, A: float,
-                        lo: float, hi: float) -> np.ndarray:
-    """S[i] = sum of phi_tilde(t_n) over events n of dimension i with
-    lo <= t_n < hi, shape (U, MU)."""
-    times, marks = events.times, events.marks
-    M, U = basis.M, events.U
-    acc = np.zeros((U, U, M))
-    idx_n, idx_np = _pairs_lag_in_window(times, A)
-    inside = (times[idx_n] >= lo) & (times[idx_n] < hi)
-    idx_n, idx_np = idx_n[inside], idx_np[inside]
-    rows = feature_matrix(basis, times[idx_n] - times[idx_np])
-    bi = marks[idx_n] - 1
-    bj = marks[idx_np] - 1
-    for i in range(U):
-        rows_i = bi == i
-        for j in range(U):
-            group = rows_i & (bj == j)
-            if np.any(group):
-                acc[i, j] += rows[group].sum(axis=0)
-    return acc.reshape(U, U * M)
+    values, event_sums = _gram(events, basis, A, lo, hi)
+    return XiMatrix(values, basis.M, events.U, event_sums)
 
 
 def _solve_spd(Z: np.ndarray, rhs: np.ndarray, gamma: float):
@@ -295,8 +291,8 @@ class Design:
         inside = (events.times >= lo) & (events.times < hi)
         self.counts = np.bincount(events.marks[inside] - 1,
                                   minlength=events.U).astype(float)
-        self.event_sums = _event_feature_sums(events, basis, A, lo, hi)
         self.xi = build_xi(events, basis, A, lo, hi)
+        self.event_sums = self.xi.event_sums
 
     def solve_system(self, gamma: float, rhs: np.ndarray):
         """Solve ((1/gamma) I + Xi) x = rhs; returns (x, Cholesky factor,

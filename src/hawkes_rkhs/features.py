@@ -207,8 +207,7 @@ def integral_phi_outer(basis: FeatureBasis, t_n: float, t_np: float,
     )[0]
 
 
-def _outer_batch(basis: FeatureBasis, t_n, t_np, a, b,
-                 omega_sum=None, omega_diff=None) -> np.ndarray:
+def _outer_batch(basis: FeatureBasis, t_n, t_np, a, b) -> np.ndarray:
     """Batched outer-product integrals for P (t_n, t_np, a, b) tuples -> (P, M, M).
 
     With X_m = omega_m (mid - t_n) + theta_m and Y_m = omega_m (mid - t_np) + theta_m,
@@ -219,10 +218,8 @@ def _outer_batch(basis: FeatureBasis, t_n, t_np, a, b,
     where S+- = sinc(h (omega_m +- omega_m')).
     """
     omega, theta = basis.omega, basis.theta
-    if omega_sum is None:
-        omega_sum = omega[:, None] + omega[None, :]
-    if omega_diff is None:
-        omega_diff = omega[:, None] - omega[None, :]
+    omega_sum = omega[:, None] + omega[None, :]
+    omega_diff = omega[:, None] - omega[None, :]
     mid = (a + b) * 0.5
     h = (b - a) * 0.5
     X = omega * (mid - t_n)[:, None] + theta

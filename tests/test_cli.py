@@ -119,6 +119,20 @@ def test_fit_reports_duplicate_timestamp(tmp_path):
     assert "duplicate event time at line 5" in out.stderr
 
 
+def test_fit_programming_error_propagates(tmp_path, monkeypatch):
+    # only expected numerical failures become "error: ..." and exit code 1
+    from hawkes_rkhs import cli
+
+    def broken(events, config):
+        raise TypeError("broken fit")
+
+    monkeypatch.setattr(cli, "fit", broken)
+    events = tmp_path / "events.csv"
+    events.write_text("# T=10\n# U=1\ntime,mark\n0.5,1\n2.5,1\n")
+    with pytest.raises(TypeError, match="broken fit"):
+        cli.main(["fit", "--events", str(events), "--out", str(tmp_path / "m.json")])
+
+
 def test_grid_search_single_cell_matches_fit(sim_files, tmp_path):
     root, events, _ = sim_files
     report_path = tmp_path / "grid.json"

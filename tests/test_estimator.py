@@ -162,6 +162,88 @@ def test_xi_windowed_matches_quadrature():
     assert_allclose(got, want, atol=1e-9 * max(1.0, np.abs(want).max()))
 
 
+def per_pair_xi(ev, basis, A, lo, hi):
+    """Gram over [lo, hi] with one integral_phi_outer call per ordered pair."""
+    from hawkes_rkhs.features import integral_phi_outer
+    M = basis.M
+    ref = np.zeros((ev.U * M, ev.U * M))
+    for n in range(len(ev)):
+        for n2 in range(len(ev)):
+            a = max(ev.times[n], ev.times[n2], lo)
+            b = min(hi, ev.times[n] + A, ev.times[n2] + A)
+            if a < b:
+                i, j = ev.marks[n] - 1, ev.marks[n2] - 1
+                ref[i * M:(i + 1) * M, j * M:(j + 1) * M] += integral_phi_outer(
+                    basis, ev.times[n], ev.times[n2], a, b)
+    return ref
+
+
+def test_xi_windowed_agrees_with_per_pair_closed_form():
+    # (lo, hi) cuts pairs at both ends, so boundary pairs meet interior ones
+    rng = np.random.default_rng(31)
+    A, lo, hi = 4.0, 2.5, 7.5
+    for M in (8, 64):
+        ev, basis = random_instance(rng, U=2, n_events=15, T=10.0, M=M, seed=4)
+        t = ev.times
+        assert np.any((t < lo) & (t + A > lo)) and np.any((t < hi) & (t + A > hi))
+        got = build_xi(ev, basis, A, lo, hi).values
+        ref = per_pair_xi(ev, basis, A, lo, hi)
+        assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def test_xi_near_resonant_entries_agree_with_per_pair_closed_form():
+    # a hand-built basis: an exact resonance (repeated and zero frequencies)
+    # and (m, k) entries with |omega_m -+ omega_k| A at 0.99 and 1.01, on both
+    # sides of the switch to the Taylor series; phases need not be 0 or -pi/2
+    from hawkes_rkhs.estimator import _resonance
+    from hawkes_rkhs.features import FeatureBasis
+    A = 4.0
+    omega = np.array([0.5, 0.5, 0.5 + 0.99 / A, 0.5 + 1.01 / A,
+                      -0.5 + 0.99 / A, -0.5 + 1.01 / A, 0.0, 2.0])
+    theta = np.array([0.0, -0.5 * np.pi, 0.3, -0.5 * np.pi, 1.1, 0.0, 0.7, -0.2])
+    basis = FeatureBasis(omega=omega, theta=theta)
+    (m_plus, k_plus, y_plus), (m_minus, k_minus, y_minus) = _resonance(basis, A)[2]
+    assert {(0, 4), (6, 6)} <= set(zip(m_plus, k_plus))  # y+ = 0.99 and 0
+    assert (0, 5) not in set(zip(m_plus, k_plus))         # y+ = 1.01
+    assert {(0, 1), (2, 0)} <= set(zip(m_minus, k_minus))  # y- = 0 and 0.99
+    assert (3, 0) not in set(zip(m_minus, k_minus))        # y- = 1.01
+    assert np.abs(y_plus).max() < 1.0 and np.abs(y_minus).max() < 1.0
+    rng = np.random.default_rng(37)
+    times = np.unique(rng.uniform(0.0, 11.5, 25))
+    ev = EventSequence(times, rng.integers(1, 3, times.size), 12.0, 2)
+    for lo, hi in ((0.0, ev.T), (3.0, 9.0)):
+        got = build_xi(ev, basis, A, lo, hi).values
+        ref = per_pair_xi(ev, basis, A, lo, hi)
+        assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+@given(log_c=st.floats(min_value=-3.0, max_value=3.0))
+def test_fit_does_not_depend_on_time_unit(log_c):
+    # times, T and A times c, beta and gamma over c: c g(c s) and c mu stay,
+    # and the Gram takes its series path on the same (m, k) entries
+    from hawkes_rkhs.estimator import _resonance
+    from hawkes_rkhs.features import FeatureBasis
+    c = 10.0 ** log_c
+    ev, basis = small_instance(seed=29, U=2, n=30, T=20.0, M=16)
+    A, gamma = 3.0, 0.7
+    scaled_ev = EventSequence(ev.times * c, ev.marks, ev.T * c, ev.U)
+    scaled_basis = FeatureBasis(omega=basis.omega / c, theta=basis.theta,
+                                beta=basis.beta / c, seed=basis.seed)
+    ref = fit(ev, FitConfig(gamma=gamma, A=A, basis=basis))
+    got = fit(scaled_ev, FitConfig(gamma=gamma / c, A=A * c, basis=scaled_basis))
+    assert_allclose(c * got.mu_hat, ref.mu_hat, rtol=1e-9)
+    s = np.linspace(0.0, A, 13)
+    for i in (1, 2):
+        for j in (1, 2):
+            want = g_curve(ref, i, j, s)
+            assert_allclose(c * g_curve(got, i, j, c * s), want, rtol=1e-9,
+                            atol=1e-9 * np.abs(want).max())
+    for near, scaled_near in zip(_resonance(basis, A)[2],
+                                 _resonance(scaled_basis, A * c)[2]):
+        assert np.array_equal(near[0], scaled_near[0])
+        assert np.array_equal(near[1], scaled_near[1])
+
+
 # --- design ---------------------------------------------------------------------
 
 def design_parts(design):
