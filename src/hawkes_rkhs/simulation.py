@@ -43,7 +43,9 @@ class SoftplusLink:
 class TriggerKernel:
     """A triggering kernel g(s) together with a thinning envelope.
 
-    ``fn`` must accept numpy arrays of lags; ``envelope(s)`` must be
+    ``fn`` and ``envelope`` each take a 1-d float array of lags (the
+    simulator passes one mark's live history at a time), act elementwise and
+    return an array of the same shape.  ``envelope(s)`` must be
     nonincreasing, nonnegative, and dominate g on [s, inf).
     """
 
@@ -206,6 +208,9 @@ SCENARIOS = {
 }
 
 
+_BUFFER = 256  # initial per-mark history capacity
+
+
 def simulate(spec: ScenarioSpec, T: float, seed: int,
              max_events: int = 2_000_000) -> SimResult:
     """Draw one realization on [0, T] by thinning.
@@ -223,42 +228,43 @@ def simulate(spec: ScenarioSpec, T: float, seed: int,
         raise ValueError("cannot establish a thinning bound: envelope is unbounded at lag 0")
 
     rng = np.random.default_rng(seed)
-    mu = np.asarray(spec.mu, dtype=float)
     identity = isinstance(spec.link, IdentityLink)
+    U = spec.U
+    # per source mark j: the kernels j -> i of every target i, and the live
+    # history of mark j as bufs[j][lo[j]:hi[j]] in acceptance order, so each
+    # kernel sums the same lags in the same order as one scan of all marks
+    fns = [[spec.kernels[i][j].fn for i in range(U)] for j in range(U)]
+    envs = [[spec.kernels[i][j].envelope for i in range(U)] for j in range(U)]
+    bufs = [np.empty(_BUFFER) for _ in range(U)]
+    lo, hi = [0] * U, [0] * U
     times: list[float] = []
     marks: list[int] = []
     accepted_intensity: list[float] = []
     window = spec.support_lag
     t = 0.0
-    first_active = 0
     n_proposals = 0
 
-    def linear_parts(now: float, use_envelope: bool) -> np.ndarray:
-        values = mu.copy()
-        if first_active < len(times):
-            lags = now - np.asarray(times[first_active:])
-            lag_marks = np.asarray(marks[first_active:])
-            for j in range(spec.U):
-                lags_j = lags[lag_marks == j + 1]
-                if lags_j.size == 0:
-                    continue
-                for i in range(spec.U):
-                    k = spec.kernels[i][j]
-                    contrib = k.envelope(lags_j) if use_envelope else k.fn(lags_j)
-                    values[i] += float(np.sum(contrib))
-        return values
+    def linear_parts(now: float, table: list) -> np.ndarray:
+        values = list(spec.mu)
+        for j in range(U):
+            if lo[j] < hi[j]:
+                lags_j = now - bufs[j][lo[j]:hi[j]]
+                for i, k in enumerate(table[j]):
+                    values[i] += float(np.add.reduce(k(lags_j)))
+        return np.array(values)
 
     while True:
-        bound = float(np.sum(spec.link(linear_parts(t, use_envelope=True))))
+        bound = float(np.sum(spec.link(linear_parts(t, envs))))
         if bound <= 0.0:
             break
         t += rng.exponential(1.0 / bound)
         n_proposals += 1
         if t >= T:
             break
-        while first_active < len(times) and t - times[first_active] > window:
-            first_active += 1
-        lam = np.asarray(spec.link(linear_parts(t, use_envelope=False)), dtype=float)
+        for j in range(U):
+            while lo[j] < hi[j] and t - bufs[j][lo[j]] > window:
+                lo[j] += 1
+        lam = np.asarray(spec.link(linear_parts(t, fns)), dtype=float)
         if identity and lam.min() < 0:
             raise RuntimeError(
                 f"negative intensity {lam.min():.3e} at t={t:.6g} under the identity link")
@@ -269,6 +275,14 @@ def simulate(spec: ScenarioSpec, T: float, seed: int,
             times.append(t)
             marks.append(mark)
             accepted_intensity.append(float(lam[mark - 1]))
+            j = mark - 1
+            if hi[j] == bufs[j].size:  # full: move the live range to a new buffer
+                n = hi[j] - lo[j]
+                grown = np.empty(max(_BUFFER, 2 * n))
+                grown[:n] = bufs[j][lo[j]:hi[j]]
+                bufs[j], lo[j], hi[j] = grown, 0, n
+            bufs[j][hi[j]] = t
+            hi[j] += 1
             if len(times) > max_events:
                 raise RuntimeError(
                     f"simulation aborted: more than {max_events} events by t={t:.6g} "

@@ -12,6 +12,7 @@ from scipy.integrate import quad
 
 from hawkes_rkhs.events import EventSequence
 from hawkes_rkhs.features import FeatureBasis
+from hawkes_rkhs.simulation import IdentityLink, ScenarioSpec, SimResult
 
 
 def quad_phi_component(basis: FeatureBasis, m: int, lo: float, hi: float,
@@ -185,3 +186,72 @@ def random_instance(rng, U=2, n_events=12, T=10.0, M=8, beta=1.0, seed=None):
     basis = build_basis(KernelSpec(beta=beta), M,
                         int(rng.integers(0, 2**31)) if seed is None else seed)
     return events, basis
+
+
+def simulate_loop(spec: ScenarioSpec, T: float, seed: int,
+                  max_events: int = 2_000_000) -> SimResult:
+    """The thinning simulator as one scan over the whole history list per
+    proposal: the reference that ``simulation.simulate`` must match to the
+    last bit (same draws, events, intensities and proposal count)."""
+    if not T > 0:
+        raise ValueError(f"horizon T must be positive, got {T}")
+    env0 = np.array([[float(spec.kernels[i][j].envelope(0.0))
+                      for j in range(spec.U)] for i in range(spec.U)])
+    if not np.all(np.isfinite(env0)):
+        raise ValueError("cannot establish a thinning bound: envelope is unbounded at lag 0")
+
+    rng = np.random.default_rng(seed)
+    mu = np.asarray(spec.mu, dtype=float)
+    identity = isinstance(spec.link, IdentityLink)
+    times: list[float] = []
+    marks: list[int] = []
+    accepted_intensity: list[float] = []
+    window = spec.support_lag
+    t = 0.0
+    first_active = 0
+    n_proposals = 0
+
+    def linear_parts(now: float, use_envelope: bool) -> np.ndarray:
+        values = mu.copy()
+        if first_active < len(times):
+            lags = now - np.asarray(times[first_active:])
+            lag_marks = np.asarray(marks[first_active:])
+            for j in range(spec.U):
+                lags_j = lags[lag_marks == j + 1]
+                if lags_j.size == 0:
+                    continue
+                for i in range(spec.U):
+                    k = spec.kernels[i][j]
+                    contrib = k.envelope(lags_j) if use_envelope else k.fn(lags_j)
+                    values[i] += float(np.sum(contrib))
+        return values
+
+    while True:
+        bound = float(np.sum(spec.link(linear_parts(t, use_envelope=True))))
+        if bound <= 0.0:
+            break
+        t += rng.exponential(1.0 / bound)
+        n_proposals += 1
+        if t >= T:
+            break
+        while first_active < len(times) and t - times[first_active] > window:
+            first_active += 1
+        lam = np.asarray(spec.link(linear_parts(t, use_envelope=False)), dtype=float)
+        if identity and lam.min() < 0:
+            raise RuntimeError(
+                f"negative intensity {lam.min():.3e} at t={t:.6g} under the identity link")
+        total = float(lam.sum())
+        if rng.random() * bound <= total:
+            mark = 1 + int(np.searchsorted(np.cumsum(lam), rng.random() * total))
+            mark = min(mark, spec.U)
+            times.append(t)
+            marks.append(mark)
+            accepted_intensity.append(float(lam[mark - 1]))
+            if len(times) > max_events:
+                raise RuntimeError(
+                    f"simulation aborted: more than {max_events} events by t={t:.6g} "
+                    f"(runaway supercritical process; raise max_events to override)")
+
+    events = EventSequence(np.asarray(times), np.asarray(marks, dtype=int), T, spec.U)
+    return SimResult(events=events, intensities=np.asarray(accepted_intensity),
+                     seed=seed, n_proposals=n_proposals)

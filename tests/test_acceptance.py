@@ -346,7 +346,7 @@ def test_criterion_8_complexity_scaling():
     assert 2.5 <= slope_m <= 3.5
 
     rows, slopes = bench_scaling(steady, [500.0, 1000.0, 2000.0, 4000.0],
-                                 M=64, reps=2, seed=5)
+                                 M=64, reps=5, seed=5)
     slope_n = slopes["xi_build_vs_events"]
     assert slope_n <= 2.0
 

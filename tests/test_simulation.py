@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import expon, kstest
 
+from hawkes_rkhs import simulation
 from hawkes_rkhs.events import read_events_csv, write_events_csv
 from hawkes_rkhs.simulation import (
     IdentityLink,
@@ -22,6 +23,7 @@ from hawkes_rkhs.simulation import (
     write_curves_csv,
     zero_kernel,
 )
+from oracles import simulate_loop
 
 
 def poisson_spec(rate=1.0):
@@ -124,6 +126,55 @@ def test_runaway_process_aborts():
                         link=IdentityLink(), A=5.0, support_lag=20.0)
     with pytest.raises(RuntimeError, match="supercritical|max_events|aborted"):
         simulate(spec, 400.0, 1, max_events=500)
+
+
+def dense_poisson_spec():
+    # ~500 live events in one mark: more than one initial history buffer
+    return ScenarioSpec(U=1, mu=(100.0,), kernels=((zero_kernel(),),),
+                        link=IdentityLink(), A=5.0, support_lag=5.0)
+
+
+def truncated_spec():
+    # kernels far from zero at support_lag, so the history cut shows in every bit
+    kernels = ((exp_decay(0.1, 0.2), exp_decay(0.1, 0.5)),
+               (exp_decay(0.1, 0.3), zero_kernel()))
+    return ScenarioSpec(U=2, mu=(0.5, 0.3), kernels=kernels,
+                        link=IdentityLink(), A=5.0, support_lag=5.0)
+
+
+@pytest.mark.parametrize("make_spec, T, seed", [
+    (refractory_scenario, 2000.0, 175),
+    (refractory_scenario, 300.0, 1),
+    (refractory_scenario, 300.0, 2),
+    (mutually_exciting_scenario, 2000.0, 20),
+    (mutually_exciting_scenario, 400.0, 3),
+    (poisson_spec, 200.0, 4),
+    (dense_poisson_spec, 20.0, 5),
+    (truncated_spec, 200.0, 6),
+])
+def test_simulate_matches_reference_loop(make_spec, T, seed):
+    # draws are a fixed function of (spec, T, seed): the per-mark history
+    # buffers must reproduce the single-list scan to the last bit
+    spec = make_spec()
+    got, ref = simulate(spec, T, seed), simulate_loop(spec, T, seed)
+    assert np.array_equal(got.events.times, ref.events.times)
+    assert np.array_equal(got.events.marks, ref.events.marks)
+    assert np.array_equal(got.intensities, ref.intensities)
+    assert got.n_proposals == ref.n_proposals
+    if make_spec is dense_poisson_spec:
+        times = got.events.times
+        live = np.arange(times.size) - np.searchsorted(times, times - spec.support_lag)
+        assert live.max() > simulation._BUFFER
+
+
+def test_runaway_abort_matches_reference_loop():
+    spec = ScenarioSpec(U=1, mu=(1.0,), kernels=((exp_decay(2.0, 1.0),),),
+                        link=IdentityLink(), A=5.0, support_lag=20.0)
+    with pytest.raises(RuntimeError) as ref:
+        simulate_loop(spec, 400.0, 1, max_events=500)
+    with pytest.raises(RuntimeError) as got:
+        simulate(spec, 400.0, 1, max_events=500)
+    assert str(got.value) == str(ref.value)
 
 
 def test_homogeneous_poisson_statistics():
