@@ -1,4 +1,5 @@
-"""Command-line pipelines: simulate, fit, grid-search, evaluate, bench.
+"""Command-line pipelines: simulate, fit, grid-search, evaluate, reproduce,
+bench.
 
 Every command reads an optional flat key=value config file (a TOML-compatible
 subset; keys match the long flag names with dashes or underscores) and lets
@@ -12,13 +13,14 @@ import argparse
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
 from .estimator import FitConfig, FitError, FittedModel, fit, g_curve
 from .events import read_events_csv, write_events_csv
 from .evaluation import GridSpec, bench_factorization, bench_scaling
-from .evaluation import grid_search, ise, ise_on_grid
+from .evaluation import fit_scenario_draw, grid_search, ise, ise_on_grid
 from .features import KernelSpec, build_basis
 from .simulation import SCENARIOS, read_curves_csv, simulate, write_curves_csv
 
@@ -286,6 +288,49 @@ def _write_pair_curves(prefix, s, truth_curves, model) -> None:
                 fh.write("\n".join(lines) + "\n")
 
 
+# default seed ranges of the two benchmark reproductions
+_REPRODUCE_SEEDS = {"mutually-exciting": "160-169", "refractory": "1-10"}
+
+
+def run_reproduce(args) -> int:
+    opts = _resolve(args, {
+        "scenario": None, "t_end": 2000.0, "seeds": None, "features": 100,
+        "workers": 2, "baseline": None,
+    })
+    if opts["scenario"] not in _REPRODUCE_SEEDS:
+        print("error: reproduce needs --scenario, one of: "
+              + ", ".join(sorted(_REPRODUCE_SEEDS)), file=sys.stderr)
+        return 2
+    if opts["baseline"] is not None and opts["scenario"] != "refractory":
+        print("error: --baseline applies to the refractory scenario only",
+              file=sys.stderr)
+        return 2
+    first, _, last = str(opts["seeds"] or _REPRODUCE_SEEDS[opts["scenario"]]).partition("-")
+    factory = SCENARIOS[opts["scenario"]]
+    spec = factory() if opts["baseline"] is None else factory(float(opts["baseline"]))
+    t_end = float(opts["t_end"])
+    grid = GridSpec((0.1, 0.5, 1.0), (0.5, 1.0, 1.5))
+    d2, counts, cpu = [], [], []
+    for seed in range(int(first), int(last or first) + 1):
+        t0 = time.perf_counter()
+        report, _, events = fit_scenario_draw(
+            spec, t_end, seed, grid, M=int(opts["features"]), workers=int(opts["workers"]))
+        wall = time.perf_counter() - t0
+        d2.append(report.delta_sq)
+        counts.append(len(events))
+        cpu.append(report.wall_times["total_s"])
+        print(f"seed {seed:4d}: N={len(events):5d}  "
+              f"chosen (gamma={report.gamma}, beta={report.beta})  "
+              f"delta^2={report.delta_sq:6.3f}  refit cpu={cpu[-1]:.2f}s  "
+              f"wall={wall:.1f}s")
+    n = len(d2)
+    baseline = f"baseline={spec.mu[0]}  " if opts["scenario"] == "refractory" else ""
+    print(f"\nT={t_end:.0f}  {baseline}N~ {np.mean(counts):.0f}   "
+          f"delta^2 {np.mean(d2):.2f} ({np.std(d2) / np.sqrt(n):.2f})   "
+          f"refit cpu {np.mean(cpu):.2f}s ({np.std(cpu) / np.sqrt(n):.2f})")
+    return 0
+
+
 def run_bench(args) -> int:
     opts = _resolve(args, {
         "scenario": "mutually-exciting", "horizons": "250,500,1000",
@@ -373,6 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curves-out", dest="curves_out")
     p.add_argument("--config")
     p.set_defaults(func=run_evaluate)
+
+    p = sub.add_parser("reproduce", help="the paper's benchmark protocol over a range of seeds")
+    p.add_argument("--scenario")
+    p.add_argument("--t-end", dest="t_end", type=float)
+    p.add_argument("--seeds", help="inclusive seed range, e.g. 160-169")
+    p.add_argument("--features", type=int)
+    p.add_argument("--workers", type=int)
+    p.add_argument("--baseline", type=float, help="refractory baseline intensity")
+    p.add_argument("--config")
+    p.set_defaults(func=run_reproduce)
 
     p = sub.add_parser("bench", help="runtime scaling benchmarks")
     p.add_argument("--scenario")

@@ -69,11 +69,27 @@ class XiMatrix:
         return self.values[(i - 1) * M:i * M, (j - 1) * M:j * M]
 
 
+def _support_start(times: np.ndarray, s, A: float):
+    """Index of the first event with s - t_n <= A as computed, for each s.
+
+    s - A rounds, so a search on it alone can take in an event whose lag
+    s - t_n is an ulp above A; such starts are moved past that event.
+    """
+    start = np.searchsorted(times, s - A, side="left")
+    last = max(times.size - 1, 0)
+    while times.size:
+        past = (start <= last) & (s - times[np.minimum(start, last)] > A)
+        if not np.any(past):
+            break
+        start = start + past
+    return start
+
+
 def phi_tilde(events: EventSequence, basis: FeatureBasis, A: float, s: float) -> np.ndarray:
     """Stacked windowed feature sum at time s: block i is the sum of
     phi(s - t_n) over events of dimension i with 0 < s - t_n <= A."""
     times, marks = events.times, events.marks
-    lo = np.searchsorted(times, s - A, side="left")
+    lo = _support_start(times, s, A)
     hi = np.searchsorted(times, s, side="left")
     out = np.zeros((events.U, basis.M))
     if hi > lo:
@@ -88,7 +104,7 @@ def _pairs_lag_in_window(times: np.ndarray, A: float):
     Returns (idx_n, idx_np), grouped by n in increasing order and by n'
     within each group.
     """
-    starts = np.searchsorted(times, times - A, side="left")
+    starts = _support_start(times, times, A)
     counts = np.arange(times.size) - starts
     idx_n = np.repeat(np.arange(times.size), counts)
     first = np.cumsum(counts) - counts
@@ -100,7 +116,7 @@ def _pairs_lag_in_window(times: np.ndarray, A: float):
 # dropped is below 1/21! ~ 2e-20 of the sum's scale
 _SERIES_TERMS = 20
 # elements per array of a chunk of pairs (1 MB): pairs x distinct frequencies
-# in the lag pass, pairs x M^2 in the boundary closed form
+# x (re, im) in the lag pass, pairs x M^2 in the boundary closed form
 _CHUNK = 1 << 17
 
 
@@ -124,27 +140,35 @@ def _resonance(basis: FeatureBasis, A: float):
     return r_plus + r_minus, r_plus - r_minus, series
 
 
-def _lag_sums(freq: np.ndarray, lag: np.ndarray, ell: np.ndarray,
-              weight: np.ndarray, summed: np.ndarray) -> np.ndarray:
-    """Weighted sums of exp(i freq lag_p) over pairs p, shape (J + 2, F).
+def _lag_sums(phasors: np.ndarray, first: np.ndarray, second: np.ndarray,
+              ell: np.ndarray, weight: np.ndarray, summed: np.ndarray) -> np.ndarray:
+    """Weighted sums of the pair phasors phasors[first_p] conj(phasors[second_p])
+    over pairs p, shape (J + 2, F).
 
     Row 0 weighs pair p by weight_p, row j in 1..J by weight_p ell_p^j, and
-    the last row by summed_p; all rows come from one real GEMM per chunk.
+    the last row by summed_p.  Each chunk gathers its phasors, at most
+    ``_CHUNK`` reals per array, and takes all rows from one real GEMM on
+    their interleaved real and imaginary parts.
     """
     J = _SERIES_TERMS
-    out = np.zeros((J + 2, freq.size), dtype=complex)
-    step = max(1, _CHUNK // freq.size)
-    for start in range(0, lag.size, step):
+    out = np.zeros((J + 2, 2 * phasors.shape[1]))
+    step = max(1, _CHUNK // out.shape[1])
+    gathered = np.empty((2, min(step, first.size), phasors.shape[1]), dtype=complex)
+    for start in range(0, first.size, step):
         part = slice(start, start + step)
-        W = np.empty((J + 2, lag[part].size))
+        W = np.empty((J + 2, first[part].size))
         W[0] = weight[part]
-        W[1:J + 1] = np.cumprod(np.broadcast_to(ell[part], (J, W.shape[1])), axis=0)
+        W[1] = ell[part]
+        for j in range(2, J + 1):
+            np.multiply(W[j - 1], W[1], out=W[j])
         W[1:J + 1] *= W[0]
         W[J + 1] = summed[part]
-        ang = np.multiply.outer(lag[part], freq)
-        out += W @ np.cos(ang)
-        out += 1j * (W @ np.sin(ang, out=ang))
-    return out
+        Z, Q = gathered[:, :W.shape[1]]
+        np.take(phasors, first[part], axis=0, out=Z, mode="clip")
+        np.take(phasors, second[part], axis=0, out=Q, mode="clip")
+        Z *= np.conjugate(Q, out=Q)
+        out += W @ Z.view(float)
+    return out.view(complex)
 
 
 def _gram(events: EventSequence, basis: FeatureBasis, A: float,
@@ -162,13 +186,23 @@ def _gram(events: EventSequence, basis: FeatureBasis, A: float,
               + (Im(E_m conj F_k) - Im(e^{i theta_m} conj G_k)) / (omega_m - omega_k) ]
 
     with G_k = sum_p exp(i(omega_k D_p + theta_k)), E_m = sum_p exp(i(omega_m
-    L_p + theta_m)) (conj G turned by F) and F_k = exp(i(omega_k A + theta_k)):
-    O(P M) exponentials, on the distinct frequencies only, plus O(M^2)
-    arithmetic.  Entries with |y| < 1, y = (omega_m +- omega_k) A, take the
-    series A Re[e^{i theta_m} sum_j (iy)^j / (j+1)! H_k^(j)] (conj H for -)
-    with H_k^(j) = sum_p (L_p/A)^(j+1) exp(i(omega_k D_p + theta_k)).  Pairs
-    cut by the horizon or the window take ``_outer_batch``.  The event sums
-    are the lag sums over the pairs with lo <= t_n < hi.
+    L_p + theta_m)) (conj G turned by F) and F_k = exp(i(omega_k A + theta_k)).
+    Entries with |y| < 1, y = (omega_m +- omega_k) A, take the series
+    A Re[e^{i theta_m} sum_j (iy)^j / (j+1)! H_k^(j)] (conj H for -) with
+    H_k^(j) = sum_p (L_p/A)^(j+1) exp(i(omega_k D_p + theta_k)).  Pairs cut by
+    the horizon or the window take ``_outer_batch``.  The event sums are the
+    lag sums over the pairs with lo <= t_n < hi.
+
+    The lag exponentials come from per-event phasors: time is cut into
+    segments whose length is a power of two of at least 2A, and
+    exp(i omega D_p) = P[n] conj(Q[n']), with P[n] = exp(i omega (t_n - o))
+    for the origin o of t_n's segment and Q[n'] the same for t_n', taken
+    against that origin too (its own segment's, or the next one's when t_n'
+    lies in the segment before; a lag <= A spans at most one boundary).  The
+    offsets from the origins are exact, so the phases are as accurate as the
+    lags themselves, whatever the time origin.  A build costs O(N M)
+    exponentials, on the distinct frequencies only, O(P M) multiply-adds and
+    O(M^2) arithmetic.
     """
     times, marks = events.times, events.marks
     M, U, J = basis.M, events.U, _SERIES_TERMS
@@ -188,6 +222,18 @@ def _gram(events: EventSequence, basis: FeatureBasis, A: float,
     block = (marks[n] - 1) * U + (marks[n2] - 1)
 
     freq, inverse = np.unique(basis.omega, return_inverse=True)
+    # segments of a power-of-two length >= 2A: t / span, its floor and the
+    # offset t - seg span are exact, and a lag <= A crosses at most one
+    # boundary; rows :N against each event's own origin, rows N: the next one
+    span = 2.0 ** np.ceil(np.log2(2.0 * A))
+    seg = np.floor(times / span)
+    phasors = np.empty((2 * times.size, freq.size), dtype=complex)
+    own = phasors[:times.size]
+    np.multiply.outer(times - seg * span, freq, out=own.real)
+    np.sin(own.real, out=own.imag)
+    np.cos(own.real, out=own.real)
+    np.multiply(own, np.exp(-1j * freq * span), out=phasors[times.size:])
+    second = n2 + times.size * (seg[n2] < seg[n])
     turn = np.exp(1j * basis.theta)
     F = np.exp(1j * (basis.omega * A + basis.theta))
     inv_fact = 1.0 / np.cumprod(np.arange(1.0, J + 1.0))
@@ -202,7 +248,7 @@ def _gram(events: EventSequence, basis: FeatureBasis, A: float,
             in_block = block == i * U + j
             rows = np.flatnonzero(in_block & (interior | summed))
             lag = t_n[rows] - t_np[rows]
-            sums = _lag_sums(freq, lag, (A - lag) / A,
+            sums = _lag_sums(phasors, n[rows], second[rows], (A - lag) / A,
                              np.where(interior[rows], weight[rows], 0.0), summed[rows])
             sums = sums[:, inverse]
             event_sums[i, j] = basis.scale * (turn * sums[J + 1]).real
@@ -436,7 +482,7 @@ def intensity(model: FittedModel, events: EventSequence, i: int, t: float) -> fl
     mu_i plus the windowed kernel sum, clipped at zero when the fit config
     requests it."""
     times, marks = events.times, events.marks
-    lo = np.searchsorted(times, t - model.config.A, side="left")
+    lo = _support_start(times, t, model.config.A)
     hi = np.searchsorted(times, t, side="left")
     value = model.mu_hat[i - 1]
     if hi > lo:

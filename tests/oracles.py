@@ -54,6 +54,17 @@ def phi_tilde_loop(events: EventSequence, basis: FeatureBasis, A: float,
     return out.ravel()
 
 
+def event_sums_loop(events: EventSequence, basis: FeatureBasis, A: float,
+                    lo: float, hi: float) -> np.ndarray:
+    """Per-mark sums of ``phi_tilde_loop`` at the events with lo <= t_n < hi,
+    shape (U, UM)."""
+    out = np.zeros((events.U, events.U * basis.M))
+    for t, m in zip(events.times, events.marks):
+        if lo <= t < hi:
+            out[m - 1] += phi_tilde_loop(events, basis, A, t)
+    return out
+
+
 def gram_breakpoints(events: EventSequence, A: float, lo: float, hi: float):
     """Discontinuity points of t -> phi_tilde(t) inside [lo, hi]."""
     pts = {lo, hi}
@@ -131,9 +142,7 @@ def kkt_solve(events: EventSequence, basis: FeatureBasis, gamma: float, A: float
     window_vec = np.zeros(MU)
     for n, m in enumerate(events.marks):
         window_vec[(m - 1) * M:m * M] += table.vectors[n]
-    sums = np.zeros((U, MU))
-    for n in range(len(events)):
-        sums[events.marks[n] - 1] += phi_tilde_loop(events, basis, A, events.times[n])
+    sums = event_sums_loop(events, basis, A, 0.0, events.T)
     Z = build_xi(events, basis, A).values + np.eye(MU) / gamma
 
     dim = U * (MU + 1)
@@ -165,9 +174,7 @@ def objective_gradient(events, basis, gamma, A, mu, coeff):
     window_vec = np.zeros(U * M)
     for n, m in enumerate(events.marks):
         window_vec[(m - 1) * M:m * M] += table.vectors[n]
-    sums = np.zeros((U, U * M))
-    for n in range(len(events)):
-        sums[events.marks[n] - 1] += phi_tilde_loop(events, basis, A, events.times[n])
+    sums = event_sums_loop(events, basis, A, 0.0, events.T)
     Z = build_xi(events, basis, A).values + np.eye(U * M) / gamma
     grad_c = coeff @ Z + np.outer(mu, window_vec) - sums
     grad_mu = coeff @ window_vec + events.T * np.asarray(mu) - events.counts

@@ -259,3 +259,24 @@ def test_bench_smoke(tmp_path):
     doc = json.loads(out_path.read_text())
     assert len(doc["scaling"]) == 2
     assert "xi_build_vs_events" in doc["slopes"]
+
+
+@pytest.mark.parametrize("scenario,extra", [
+    ("mutually-exciting", []),
+    ("refractory", ["--baseline", "0.006"]),
+])
+def test_reproduce_tiny(scenario, extra):
+    out = run_cli("reproduce", "--scenario", scenario, "--t-end", "400",
+                  "--seeds", "2-3", "--features", "8", "--workers", "1", *extra)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0].startswith("seed    2: N=") and lines[1].startswith("seed    3: N=")
+    assert "delta^2=" in lines[0] and "refit cpu=" in lines[0]
+    assert lines[-1].startswith("T=400  ")
+    assert ("baseline=0.006" in lines[-1]) == (scenario == "refractory")
+
+
+def test_reproduce_rejects_bad_options():
+    assert run_cli("reproduce", "--scenario", "poisson").returncode == 2
+    out = run_cli("reproduce", "--scenario", "mutually-exciting", "--baseline", "0.1")
+    assert out.returncode == 2 and "refractory" in out.stderr

@@ -19,6 +19,7 @@ from hawkes_rkhs.estimator import (
 from hawkes_rkhs.events import EventSequence
 from hawkes_rkhs.features import KernelSpec, WindowIntegralTable, build_basis, phi
 from oracles import (
+    event_sums_loop,
     intensity_loop,
     kkt_solve,
     objective_gradient,
@@ -215,6 +216,62 @@ def test_xi_near_resonant_entries_agree_with_per_pair_closed_form():
         got = build_xi(ev, basis, A, lo, hi).values
         ref = per_pair_xi(ev, basis, A, lo, hi)
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def test_event_sums_match_per_event_loop():
+    # times on a grid of 1/8 mixed with uniform ones, so that many lags are
+    # exactly A, and a window that cuts pairs at both ends (2.3 and 8.1)
+    rng = np.random.default_rng(41)
+    A = 1.5
+    for seed in range(3):
+        grid = rng.integers(1, 96, 20) / 8.0
+        times = np.unique(np.concatenate([grid, rng.uniform(0.0, 12.0, 10), [2.3, 8.1]]))
+        ev = EventSequence(times, rng.integers(1, 3, times.size), 12.5, 2)
+        basis = build_basis(KernelSpec(beta=1.0), 16, seed)
+        assert np.any(times[:, None] - times[None, :] == A)
+        lo, hi = 3.0, 8.5
+        assert np.any((times < lo) & (times + A > lo))
+        assert np.any((times < hi) & (times + A > hi))
+        for window in ((0.0, ev.T), (lo, hi)):
+            got = Design(ev, basis, A, *window).event_sums
+            want = event_sums_loop(ev, basis, A, *window)
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("A", [0.1, 0.3, 1.1, 7.3])
+def test_gram_at_phase_segment_edges(A):
+    # events at k A and one ulp either side: lags of exactly A and A +- 1 ulp,
+    # where a pair counts only if its computed lag is at most A
+    k = np.arange(1, 9) * A
+    times = np.unique(np.concatenate([k, np.nextafter(k, 0.0), np.nextafter(k, np.inf)]))
+    rng = np.random.default_rng(43)
+    ev = EventSequence(times, rng.integers(1, 3, times.size), 9.5 * A, 2)
+    basis = build_basis(KernelSpec(beta=1.0), 8, 7)
+    xi = build_xi(ev, basis, A)
+    ref = per_pair_xi(ev, basis, A, 0.0, ev.T)
+    assert np.abs(xi.values - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+    want = event_sums_loop(ev, basis, A, 0.0, ev.T)
+    assert np.abs(xi.event_sums - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    for t in times:
+        assert_allclose(phi_tilde(ev, basis, A, t), phi_tilde_loop(ev, basis, A, t),
+                        rtol=0, atol=1e-12)
+
+
+def test_gram_does_not_depend_on_time_origin():
+    # on a dyadic grid the shift by 2^20 leaves every time and lag exact, and
+    # so every window bound with the dyadic A = 2.5; with A = 2.3 no pair is
+    # cut by the horizon: only the anchoring of the phases can differ
+    rng = np.random.default_rng(47)
+    times = np.unique(rng.integers(1, 17 * 2**10, 40)) / 2.0**10
+    marks = rng.integers(1, 3, times.size)
+    T, shift = 20.0, 2.0**20
+    basis = build_basis(KernelSpec(beta=1.0), 16, 11)
+    for A, lo, hi in ((2.5, 0.0, T), (2.5, 4.0, 17.0), (2.3, 0.0, T)):
+        ref = Design(EventSequence(times, marks, T, 2), basis, A, lo, hi)
+        got = Design(EventSequence(times + shift, marks, T + shift, 2), basis, A,
+                     lo + shift, hi + shift)
+        for g, w in ((got.xi.values, ref.xi.values), (got.event_sums, ref.event_sums)):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
 @given(log_c=st.floats(min_value=-3.0, max_value=3.0))
