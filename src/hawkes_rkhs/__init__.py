@@ -6,7 +6,6 @@ evaluation harness."""
 from .events import EventSequence, read_events_csv, write_events_csv
 from .features import (
     FeatureBasis,
-    KernelFamily,
     KernelSpec,
     WindowIntegralTable,
     build_basis,
@@ -49,7 +48,6 @@ from .evaluation import (
     ise,
     ise_on_grid,
     ls_contrast,
-    penalized_objective,
 )
 
 __version__ = "0.1.0"

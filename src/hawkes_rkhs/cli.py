@@ -2,9 +2,9 @@
 bench.
 
 Every command reads an optional flat key=value config file (a TOML-compatible
-subset; keys match the long flag names with dashes or underscores) and lets
-explicit flags override it.  Machine artifacts print floats with 17
-significant digits; human summaries use 4.
+subset; keys match the long flag names of any subcommand, with dashes or
+underscores) and lets explicit flags override it.  Machine artifacts print
+floats with 17 significant digits; human summaries use 4.
 """
 
 from __future__ import annotations
@@ -73,19 +73,54 @@ def load_config(path) -> dict:
                         opts[key] = float(value)
                     except ValueError:
                         opts[key] = value
-            continue
     return opts
 
 
-def _resolve(args, defaults: dict) -> dict:
-    """Effective options: flag value, else config-file value, else default."""
-    config = load_config(args.config) if getattr(args, "config", None) else {}
+# Options of each subcommand, dest -> (type, default[, help]), which drive
+# both the parser and ``_resolve``.  The flag is the dest with dashes, and
+# every subcommand also takes --config.
+COMMANDS = {
+    "simulate": ("draw a synthetic event sequence", {
+        "scenario": (str, None), "t_end": (float, None), "seed": (int, None),
+        "out": (str, None), "curves_out": (str, None)}),
+    "fit": ("fit baselines and triggering kernels", {
+        "events": (str, None), "gamma": (float, 1.0), "beta": (float, 1.0),
+        "features": (int, 100), "window": (float, 5.0), "horizon": (float, None),
+        "seed": (int, None), "out": (str, None)}),
+    "grid-search": ("hyperparameter search with a validation split", {
+        "events": (str, None), "gammas": (str, "0.1,0.5,1.0"),
+        "betas": (str, "0.5,1.0,1.5"), "features": (int, 100), "window": (float, 5.0),
+        "split": (float, 0.8), "horizon": (float, None), "seed": (int, None),
+        "workers": (int, None), "out": (str, None)}),
+    "evaluate": ("integrated squared error against ground truth", {
+        "model": (str, None), "scenario": (str, None), "truth_curves": (str, None),
+        "out": (str, None), "curves_out": (str, None)}),
+    "reproduce": ("the paper's benchmark protocol over a range of seeds", {
+        "scenario": (str, None), "t_end": (float, 2000.0),
+        "seeds": (str, None, "inclusive seed range, e.g. 160-169"),
+        "features": (int, 100), "workers": (int, 2),
+        "baseline": (float, None, "refractory baseline intensity")}),
+    "bench": ("runtime scaling benchmarks", {
+        "scenario": (str, "mutually-exciting"), "horizons": (str, "250,500,1000"),
+        "features": (int, 100), "reps": (int, 1), "fact_features": (str, None),
+        "seed": (int, None), "out": (str, None)}),
+}
+
+
+def _resolve(args) -> dict:
+    """Effective options of the chosen subcommand: flag value, else
+    config-file value, else default.  A config key that no subcommand
+    declares is an error; keys of other subcommands are allowed, so one
+    file can drive a whole pipeline."""
+    config = load_config(args.config) if args.config else {}
+    known = {key for _, options in COMMANDS.values() for key in options}
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config key(s): {', '.join(unknown)}")
     out = {}
-    for key, fallback in defaults.items():
-        value = getattr(args, key, None)
-        if value is None:
-            value = config.get(key, fallback)
-        out[key] = value
+    for key, (_, fallback, *_) in COMMANDS[args.command][1].items():
+        value = getattr(args, key)
+        out[key] = config.get(key, fallback) if value is None else value
     return out
 
 
@@ -108,16 +143,10 @@ def _writable(*paths) -> str | None:
 
 
 def _float_list(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
     return tuple(float(v) for v in str(text).split(",") if v.strip())
 
 
-def run_simulate(args) -> int:
-    opts = _resolve(args, {
-        "scenario": None, "t_end": None, "seed": None,
-        "out": None, "curves_out": None,
-    })
+def run_simulate(opts) -> int:
     if opts["scenario"] not in SCENARIOS:
         print(f"error: unknown scenario {opts['scenario']!r}; valid scenarios: "
               + ", ".join(sorted(SCENARIOS)), file=sys.stderr)
@@ -151,11 +180,7 @@ def _derived_path(base, suffix: str) -> str:
     return (stem if dot else str(base)) + suffix
 
 
-def run_fit(args) -> int:
-    opts = _resolve(args, {
-        "events": None, "gamma": 1.0, "beta": 1.0, "features": 100,
-        "window": 5.0, "seed": None, "horizon": None, "out": None,
-    })
+def run_fit(opts) -> int:
     if opts["events"] is None or opts["out"] is None:
         print("error: fit requires --events and --out", file=sys.stderr)
         return 2
@@ -192,12 +217,7 @@ def run_fit(args) -> int:
     return 0
 
 
-def run_grid_search(args) -> int:
-    opts = _resolve(args, {
-        "events": None, "gammas": "0.1,0.5,1.0", "betas": "0.5,1.0,1.5",
-        "features": 100, "window": 5.0, "split": 0.8, "seed": None,
-        "workers": None, "horizon": None, "out": None,
-    })
+def run_grid_search(opts) -> int:
     if opts["events"] is None or opts["out"] is None:
         print("error: grid-search requires --events and --out", file=sys.stderr)
         return 2
@@ -231,11 +251,7 @@ def run_grid_search(args) -> int:
     return 0
 
 
-def run_evaluate(args) -> int:
-    opts = _resolve(args, {
-        "model": None, "scenario": None, "truth_curves": None,
-        "out": None, "curves_out": None,
-    })
+def run_evaluate(opts) -> int:
     if opts["model"] is None or opts["out"] is None:
         print("error: evaluate requires --model and --out", file=sys.stderr)
         return 2
@@ -292,11 +308,7 @@ def _write_pair_curves(prefix, s, truth_curves, model) -> None:
 _REPRODUCE_SEEDS = {"mutually-exciting": "160-169", "refractory": "1-10"}
 
 
-def run_reproduce(args) -> int:
-    opts = _resolve(args, {
-        "scenario": None, "t_end": 2000.0, "seeds": None, "features": 100,
-        "workers": 2, "baseline": None,
-    })
+def run_reproduce(opts) -> int:
     if opts["scenario"] not in _REPRODUCE_SEEDS:
         print("error: reproduce needs --scenario, one of: "
               + ", ".join(sorted(_REPRODUCE_SEEDS)), file=sys.stderr)
@@ -313,12 +325,12 @@ def run_reproduce(args) -> int:
     d2, counts, cpu = [], [], []
     for seed in range(int(first), int(last or first) + 1):
         t0 = time.perf_counter()
-        report, _, events = fit_scenario_draw(
+        report, model, events = fit_scenario_draw(
             spec, t_end, seed, grid, M=int(opts["features"]), workers=int(opts["workers"]))
         wall = time.perf_counter() - t0
         d2.append(report.delta_sq)
         counts.append(len(events))
-        cpu.append(report.wall_times["total_s"])
+        cpu.append(model.stats["total_s"])
         print(f"seed {seed:4d}: N={len(events):5d}  "
               f"chosen (gamma={report.gamma}, beta={report.beta})  "
               f"delta^2={report.delta_sq:6.3f}  refit cpu={cpu[-1]:.2f}s  "
@@ -331,12 +343,7 @@ def run_reproduce(args) -> int:
     return 0
 
 
-def run_bench(args) -> int:
-    opts = _resolve(args, {
-        "scenario": "mutually-exciting", "horizons": "250,500,1000",
-        "features": 100, "reps": 1, "seed": None, "fact_features": None,
-        "out": None,
-    })
+def run_bench(opts) -> int:
     if opts["scenario"] not in SCENARIOS:
         print(f"error: unknown scenario {opts['scenario']!r}; valid scenarios: "
               + ", ".join(sorted(SCENARIOS)), file=sys.stderr)
@@ -374,78 +381,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Triggering-kernel estimation for multivariate Hawkes processes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="draw a synthetic event sequence")
-    p.add_argument("--scenario")
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--curves-out", dest="curves_out")
-    p.add_argument("--config")
-    p.set_defaults(func=run_simulate)
-
-    p = sub.add_parser("fit", help="fit baselines and triggering kernels")
-    p.add_argument("--events")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--features", type=int)
-    p.add_argument("--window", type=float)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.set_defaults(func=run_fit)
-
-    p = sub.add_parser("grid-search", help="hyperparameter search with a validation split")
-    p.add_argument("--events")
-    p.add_argument("--gammas")
-    p.add_argument("--betas")
-    p.add_argument("--features", type=int)
-    p.add_argument("--window", type=float)
-    p.add_argument("--split", type=float)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.set_defaults(func=run_grid_search)
-
-    p = sub.add_parser("evaluate", help="integrated squared error against ground truth")
-    p.add_argument("--model")
-    p.add_argument("--scenario")
-    p.add_argument("--truth-curves", dest="truth_curves")
-    p.add_argument("--out")
-    p.add_argument("--curves-out", dest="curves_out")
-    p.add_argument("--config")
-    p.set_defaults(func=run_evaluate)
-
-    p = sub.add_parser("reproduce", help="the paper's benchmark protocol over a range of seeds")
-    p.add_argument("--scenario")
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--seeds", help="inclusive seed range, e.g. 160-169")
-    p.add_argument("--features", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--baseline", type=float, help="refractory baseline intensity")
-    p.add_argument("--config")
-    p.set_defaults(func=run_reproduce)
-
-    p = sub.add_parser("bench", help="runtime scaling benchmarks")
-    p.add_argument("--scenario")
-    p.add_argument("--horizons")
-    p.add_argument("--features", type=int)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--fact-features", dest="fact_features")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.set_defaults(func=run_bench)
+    for command, (summary, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for dest, (kind, _, *text) in options.items():
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=kind,
+                           help=text[0] if text else None)
+        p.add_argument("--config")
+        # looked up on each call, so that a wrapped run_* is the one called
+        p.set_defaults(func=globals()["run_" + command.replace("-", "_")])
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_resolve(args))
     except (OSError, ValueError, RuntimeError) as exc:  # argparse handles usage
         print(f"error: {exc}", file=sys.stderr)
         return 1

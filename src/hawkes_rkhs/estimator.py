@@ -34,13 +34,12 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Hyperparameters of a fit: ridge strength gamma, support window A,
-    feature basis, and whether predicted intensities are clipped at zero."""
+    """Hyperparameters of a fit: ridge strength gamma, support window A and
+    feature basis."""
 
     gamma: float
     A: float
     basis: FeatureBasis
-    clip_intensity: bool = False
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -446,6 +445,8 @@ class FittedModel:
             T=float(doc["T"]),
             U=int(doc["U"]),
         )
+        if model.mu_hat.shape != (model.U,):
+            raise ValueError(f"mu_hat has shape {model.mu_hat.shape}, expected ({model.U},)")
         if model.coeff.shape != (model.U, basis.M * model.U):
             raise ValueError("coefficient array shape inconsistent with U and M")
         return model
@@ -478,22 +479,10 @@ def g_curve(model: FittedModel, i: int, j: int, s) -> np.ndarray:
 
 
 def intensity(model: FittedModel, events: EventSequence, i: int, t: float) -> float:
-    """Predicted intensity of dimension i at time t given the event history:
-    mu_i plus the windowed kernel sum, clipped at zero when the fit config
-    requests it."""
-    times, marks = events.times, events.marks
-    lo = _support_start(times, t, model.config.A)
-    hi = np.searchsorted(times, t, side="left")
-    value = model.mu_hat[i - 1]
-    if hi > lo:
-        rows = feature_matrix(model.basis, t - times[lo:hi])
-        M = model.basis.M
-        blocks = (marks[lo:hi] - 1) * M
-        cols = blocks[:, None] + np.arange(M)
-        value += float(np.sum(rows * model.coeff[i - 1][cols]))
-    if model.config.clip_intensity:
-        value = max(value, 0.0)
-    return float(value)
+    """Predicted intensity of dimension i at time t given the event history,
+    mu_i + c_i^T phi_tilde(t); it is not clipped at zero."""
+    window_sum = phi_tilde(events, model.basis, model.config.A, t)
+    return float(model.mu_hat[i - 1] + model.coeff[i - 1] @ window_sum)
 
 
 class EquivalentKernel:

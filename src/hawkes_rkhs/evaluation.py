@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
 
-from .estimator import Design, FitConfig, FitError, FittedModel, build_xi, fit, g_curve
+from .estimator import Design, FitConfig, FitError, FittedModel, build_xi, fit
 from .events import EventSequence
-from .features import KernelSpec, build_basis
+from .features import KernelSpec, build_basis, feature_matrix
 from .simulation import ScenarioSpec, simulate, true_curves
 
 
@@ -51,10 +51,9 @@ class EvalReport:
     ls_loss: float | None = None
     delta_sq: float | None = None
     per_pair: np.ndarray | None = None
-    wall_times: dict = field(default_factory=dict)
     error: str | None = None
 
-    def to_dict(self, include_timings: bool = False) -> dict:
+    def to_dict(self) -> dict:
         doc: dict = {}
         if self.gamma is not None:
             doc["gamma"] = self.gamma
@@ -68,8 +67,6 @@ class EvalReport:
             doc["per_pair"] = self.per_pair.tolist()
         if self.error is not None:
             doc["error"] = self.error
-        if include_timings and self.wall_times:
-            doc["wall_times"] = self.wall_times
         return doc
 
 
@@ -85,14 +82,6 @@ def ls_contrast(mu: np.ndarray, coeff: np.ndarray, basis, events: EventSequence,
     if t0 < 0 or t1 > events.T or t0 > t1:
         raise ValueError(f"window [{t0}, {t1}] must lie inside [0, {events.T}]")
     return Design(events, basis, A, t0, t1).contrast(mu, coeff)
-
-
-def penalized_objective(mu, coeff, basis, events, gamma: float, A: float) -> float:
-    """Full-window contrast plus the ridge penalty (1/gamma) sum ||c_ij||^2;
-    the fitted model is its unique minimizer."""
-    coeff = np.asarray(coeff, dtype=float)
-    loss = ls_contrast(mu, coeff, basis, events, 0.0, events.T, A)
-    return loss + float(np.sum(coeff * coeff)) / gamma
 
 
 def ise(truth: ScenarioSpec, model: FittedModel, A: float | None = None,
@@ -117,15 +106,14 @@ def ise(truth: ScenarioSpec, model: FittedModel, A: float | None = None,
 
 def ise_on_grid(s: np.ndarray, truth_curves: np.ndarray, model: FittedModel) -> EvalReport:
     """Integrated squared error against tabulated truth curves on a given lag
-    grid (Simpson on that grid)."""
-    U = truth_curves.shape[0]
+    grid (Simpson on that grid); one feature matrix on the grid serves all
+    U^2 kernels."""
+    U, M = truth_curves.shape[0], model.basis.M
     if U != model.U:
         raise ValueError(f"dimension mismatch: curves U={U}, model U={model.U}")
-    per_pair = np.empty((U, U))
-    for i in range(U):
-        for j in range(U):
-            diff = truth_curves[i, j] - g_curve(model, i + 1, j + 1, s)
-            per_pair[i, j] = simpson(diff * diff, x=s)
+    fitted = model.coeff.reshape(U, U, M) @ feature_matrix(model.basis, s).T
+    diff = truth_curves - fitted
+    per_pair = simpson(diff * diff, x=s, axis=-1)
     return EvalReport(gamma=model.config.gamma, beta=model.basis.beta,
                       delta_sq=float(per_pair.sum()), per_pair=per_pair)
 
@@ -146,13 +134,11 @@ def _search_beta(events: EventSequence, gammas, beta: float, M: int, A: float,
     reports = []
     for gamma in gammas:
         report = EvalReport(gamma=gamma, beta=beta)
-        t0 = time.perf_counter()
         try:
-            mu_hat, coeff, report.wall_times = train.solve(gamma)
+            mu_hat, coeff, _ = train.solve(gamma)
             report.ls_loss = valid.contrast(mu_hat, coeff)
         except _CELL_FAILURES as exc:
             report.error = f"{type(exc).__name__}: {exc}"
-        report.wall_times["cell_s"] = time.perf_counter() - t0
         reports.append(report)
     return reports
 
@@ -200,7 +186,6 @@ def fit_scenario_draw(scenario: ScenarioSpec, T: float, seed: int, grid: GridSpe
     model = fit(result.events, FitConfig(gamma=best.gamma, A=scenario.A, basis=basis))
     report = ise(scenario, model)
     report.ls_loss = best.ls_loss
-    report.wall_times = dict(model.stats)
     return report, model, result.events
 
 
@@ -268,7 +253,6 @@ __all__ = [
     "GridSpec",
     "EvalReport",
     "ls_contrast",
-    "penalized_objective",
     "ise",
     "ise_on_grid",
     "grid_search",

@@ -10,7 +10,6 @@ integrals of shifted copies) has a closed form collected here.
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass
 
@@ -18,21 +17,14 @@ import numpy as np
 from scipy.special import ndtri
 
 
-class KernelFamily(enum.Enum):
-    GAUSSIAN = "gaussian"
-
-
 @dataclass(frozen=True)
 class KernelSpec:
-    """Shift-invariant kernel, k(s, s') = exp(-(beta |s - s'|)^2) for the
-    Gaussian family.  ``beta`` is the inverse length scale (1/time)."""
+    """Gaussian kernel, k(s, s') = exp(-(beta |s - s'|)^2).  ``beta`` is the
+    inverse length scale (1/time)."""
 
-    family: KernelFamily = KernelFamily.GAUSSIAN
     beta: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.family, KernelFamily):
-            object.__setattr__(self, "family", KernelFamily(self.family))
         if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
 
@@ -54,16 +46,19 @@ class FeatureBasis:
     ``omega`` and ``theta`` have length M; for m > M/2 the frequency repeats
     omega[m - M/2] and the phase is -pi/2 (sin partner of the cos feature),
     while theta[m] = 0 for m <= M/2.  Construction is deterministic given
-    (family, beta, M, seed).
+    (beta, M, seed); ``family`` names the kernel in the basis document and
+    must be "gaussian".
     """
 
     omega: np.ndarray
     theta: np.ndarray
-    family: KernelFamily = KernelFamily.GAUSSIAN
+    family: str = "gaussian"
     beta: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
+        if self.family != "gaussian":
+            raise ValueError(f"unknown kernel family {self.family!r}; only 'gaussian'")
         omega = np.asarray(self.omega, dtype=float).copy()
         theta = np.asarray(self.theta, dtype=float).copy()
         if omega.ndim != 1 or omega.shape != theta.shape:
@@ -86,7 +81,7 @@ class FeatureBasis:
 
     def to_dict(self) -> dict:
         return {
-            "family": self.family.value,
+            "family": self.family,
             "beta": self.beta,
             "M": self.M,
             "seed": self.seed,
@@ -102,7 +97,7 @@ class FeatureBasis:
         basis = cls(
             omega=np.asarray(doc["omega"], dtype=float),
             theta=np.asarray(doc["theta"], dtype=float),
-            family=KernelFamily(doc["family"]),
+            family=doc["family"],
             beta=float(doc["beta"]),
             seed=int(doc["seed"]),
         )
@@ -120,7 +115,7 @@ def build_basis(spec: KernelSpec, M: int, seed: int) -> FeatureBasis:
 
     M/2 stratified points u_k = (k - U)/ (M/2), with a single uniform shift U
     drawn from ``seed``, are mapped through the inverse normal CDF scaled to
-    the kernel's spectral density (std sqrt(2)*beta for the Gaussian family).
+    the kernel's spectral density (std sqrt(2)*beta).
     The shift keeps every u_k strictly inside (0, 1), so no point maps to an
     infinite frequency.
     """
@@ -133,8 +128,7 @@ def build_basis(spec: KernelSpec, M: int, seed: int) -> FeatureBasis:
     half = ndtri(u) * spec.frequency_scale
     omega = np.concatenate([half, half])
     theta = np.concatenate([np.zeros(n), np.full(n, -0.5 * np.pi)])
-    return FeatureBasis(omega=omega, theta=theta, family=spec.family,
-                        beta=spec.beta, seed=seed)
+    return FeatureBasis(omega=omega, theta=theta, beta=spec.beta, seed=seed)
 
 
 _SERIES_CUTOFF = 1e-4
@@ -250,7 +244,6 @@ class WindowIntegralTable:
 
 
 __all__ = [
-    "KernelFamily",
     "KernelSpec",
     "FeatureBasis",
     "build_basis",

@@ -120,8 +120,6 @@ def intensity_loop(model, events: EventSequence, i: int, t: float) -> float:
         lag = t - t_n
         if 0.0 < lag <= model.config.A:
             val += evaluate_g(model, i, m, lag)
-    if model.config.clip_intensity:
-        val = max(val, 0.0)
     return float(val)
 
 

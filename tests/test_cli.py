@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from hawkes_rkhs.cli import build_parser
 from hawkes_rkhs.events import read_events_csv
 
 
@@ -248,6 +250,50 @@ def test_full_pipeline_from_config(tmp_path):
                   "mutually-exciting", "--out", str(report))
     assert out.returncode == 0, out.stderr
     assert json.loads(report.read_text())["delta_sq"] >= 0
+
+
+def test_unknown_config_key_is_an_error(sim_files, tmp_path):
+    _, events, _ = sim_files
+    config = tmp_path / "run.toml"
+    config.write_text("featurs = 16\nbetas = \"1.0\"\n")
+    out = run_cli("fit", "--config", str(config), "--events", str(events),
+                  "--out", str(tmp_path / "m.json"))
+    assert out.returncode == 1
+    assert "featurs" in out.stderr and "betas" not in out.stderr
+    assert not (tmp_path / "m.json").exists()
+
+
+# long flag -> parsed type of every subcommand, as declared before the
+# options became one table
+FLAGS = {
+    "simulate": {"--scenario": str, "--t-end": float, "--seed": int, "--out": str,
+                 "--curves-out": str},
+    "fit": {"--events": str, "--gamma": float, "--beta": float, "--features": int,
+            "--window": float, "--horizon": float, "--seed": int, "--out": str},
+    "grid-search": {"--events": str, "--gammas": str, "--betas": str, "--features": int,
+                    "--window": float, "--split": float, "--horizon": float,
+                    "--seed": int, "--workers": int, "--out": str},
+    "evaluate": {"--model": str, "--scenario": str, "--truth-curves": str, "--out": str,
+                 "--curves-out": str},
+    "reproduce": {"--scenario": str, "--t-end": float, "--seeds": str, "--features": int,
+                  "--workers": int, "--baseline": float},
+    "bench": {"--scenario": str, "--horizons": str, "--features": int, "--reps": int,
+              "--fact-features": str, "--seed": int, "--out": str},
+}
+
+
+def test_parser_keeps_every_flag_dest_and_type():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(FLAGS)
+    for command, flags in FLAGS.items():
+        got = {a.option_strings[0]: (a.dest, a.type or str)
+               for a in commands.choices[command]._actions if a.dest != "help"}
+        want = {flag: (flag[2:].replace("-", "_"), kind)
+                for flag, kind in {**flags, "--config": str}.items()}
+        assert got == want, command
+        assert commands.choices[command].get_default("func").__name__ == \
+            "run_" + command.replace("-", "_")
 
 
 def test_bench_smoke(tmp_path):

@@ -448,10 +448,6 @@ def test_intensity_before_first_event_is_baseline():
     model = fit(ev, FitConfig(gamma=1.0, A=3.0, basis=basis))
     t = ev.times[0] * 0.5
     assert intensity(model, ev, 1, t) == pytest.approx(model.mu_hat[0])
-    clipped_cfg = FitConfig(gamma=1.0, A=3.0, basis=basis, clip_intensity=True)
-    clipped = FittedModel(mu_hat=np.array([-0.2, 0.1]), coeff=np.zeros_like(model.coeff),
-                          basis=basis, config=clipped_cfg, T=ev.T, U=ev.U)
-    assert intensity(clipped, ev, 1, t) == 0.0
 
 
 def test_intensity_matches_double_loop():
@@ -527,3 +523,12 @@ def test_model_json_round_trip():
     assert_allclose(clone.coeff, model.coeff)
     assert clone.basis.beta == model.basis.beta
     assert evaluate_g(clone, 1, 2, 0.7) == pytest.approx(evaluate_g(model, 1, 2, 0.7))
+
+
+@pytest.mark.parametrize("mu_hat", [[0.3], [0.3, 0.2, 0.1], [[0.3, 0.2]]])
+def test_model_from_dict_rejects_wrong_mu_hat_shape(mu_hat):
+    ev, basis = small_instance(seed=47)
+    doc = fit(ev, FitConfig(gamma=1.1, A=3.0, basis=basis)).to_dict()
+    doc["mu_hat"] = mu_hat
+    with pytest.raises(ValueError, match="mu_hat"):
+        FittedModel.from_dict(doc)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import simpson
 
 from hawkes_rkhs import estimator, evaluation
 from hawkes_rkhs.estimator import Design, FitConfig, FittedModel, fit, g_curve
@@ -13,7 +14,6 @@ from hawkes_rkhs.evaluation import (
     ise,
     ise_on_grid,
     ls_contrast,
-    penalized_objective,
 )
 from hawkes_rkhs.features import KernelSpec, build_basis
 from hawkes_rkhs.simulation import (
@@ -98,6 +98,13 @@ def test_ls_contrast_windowed_uses_full_history():
                                + model.coeff[i] @ phi_tilde_loop(events, basis, A,
                                                                  events.times[n]))
     assert got == pytest.approx(want, rel=1e-9)
+
+
+def penalized_objective(mu, coeff, basis, events, gamma, A):
+    """Full-window contrast plus the ridge penalty (1/gamma) sum ||c_ij||^2;
+    the fitted model is its unique minimizer."""
+    loss = ls_contrast(mu, coeff, basis, events, 0.0, events.T, A)
+    return loss + float(np.sum(coeff * coeff)) / gamma
 
 
 def test_fit_minimizes_penalized_objective():
@@ -186,6 +193,22 @@ def test_ise_on_grid_matches_ise():
     s = np.linspace(0.0, 5.0, 2001)
     report = ise_on_grid(s, true_curves(truth, s), zero)
     assert report.delta_sq == pytest.approx(ZERO_MODEL_DELTA_SQ, rel=1e-6)
+
+
+def test_ise_on_grid_matches_per_pair_loop():
+    # asymmetric coefficients and truth, so a transposed block order shows
+    rng = np.random.default_rng(8)
+    basis = build_basis(KernelSpec(beta=1.0), 16, 4)
+    cfg = FitConfig(gamma=1.0, A=5.0, basis=basis)
+    model = FittedModel(mu_hat=np.zeros(3), coeff=rng.standard_normal((3, 48)) * 0.1,
+                        basis=basis, config=cfg, T=100.0, U=3)
+    s = np.linspace(0.0, 5.0, 401)
+    truth = rng.standard_normal((3, 3, 1)) * np.exp(-s)
+    report = ise_on_grid(s, truth, model)
+    want = np.array([[simpson((truth[i, j] - g_curve(model, i + 1, j + 1, s)) ** 2, x=s)
+                      for j in range(3)] for i in range(3)])
+    assert_allclose(report.per_pair, want, rtol=1e-12, atol=0.0)
+    assert report.delta_sq == pytest.approx(want.sum(), rel=1e-12)
 
 
 # --- grid search -----------------------------------------------------------------

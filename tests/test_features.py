@@ -194,7 +194,16 @@ def test_basis_json_round_trip():
     basis = build_basis(KernelSpec(beta=0.7), 16, 99)
     doc = json.loads(basis.to_json())
     assert set(doc) == {"family", "beta", "M", "seed", "omega", "theta"}
+    assert doc["family"] == "gaussian"
     clone = FeatureBasis.from_json(basis.to_json())
     assert np.array_equal(clone.omega, basis.omega)
     assert np.array_equal(clone.theta, basis.theta)
     assert clone.beta == basis.beta and clone.seed == basis.seed
+    assert clone.to_json() == basis.to_json()
+
+
+def test_basis_rejects_unknown_family():
+    doc = build_basis(KernelSpec(beta=0.7), 4, 1).to_dict()
+    doc["family"] = "laplace"
+    with pytest.raises(ValueError, match="laplace"):
+        FeatureBasis.from_dict(doc)
