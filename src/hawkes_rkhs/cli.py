@@ -22,7 +22,7 @@ from .events import read_events_csv, write_events_csv
 from .evaluation import GridSpec, bench_factorization, bench_scaling
 from .evaluation import fit_scenario_draw, grid_search, ise, ise_on_grid
 from .features import KernelSpec, build_basis
-from .simulation import SCENARIOS, read_curves_csv, simulate, write_curves_csv
+from .simulation import SCENARIOS, read_curves_csv, simulate, true_curves, write_curves_csv
 
 SEED_ENV = "HAWKES_RKHS_SEED"
 
@@ -273,8 +273,7 @@ def run_evaluate(opts) -> int:
             truth = SCENARIOS[opts["scenario"]]()
             report = ise(truth, model)
             s = np.linspace(0.0, truth.A, 501)
-            curves = np.stack([[truth.kernel_values(i + 1, j + 1, s)
-                                for j in range(truth.U)] for i in range(truth.U)])
+            curves = true_curves(truth, s)
         else:
             s, curves, U = read_curves_csv(opts["truth_curves"])
             report = ise_on_grid(s, curves, model)
@@ -318,28 +317,32 @@ def run_reproduce(opts) -> int:
               file=sys.stderr)
         return 2
     first, _, last = str(opts["seeds"] or _REPRODUCE_SEEDS[opts["scenario"]]).partition("-")
+    seeds = range(int(first), int(last or first) + 1)
+    if not seeds:
+        print(f"error: --seeds {opts['seeds']} is an empty range", file=sys.stderr)
+        return 2
     factory = SCENARIOS[opts["scenario"]]
     spec = factory() if opts["baseline"] is None else factory(float(opts["baseline"]))
     t_end = float(opts["t_end"])
     grid = GridSpec((0.1, 0.5, 1.0), (0.5, 1.0, 1.5))
-    d2, counts, cpu = [], [], []
-    for seed in range(int(first), int(last or first) + 1):
+    d2, counts, refit = [], [], []
+    for seed in seeds:
         t0 = time.perf_counter()
         report, model, events = fit_scenario_draw(
             spec, t_end, seed, grid, M=int(opts["features"]), workers=int(opts["workers"]))
         wall = time.perf_counter() - t0
         d2.append(report.delta_sq)
         counts.append(len(events))
-        cpu.append(model.stats["total_s"])
+        refit.append(model.stats["total_s"])
         print(f"seed {seed:4d}: N={len(events):5d}  "
               f"chosen (gamma={report.gamma}, beta={report.beta})  "
-              f"delta^2={report.delta_sq:6.3f}  refit cpu={cpu[-1]:.2f}s  "
+              f"delta^2={report.delta_sq:6.3f}  refit wall={refit[-1]:.2f}s  "
               f"wall={wall:.1f}s")
     n = len(d2)
     baseline = f"baseline={spec.mu[0]}  " if opts["scenario"] == "refractory" else ""
     print(f"\nT={t_end:.0f}  {baseline}N~ {np.mean(counts):.0f}   "
           f"delta^2 {np.mean(d2):.2f} ({np.std(d2) / np.sqrt(n):.2f})   "
-          f"refit cpu {np.mean(cpu):.2f}s ({np.std(cpu) / np.sqrt(n):.2f})")
+          f"refit wall {np.mean(refit):.2f}s ({np.std(refit) / np.sqrt(n):.2f})")
     return 0
 
 

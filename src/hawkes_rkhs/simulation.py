@@ -11,7 +11,7 @@ monotone, so the bound passes through it).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -45,56 +45,67 @@ class TriggerKernel:
 
     ``fn`` and ``envelope`` each take a 1-d float array of lags (the
     simulator passes one mark's live history at a time), act elementwise and
-    return an array of the same shape.  ``envelope(s)`` must be
-    nonincreasing, nonnegative, and dominate g on [s, inf).
+    return an array of the same shape.  ``envelope(s)`` must be nonincreasing,
+    nonnegative, and dominate g on [s, inf): envelope(s) >= g(u) for all u >= s.
+    The simulator calls ``values(s)`` -> (g(s), envelope(s)), which defaults to
+    ``(fn(s), envelope(s))``; the built-in kernels share one formula for both.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     envelope: Callable[[np.ndarray], np.ndarray]
     label: str = ""
+    values: Callable | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.values is None:
+            object.__setattr__(self, "values", lambda s: (self.fn(s), self.envelope(s)))
+
+
+def _kernel(values, label: str) -> TriggerKernel:
+    """A kernel whose g and envelope share one formula, ``values(s) -> (g, env)``."""
+    return TriggerKernel(lambda s: values(s)[0], lambda s: values(s)[1], label, values)
+
+
+# g = 0; the simulator does not evaluate it
+_ZERO = _kernel(lambda s: (z := np.zeros_like(np.asarray(s, dtype=float)), z), "0")
 
 
 def zero_kernel() -> TriggerKernel:
-    return TriggerKernel(lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-                         lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-                         "0")
+    return _ZERO
 
 
 def exp_decay(c: float, rate: float) -> TriggerKernel:
     """g(s) = c exp(-rate s); decreasing, so it is its own envelope."""
-    fn = lambda s: c * np.exp(-rate * np.asarray(s, dtype=float))
-    return TriggerKernel(fn, fn, f"{c}*exp(-{rate}s)")
+    return _kernel(lambda s: (g := c * np.exp(-rate * np.asarray(s, dtype=float)), g),
+                   f"{c}*exp(-{rate}s)")
 
 
 def pow_two_decay(c: float, rate: float) -> TriggerKernel:
     """g(s) = c 2^(-rate s)."""
-    fn = lambda s: c * np.exp2(-rate * np.asarray(s, dtype=float))
-    return TriggerKernel(fn, fn, f"{c}*2^(-{rate}s)")
+    return _kernel(lambda s: (g := c * np.exp2(-rate * np.asarray(s, dtype=float)), g),
+                   f"{c}*2^(-{rate}s)")
 
 
 def gaussian_bump(c: float, center: float, sharpness: float) -> TriggerKernel:
     """g(s) = c exp(-sharpness (s - center)^2); envelope is flat at c before
     the peak and follows g after it."""
-    def fn(s):
+    def values(s):
         s = np.asarray(s, dtype=float)
-        return c * np.exp(-sharpness * (s - center) ** 2)
+        g = c * np.exp(-sharpness * (s - center) ** 2)
+        return g, np.where(s <= center, c, g)
 
-    def env(s):
-        s = np.asarray(s, dtype=float)
-        return np.where(s <= center, c, fn(s))
-
-    return TriggerKernel(fn, env, f"{c}*exp(-{sharpness}(s-{center})^2)")
+    return _kernel(values, f"{c}*exp(-{sharpness}(s-{center})^2)")
 
 
 def cosine_gated_decay(c: float) -> TriggerKernel:
     """g(s) = c (1 + cos(pi s)) exp(-s), zero at odd integer lags; the
     modulation factor is at most 2, so 2c exp(-s) is a decreasing envelope."""
-    def fn(s):
+    def values(s):
         s = np.asarray(s, dtype=float)
-        return c * (1.0 + np.cos(np.pi * s)) * np.exp(-s)
+        decay = np.exp(-s)
+        return c * (1.0 + np.cos(np.pi * s)) * decay, 2.0 * c * decay
 
-    env = lambda s: 2.0 * c * np.exp(-np.asarray(s, dtype=float))
-    return TriggerKernel(fn, env, f"{c}*(1+cos(pi s))*exp(-s)")
+    return _kernel(values, f"{c}*(1+cos(pi s))*exp(-s)")
 
 
 def refractory_pulse(decay: float) -> TriggerKernel:
@@ -103,15 +114,12 @@ def refractory_pulse(decay: float) -> TriggerKernel:
     Continuous at s = 1/2 (both branches equal 1); the maximum over [s, inf)
     is 1 before the peak and the decaying branch after it.
     """
-    def fn(s):
+    def values(s):
         s = np.asarray(s, dtype=float)
-        return np.where(s <= 0.5, 8.0 * s * s - 1.0, np.exp(-decay * (s - 0.5)))
+        ramp, tail = s <= 0.5, np.exp(-decay * (s - 0.5))
+        return np.where(ramp, 8.0 * s * s - 1.0, tail), np.where(ramp, 1.0, tail)
 
-    def env(s):
-        s = np.asarray(s, dtype=float)
-        return np.where(s <= 0.5, 1.0, np.exp(-decay * (s - 0.5)))
-
-    return TriggerKernel(fn, env, f"(8s^2-1)[s<=.5]+exp(-{decay}(s-.5))[s>.5]")
+    return _kernel(values, f"(8s^2-1)[s<=.5]+exp(-{decay}(s-.5))[s>.5]")
 
 
 @dataclass(frozen=True)
@@ -144,8 +152,7 @@ class ScenarioSpec:
         grid = np.linspace(0.0, support, 2001)
         for row in kernels:
             for k in row:
-                e = np.asarray(k.envelope(grid), dtype=float)
-                g = np.asarray(k.fn(grid), dtype=float)
+                g, e = (np.asarray(v, dtype=float) for v in k.values(grid))
                 if not np.all(np.isfinite(e)) or not np.all(np.isfinite(g)):
                     raise ValueError(f"kernel {k.label or k.fn} is unbounded on [0, {support}]")
                 if isinstance(self.link, IdentityLink) and g.min() < -1e-12:
@@ -222,39 +229,41 @@ def simulate(spec: ScenarioSpec, T: float, seed: int,
     """
     if not T > 0:
         raise ValueError(f"horizon T must be positive, got {T}")
-    env0 = np.array([[float(spec.kernels[i][j].envelope(0.0))
-                      for j in range(spec.U)] for i in range(spec.U)])
-    if not np.all(np.isfinite(env0)):
-        raise ValueError("cannot establish a thinning bound: envelope is unbounded at lag 0")
 
     rng = np.random.default_rng(seed)
     identity = isinstance(spec.link, IdentityLink)
     U = spec.U
-    # per source mark j: the kernels j -> i of every target i, and the live
-    # history of mark j as bufs[j][lo[j]:hi[j]] in acceptance order, so each
-    # kernel sums the same lags in the same order as one scan of all marks
-    fns = [[spec.kernels[i][j].fn for i in range(U)] for j in range(U)]
-    envs = [[spec.kernels[i][j].envelope for i in range(U)] for j in range(U)]
+    # per source mark j: its live history bufs[j][lo[j]:hi[j]] in acceptance
+    # order, its nonzero kernels j -> i as (i, values), and sums[j], the sums
+    # over that history of every g_ij, then of every envelope_ij; those envelope
+    # sums are the next proposal's bound once the accepted mark's are renewed
+    live = [[(i, spec.kernels[i][j].values) for i in range(U)
+             if spec.kernels[i][j] is not _ZERO] for j in range(U)]
+    sums = [np.zeros(2 * U)] * U
+    base = np.array(spec.mu * 2)
     bufs = [np.empty(_BUFFER) for _ in range(U)]
     lo, hi = [0] * U, [0] * U
-    times: list[float] = []
-    marks: list[int] = []
-    accepted_intensity: list[float] = []
+    times, marks, accepted_intensity = [], [], []
     window = spec.support_lag
-    t = 0.0
-    n_proposals = 0
+    t, n_proposals = 0.0, 0
 
-    def linear_parts(now: float, table: list) -> np.ndarray:
-        values = list(spec.mu)
-        for j in range(U):
-            if lo[j] < hi[j]:
-                lags_j = now - bufs[j][lo[j]:hi[j]]
-                for i, k in enumerate(table[j]):
-                    values[i] += float(np.add.reduce(k(lags_j)))
-        return np.array(values)
+    def refresh(j: int) -> None:
+        lags = t - bufs[j][lo[j]:hi[j]]
+        rows = np.zeros((2 * U, lags.size))
+        if lags.size:
+            for i, values in live[j]:
+                rows[i], rows[U + i] = values(lags)
+        sums[j] = np.add.reduce(rows, axis=1)
 
+    def linear() -> np.ndarray:  # [intensities, bounds] before the link
+        out = base + sums[0]
+        for j in range(1, U):
+            out += sums[j]
+        return out
+
+    parts = linear()
     while True:
-        bound = float(np.sum(spec.link(linear_parts(t, envs))))
+        bound = float(spec.link(parts[U:]).sum())
         if bound <= 0.0:
             break
         t += rng.exponential(1.0 / bound)
@@ -264,14 +273,15 @@ def simulate(spec: ScenarioSpec, T: float, seed: int,
         for j in range(U):
             while lo[j] < hi[j] and t - bufs[j][lo[j]] > window:
                 lo[j] += 1
-        lam = np.asarray(spec.link(linear_parts(t, fns)), dtype=float)
+            refresh(j)
+        parts = linear()
+        lam = np.asarray(spec.link(parts[:U]), dtype=float)
         if identity and lam.min() < 0:
             raise RuntimeError(
                 f"negative intensity {lam.min():.3e} at t={t:.6g} under the identity link")
         total = float(lam.sum())
         if rng.random() * bound <= total:
-            mark = 1 + int(np.searchsorted(np.cumsum(lam), rng.random() * total))
-            mark = min(mark, spec.U)
+            mark = min(1 + int(np.searchsorted(np.cumsum(lam), rng.random() * total)), U)
             times.append(t)
             marks.append(mark)
             accepted_intensity.append(float(lam[mark - 1]))
@@ -287,6 +297,8 @@ def simulate(spec: ScenarioSpec, T: float, seed: int,
                 raise RuntimeError(
                     f"simulation aborted: more than {max_events} events by t={t:.6g} "
                     f"(runaway supercritical process; raise max_events to override)")
+            refresh(j)
+            parts = linear()
 
     events = EventSequence(np.asarray(times), np.asarray(marks, dtype=int), T, spec.U)
     return SimResult(events=events, intensities=np.asarray(accepted_intensity),

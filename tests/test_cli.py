@@ -3,17 +3,24 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hawkes_rkhs
 from hawkes_rkhs.cli import build_parser
 from hawkes_rkhs.events import read_events_csv
+
+# the child runs the package these tests import, also when that is the
+# checkout's src/ put on the path by pytest's pythonpath setting
+PACKAGE_ROOT = str(Path(hawkes_rkhs.__file__).resolve().parents[1])
 
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
     env.pop("HAWKES_RKHS_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "hawkes_rkhs", *args],
@@ -317,8 +324,8 @@ def test_reproduce_tiny(scenario, extra):
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[0].startswith("seed    2: N=") and lines[1].startswith("seed    3: N=")
-    assert "delta^2=" in lines[0] and "refit cpu=" in lines[0]
-    assert lines[-1].startswith("T=400  ")
+    assert "delta^2=" in lines[0] and "refit wall=" in lines[0]
+    assert lines[-1].startswith("T=400  ") and "refit wall " in lines[-1]
     assert ("baseline=0.006" in lines[-1]) == (scenario == "refractory")
 
 
@@ -326,3 +333,5 @@ def test_reproduce_rejects_bad_options():
     assert run_cli("reproduce", "--scenario", "poisson").returncode == 2
     out = run_cli("reproduce", "--scenario", "mutually-exciting", "--baseline", "0.1")
     assert out.returncode == 2 and "refractory" in out.stderr
+    out = run_cli("reproduce", "--scenario", "refractory", "--seeds", "5-3")
+    assert out.returncode == 2 and "--seeds" in out.stderr and not out.stdout

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -142,6 +144,31 @@ def truncated_spec():
                         link=IdentityLink(), A=5.0, support_lag=5.0)
 
 
+def raw_callable_spec():
+    # kernels given only as (fn, envelope) callables, with envelopes strictly
+    # above g, next to a built-in kernel and a zero kernel in the same mark
+    def lags(s):
+        return np.asarray(s, dtype=float)
+
+    wobble = TriggerKernel(
+        lambda s: 0.3 * np.exp(-lags(s)) * (1.0 + 0.5 * np.sin(3.0 * lags(s))),
+        lambda s: 0.5 * np.exp(-lags(s)), "wobble")
+    rise = TriggerKernel(lambda s: 0.2 * lags(s) * np.exp(-lags(s)),
+                         lambda s: np.full_like(lags(s), 0.1), "rise")
+    kernels = ((wobble, rise), (exp_decay(0.2, 2.0), zero_kernel()))
+    return ScenarioSpec(U=2, mu=(0.3, 0.2), kernels=kernels,
+                        link=IdentityLink(), A=5.0, support_lag=10.0)
+
+
+def sparse_spec():
+    # a low rate and a short support, so every mark's history empties and
+    # refills between events
+    kernels = ((exp_decay(0.4, 2.0), gaussian_bump(0.3, 0.5, 8.0)),
+               (cosine_gated_decay(0.2), pow_two_decay(0.3, 3.0)))
+    return ScenarioSpec(U=2, mu=(0.05, 0.08), kernels=kernels,
+                        link=IdentityLink(), A=1.5, support_lag=1.5)
+
+
 @pytest.mark.parametrize("make_spec, T, seed", [
     (refractory_scenario, 2000.0, 175),
     (refractory_scenario, 300.0, 1),
@@ -151,10 +178,13 @@ def truncated_spec():
     (poisson_spec, 200.0, 4),
     (dense_poisson_spec, 20.0, 5),
     (truncated_spec, 200.0, 6),
+    (raw_callable_spec, 300.0, 7),
+    (sparse_spec, 2000.0, 8),
 ])
 def test_simulate_matches_reference_loop(make_spec, T, seed):
     # draws are a fixed function of (spec, T, seed): the per-mark history
-    # buffers must reproduce the single-list scan to the last bit
+    # buffers and the envelope sums kept from one proposal for the next bound
+    # must reproduce the single-list scan with two passes to the last bit
     spec = make_spec()
     got, ref = simulate(spec, T, seed), simulate_loop(spec, T, seed)
     assert np.array_equal(got.events.times, ref.events.times)
@@ -165,6 +195,34 @@ def test_simulate_matches_reference_loop(make_spec, T, seed):
         times = got.events.times
         live = np.arange(times.size) - np.searchsorted(times, times - spec.support_lag)
         assert live.max() > simulation._BUFFER
+    if make_spec is sparse_spec:
+        gaps = np.diff(got.events.times)
+        assert (gaps > spec.support_lag).sum() > 10 and (gaps < spec.support_lag).sum() > 10
+
+
+def _digest(a, dtype):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=dtype).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("make_spec, seed, times, marks, intensities, n_proposals", [
+    (refractory_scenario, 175,
+     "10654ec8b72dee6c030340d0c00683402ec33c647ff3090e06460afbf64dc56f",
+     "f461b7c028c7cb9c2d30d9d5412d2b7e1aa5e66b0324451415e1bb95280e5e8b",
+     "33a7c55bfcf1086b8bae55a0ebc285a5a09261646b92d220cb0c5ea9c2c05447", 4012),
+    (mutually_exciting_scenario, 20,
+     "8e3c0f047b1c1060869ee90f5f4f1149dd6989d3ab7a976f91316a17de5fa2c7",
+     "1a8099157a070ff90106dbb1f361ee4f26d436be228ecdef0cf5dbaefabd46e6",
+     "a66985dcf4f0ee7b7d4795341fe624fc40974963985a791c8875bccc519f1874", 2880),
+], ids=["refractory-175", "mutually-exciting-20"])
+def test_simulate_draws_pinned(make_spec, seed, times, marks, intensities, n_proposals):
+    # the T=2000 draws the benchmark tables start from, pinned to their bits
+    # (float64 and int64, little-endian), so a kernel formula that drifts in
+    # the simulator and in the reference loop alike still shows
+    res = simulate(make_spec(), 2000.0, seed)
+    assert _digest(res.events.times, "<f8") == times
+    assert _digest(res.events.marks, "<i8") == marks
+    assert _digest(res.intensities, "<f8") == intensities
+    assert res.n_proposals == n_proposals
 
 
 def test_runaway_abort_matches_reference_loop():
