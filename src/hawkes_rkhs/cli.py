@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -316,10 +317,12 @@ def run_reproduce(opts) -> int:
         print("error: --baseline applies to the refractory scenario only",
               file=sys.stderr)
         return 2
-    first, _, last = str(opts["seeds"] or _REPRODUCE_SEEDS[opts["scenario"]]).partition("-")
-    seeds = range(int(first), int(last or first) + 1)
+    text = str(opts["seeds"] or _REPRODUCE_SEEDS[opts["scenario"]])
+    match = re.fullmatch(r"([0-9]+)(?:-([0-9]+))?", text)
+    seeds = range(int(match[1]), int(match[2] or match[1]) + 1) if match else range(0)
     if not seeds:
-        print(f"error: --seeds {opts['seeds']} is an empty range", file=sys.stderr)
+        print(f"error: --seeds {text} is not a seed range: expected N or N-M "
+              "with N <= M", file=sys.stderr)
         return 2
     factory = SCENARIOS[opts["scenario"]]
     spec = factory() if opts["baseline"] is None else factory(float(opts["baseline"]))

@@ -22,7 +22,6 @@ from .events import EventSequence
 from .features import (
     FeatureBasis,
     WindowIntegralTable,
-    _outer_batch,
     feature_matrix,
     phi,
 )
@@ -114,8 +113,8 @@ def _pairs_lag_in_window(times: np.ndarray, A: float):
 # terms kept of the near-resonant Taylor series: with |y| < 1 the first term
 # dropped is below 1/21! ~ 2e-20 of the sum's scale
 _SERIES_TERMS = 20
-# elements per array of a chunk of pairs (1 MB): pairs x distinct frequencies
-# x (re, im) in the lag pass, pairs x M^2 in the boundary closed form
+# elements per array of a chunk of pair entries (1 MB): entries x distinct
+# frequencies x (re, im) in the lag pass, entries x M in the edge terms
 _CHUNK = 1 << 17
 
 
@@ -177,20 +176,24 @@ def _gram(events: EventSequence, basis: FeatureBasis, A: float,
 
     Pair (n, n'), t_n' <= t_n, adds int_a^b phi(t - t_n) phi(t - t_n')^T dt,
     a = max(t_n, lo), b = min(t_n' + A, hi), to its (mark_n, mark_n') block,
-    which enters together with its transpose.  For an interior pair
-    (t_n >= lo, t_n' + A <= hi), with lag D = t_n - t_n' and L = A - D, that is
-    int_0^L phi(u) phi(u + D)^T du, and over the interior pairs of a block
-
-        (1/M) [ (Im(E_m F_k) - Im(e^{i theta_m} G_k)) / (omega_m + omega_k)
-              + (Im(E_m conj F_k) - Im(e^{i theta_m} conj G_k)) / (omega_m - omega_k) ]
-
-    with G_k = sum_p exp(i(omega_k D_p + theta_k)), E_m = sum_p exp(i(omega_m
-    L_p + theta_m)) (conj G turned by F) and F_k = exp(i(omega_k A + theta_k)).
-    Entries with |y| < 1, y = (omega_m +- omega_k) A, take the series
-    A Re[e^{i theta_m} sum_j (iy)^j / (j+1)! H_k^(j)] (conj H for -) with
-    H_k^(j) = sum_p (L_p/A)^(j+1) exp(i(omega_k D_p + theta_k)).  Pairs cut by
-    the horizon or the window take ``_outer_batch``.  The event sums are the
-    lag sums over the pairs with lo <= t_n < hi.
+    which enters together with its transpose.  With lag D = t_n - t_n' that is
+    J(L_hi) - J(L_lo), J(L) = int_0^L phi(u) phi(u + D)^T du, L_hi = b - t_n,
+    L_lo = a - t_n.  The end u = L of J, at time c = t_n + L, is
+    (1/M) [sin(alpha_m + beta_k) R+ + sin(alpha_m - beta_k) R-] with alpha =
+    omega (c - t_n) + theta, beta = omega (c - t_n') + theta and R+- =
+    1 / (omega_m +- omega_k).  Summed over the pairs of a block, u = 0 gives
+    Im(e^{i theta_m} G_k) and Im(e^{i theta_m} conj G_k) with G_k = sum_p
+    exp(i(omega_k D_p + theta_k)); c = t_n' + A gives Im(E_m F_k) and
+    Im(E_m conj F_k) with E_m = sum_p exp(i(omega_m (A - D_p) + theta_m)) (conj
+    G turned by F) and F_k = exp(i(omega_k A + theta_k)); a window edge c in
+    {lo, hi} gives sin(alpha) cos(beta)^T (R+ + R-) + cos(alpha) sin(beta)^T
+    (R+ - R-), two real GEMMs over the pairs cut there.  Entries with |y| < 1,
+    y = (omega_m +- omega_k) A, take the series A Re[e^{i theta_m} sum_j
+    (iy)^j / (j+1)! H_k^(j)] (conj H for -) for J(L) as a whole, with H_k^(j) =
+    sum_p (L_p/A)^(j+1) exp(i(omega_k D_p + theta_k)).  So every pair enters the
+    lag sums at L_hi, and a pair cut at lo again at L_lo with its weight
+    negated: their u = 0 terms cancel.  The event sums are the lag sums over
+    the pairs with lo <= t_n < hi.
 
     The lag exponentials come from per-event phasors: time is cut into
     segments whose length is a power of two of at least 2A, and
@@ -200,8 +203,9 @@ def _gram(events: EventSequence, basis: FeatureBasis, A: float,
     lies in the segment before; a lag <= A spans at most one boundary).  The
     offsets from the origins are exact, so the phases are as accurate as the
     lags themselves, whatever the time origin.  A build costs O(N M)
-    exponentials, on the distinct frequencies only, O(P M) multiply-adds and
-    O(M^2) arithmetic.
+    exponentials, on the distinct frequencies only, O(P M) multiply-adds,
+    O(P_cut M) sines and cosines and O(P_cut M^2) GEMM work for the P_cut pairs
+    cut by the window, and O(M^2) arithmetic.
     """
     times, marks = events.times, events.marks
     M, U, J = basis.M, events.U, _SERIES_TERMS
@@ -209,16 +213,29 @@ def _gram(events: EventSequence, basis: FeatureBasis, A: float,
     n = np.concatenate([np.arange(times.size), idx_n])
     n2 = np.concatenate([np.arange(times.size), idx_np])
     t_n, t_np = times[n], times[n2]
-    a = np.maximum(t_n, lo)
-    b = np.minimum(t_np + A, hi)
-    overlap = a < b
-    interior = overlap & (t_n >= lo) & (t_np + A <= hi)
-    boundary = overlap & ~interior
+    overlap = np.maximum(t_n, lo) < np.minimum(t_np + A, hi)
     summed = (t_n >= lo) & (t_n < hi) & (n != n2)
+    block = (marks[n] - 1) * U + marks[n2] - 1
+    cut = overlap & (t_np + A > hi)
+    # one entry per pair that meets the window, at L_hi, and a ``lower`` one
+    # per pair cut at lo, at L_lo; sorted by block, the entries whose upper
+    # end is a window edge (hi, or lo for a lower one) after all the others
+    again = np.flatnonzero(overlap & (t_n < lo))
+    rows = np.concatenate([np.flatnonzero(overlap | summed), again])
+    lower = np.arange(rows.size) >= rows.size - again.size
+    key = block[rows] + U * U * (lower | cut[rows])
+    by_block = np.argsort(key.astype(np.min_scalar_type(2 * U * U)), kind="stable")
+    bounds = np.searchsorted(key[by_block], np.arange(2 * U * U + 1))
+    spans = [slice(*bounds[k:k + 2]) for k in range(2 * U * U)]
+    rows, lower, tail = rows[by_block], lower[by_block], bounds[U * U]
+    n, n2, t_n, t_np = n[rows], n2[rows], t_n[rows], t_np[rows]
+    edge = np.where(lower, lo, hi)
+    # L = A - D, not t_n' + A - t_n, keeps the series exact in the time origin
+    ell = np.concatenate([A - (t_n[:tail] - t_np[:tail]), edge[tail:] - t_n[tail:]]) / A
     # a same-event pair enters its diagonal block once, and every block is
     # added together with its transpose
-    weight = np.where(n == n2, 0.5, 1.0)
-    block = (marks[n] - 1) * U + (marks[n2] - 1)
+    weight = np.where(n == n2, 0.5, 1.0) * np.where(lower, -1.0, overlap[rows])
+    summed = summed[rows] & ~lower
 
     freq, inverse = np.unique(basis.omega, return_inverse=True)
     # segments of a power-of-two length >= 2A: t / span, its floor and the
@@ -241,20 +258,25 @@ def _gram(events: EventSequence, basis: FeatureBasis, A: float,
     out = np.zeros((U * M, U * M))
     event_sums = np.zeros((U, U, M))
     outer = np.multiply.outer
-    chunk = max(1, _CHUNK // (M * M))
+    step = max(1, _CHUNK // M)
     for i in range(U):
         for j in range(U):
-            in_block = block == i * U + j
-            rows = np.flatnonzero(in_block & (interior | summed))
-            lag = t_n[rows] - t_np[rows]
-            sums = _lag_sums(phasors, n[rows], second[rows], (A - lag) / A,
-                             np.where(interior[rows], weight[rows], 0.0), summed[rows])
-            sums = sums[:, inverse]
+            inside, edged = spans[i * U + j], spans[U * U + i * U + j]
+            sums_in, sums = (_lag_sums(phasors, n[r], second[r], ell[r], weight[r],
+                                       summed[r])[:, inverse] for r in (inside, edged))
+            sums += sums_in
             event_sums[i, j] = basis.scale * (turn * sums[J + 1]).real
             G = turn * sums[0]
-            E = F * np.conj(sums[0])
+            E = F * np.conj(sums_in[0])
             X = (outer(E.imag, F.real) - outer(turn.imag, G.real)) * r_sum
             X += (outer(E.real, F.imag) - outer(turn.real, G.imag)) * r_diff
+            for start in range(edged.start, edged.stop, step):
+                part = slice(start, min(start + step, edged.stop))
+                alpha = outer(edge[part] - t_n[part], basis.omega) + basis.theta
+                beta = outer(edge[part] - t_np[part], basis.omega) + basis.theta
+                w = weight[part, None]
+                X += ((w * np.sin(alpha)).T @ np.cos(beta)) * r_sum
+                X += ((w * np.cos(alpha)).T @ np.sin(beta)) * r_diff
             H = turn * sums[1:J + 1] * inv_fact[:, None]
             for (m, k, y), moments in zip(series, (H, np.conj(H))):
                 acc = moments[J - 1, k]
@@ -262,11 +284,6 @@ def _gram(events: EventSequence, basis: FeatureBasis, A: float,
                     acc = moments[order, k] + 1j * y * acc
                 X[m, k] += A * (turn[m] * acc).real
             X /= M
-            rows = np.flatnonzero(in_block & boundary)
-            for start in range(0, rows.size, chunk):
-                r = rows[start:start + chunk]
-                X += np.tensordot(weight[r], _outer_batch(
-                    basis, t_n[r], t_np[r], a[r], b[r]), axes=1)
             # each entry of out and its mirror sum the same two terms, so out
             # is symmetric to the last bit
             out[i * M:(i + 1) * M, j * M:(j + 1) * M] += X
@@ -287,6 +304,14 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
         hi = events.T
     values, event_sums = _gram(events, basis, A, lo, hi)
     return XiMatrix(values, basis.M, events.U, event_sums)
+
+
+def _check_fittable(has_events: bool, A: float, length: float):
+    """Raise FitError for a window without events, ValueError for A beyond it."""
+    if not has_events:
+        raise FitError("cannot fit an empty event sequence")
+    if A > length:
+        raise ValueError(f"support window A={A} exceeds the horizon T={length}")
 
 
 def _solve_spd(Z: np.ndarray, rhs: np.ndarray, gamma: float):
@@ -360,11 +385,7 @@ class Design:
         is strictly inside (0, length) in exact arithmetic; a nonpositive value
         indicates numerical breakdown and raises FitError.
         """
-        if not self.counts.any():
-            raise FitError("cannot fit an empty event sequence")
-        if self.A > self.length:
-            raise ValueError(
-                f"support window A={self.A} exceeds the horizon T={self.length}")
+        _check_fittable(self.counts.any(), self.A, self.length)
         t0 = time.perf_counter()
         rhs = np.column_stack([self.window_vec, self.event_sums.T])
         solved, _, cond = self.solve_system(gamma, rhs)
@@ -455,6 +476,7 @@ class FittedModel:
 def fit(events: EventSequence, config: FitConfig) -> FittedModel:
     """Fit baselines and triggering kernels by penalized least squares on the
     design over [0, T]; see ``Design.solve`` for the closed form."""
+    _check_fittable(len(events) > 0, config.A, events.T)
     t0 = time.perf_counter()
     design = Design(events, config.basis, config.A)
     stats = {"xi_build_s": time.perf_counter() - t0}

@@ -34,8 +34,9 @@ class GridSpec:
         betas = tuple(float(b) for b in self.beta_grid)
         if not gammas or not betas:
             raise ValueError("hyperparameter grids must be nonempty")
-        if any(g <= 0 for g in gammas) or any(b <= 0 for b in betas):
-            raise ValueError("grid values must be positive")
+        bad = [v for v in gammas + betas if not 0 < v < np.inf]
+        if bad:
+            raise ValueError(f"grid values must be positive and finite, got {bad[0]}")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
         object.__setattr__(self, "gamma_grid", gammas)

@@ -25,8 +25,8 @@ class KernelSpec:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not 0 < self.beta < np.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
 
     def value(self, s, s_prime):
         """Exact kernel value k(s, s')."""
@@ -187,43 +187,25 @@ def integral_phi_outer(basis: FeatureBasis, t_n: float, t_np: float,
     """Exact int_a^b phi(t - t_n) phi(t - t_np)^T dt as an M-by-M matrix.
 
     Expanding the cosine product gives two plane-wave terms whose integrals
-    are cos(...) * sinc(...) factors; see ``_outer_batch``.  Requires a <= b;
-    a == b returns the zero matrix.
-    """
-    if a > b:
-        raise ValueError(f"integration bounds must satisfy a <= b, got a={a}, b={b}")
-    return _outer_batch(
-        basis,
-        np.asarray([t_n], dtype=float),
-        np.asarray([t_np], dtype=float),
-        np.asarray([a], dtype=float),
-        np.asarray([b], dtype=float),
-    )[0]
-
-
-def _outer_batch(basis: FeatureBasis, t_n, t_np, a, b) -> np.ndarray:
-    """Batched outer-product integrals for P (t_n, t_np, a, b) tuples -> (P, M, M).
-
-    With X_m = omega_m (mid - t_n) + theta_m and Y_m = omega_m (mid - t_np) + theta_m,
-    mid = (a+b)/2 and h = (b-a)/2, the integral is
+    are cos(...) * sinc(...) factors: with X_m = omega_m (mid - t_n) + theta_m,
+    Y_m = omega_m (mid - t_np) + theta_m, mid = (a+b)/2 and h = (b-a)/2,
 
         (b-a)/M [ cos X cos Y^T (S+ + S-) + sin X sin Y^T (S- - S+) ],
 
-    where S+- = sinc(h (omega_m +- omega_m')).
+    where S+- = sinc(h (omega_m +- omega_m')).  Requires a <= b; a == b
+    returns the zero matrix.
     """
+    if a > b:
+        raise ValueError(f"integration bounds must satisfy a <= b, got a={a}, b={b}")
     omega, theta = basis.omega, basis.theta
-    omega_sum = omega[:, None] + omega[None, :]
-    omega_diff = omega[:, None] - omega[None, :]
-    mid = (a + b) * 0.5
-    h = (b - a) * 0.5
-    X = omega * (mid - t_n)[:, None] + theta
-    Y = omega * (mid - t_np)[:, None] + theta
-    s_plus = sinc_u(h[:, None, None] * omega_sum)
-    s_minus = sinc_u(h[:, None, None] * omega_diff)
-    out = np.einsum("pm,pn->pmn", np.cos(X), np.cos(Y)) * (s_plus + s_minus)
-    out += np.einsum("pm,pn->pmn", np.sin(X), np.sin(Y)) * (s_minus - s_plus)
-    out *= ((b - a) / basis.M)[:, None, None]
-    return out
+    mid, h = (a + b) * 0.5, (b - a) * 0.5
+    X = omega * (mid - t_n) + theta
+    Y = omega * (mid - t_np) + theta
+    s_plus = sinc_u(h * np.add.outer(omega, omega))
+    s_minus = sinc_u(h * np.subtract.outer(omega, omega))
+    out = np.outer(np.cos(X), np.cos(Y)) * (s_plus + s_minus)
+    out += np.outer(np.sin(X), np.sin(Y)) * (s_minus - s_plus)
+    return out * ((b - a) / basis.M)
 
 
 class WindowIntegralTable:

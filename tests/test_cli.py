@@ -333,5 +333,7 @@ def test_reproduce_rejects_bad_options():
     assert run_cli("reproduce", "--scenario", "poisson").returncode == 2
     out = run_cli("reproduce", "--scenario", "mutually-exciting", "--baseline", "0.1")
     assert out.returncode == 2 and "refractory" in out.stderr
-    out = run_cli("reproduce", "--scenario", "refractory", "--seeds", "5-3")
-    assert out.returncode == 2 and "--seeds" in out.stderr and not out.stdout
+    for seeds in ("5-3", "abc", "-3"):
+        out = run_cli("reproduce", "--scenario", "refractory", "--seeds", seeds)
+        assert out.returncode == 2 and not out.stdout
+        assert "--seeds" in out.stderr and "N or N-M" in out.stderr

@@ -179,14 +179,33 @@ def per_pair_xi(ev, basis, A, lo, hi):
     return ref
 
 
+def cut_pair_counts(ev, A, lo, hi):
+    """Ordered pairs t_n' <= t_n that meet [lo, hi]: how many are cut at lo
+    (t_n < lo), at hi (t_n' + A > hi), and at both ends at once."""
+    later, earlier = ev.times[:, None], ev.times[None, :]
+    meets = (earlier <= later) & (np.maximum(later, lo) < np.minimum(earlier + A, hi))
+    at_lo, at_hi = meets & (later < lo), meets & (earlier + A > hi)
+    return at_lo.sum(), at_hi.sum(), (at_lo & at_hi).sum()
+
+
 def test_xi_windowed_agrees_with_per_pair_closed_form():
-    # (lo, hi) cuts pairs at both ends, so boundary pairs meet interior ones
+    # (lo, hi) cuts pairs at both ends, so cut pairs meet interior ones; bursts
+    # of events just below lo and hi cut many pairs at each end, and a window
+    # shorter than A cuts pairs at both ends at once
     rng = np.random.default_rng(31)
     A, lo, hi = 4.0, 2.5, 7.5
+    cases = []
     for M in (8, 64):
         ev, basis = random_instance(rng, U=2, n_events=15, T=10.0, M=M, seed=4)
-        t = ev.times
-        assert np.any((t < lo) & (t + A > lo)) and np.any((t < hi) & (t + A > hi))
+        cases.append((ev, basis, lo, hi, (1, 1, 0)))
+    times = np.unique(np.concatenate([rng.uniform(lo - 1.0, lo, 12),
+                                      rng.uniform(hi - 1.0, hi, 12), rng.uniform(0.0, 10.0, 6)]))
+    burst = EventSequence(times, rng.integers(1, 3, times.size), 10.0, 2)
+    for M in (8, 64):
+        basis = build_basis(KernelSpec(beta=1.0), M, 5)
+        cases += [(burst, basis, lo, hi, (60, 60, 0)), (burst, basis, 2.0, 5.0, (20, 20, 20))]
+    for ev, basis, lo, hi, least in cases:
+        assert np.all(np.array(cut_pair_counts(ev, A, lo, hi)) >= least)
         got = build_xi(ev, basis, A, lo, hi).values
         ref = per_pair_xi(ev, basis, A, lo, hi)
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
@@ -212,7 +231,9 @@ def test_xi_near_resonant_entries_agree_with_per_pair_closed_form():
     rng = np.random.default_rng(37)
     times = np.unique(rng.uniform(0.0, 11.5, 25))
     ev = EventSequence(times, rng.integers(1, 3, times.size), 12.0, 2)
-    for lo, hi in ((0.0, ev.T), (3.0, 9.0)):
+    assert cut_pair_counts(ev, A, 3.0, 9.0)[0] > 0       # pairs cut at lo
+    assert cut_pair_counts(ev, A, 5.0, 8.0)[2] > 0       # and at both ends
+    for lo, hi in ((0.0, ev.T), (3.0, 9.0), (5.0, 8.0)):
         got = build_xi(ev, basis, A, lo, hi).values
         ref = per_pair_xi(ev, basis, A, lo, hi)
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
@@ -335,12 +356,15 @@ def test_design_prefix_matches_restricted_events():
 
 # --- fit ------------------------------------------------------------------------
 
-def test_fit_requires_events_and_window():
+def test_fit_requires_events_and_window(monkeypatch):
     basis = build_basis(KernelSpec(beta=1.0), 4, 0)
     empty = EventSequence(np.array([]), np.array([]), 10.0, 1)
-    with pytest.raises(FitError):
-        fit(empty, FitConfig(gamma=1.0, A=5.0, basis=basis))
+    for A in (5.0, 50.0):  # an empty sequence is reported first
+        with pytest.raises(FitError):
+            fit(empty, FitConfig(gamma=1.0, A=A, basis=basis))
     ev = EventSequence(np.array([1.0]), np.array([1]), 4.0, 1)
+    # a window longer than the horizon is rejected before any design is built
+    monkeypatch.setattr("hawkes_rkhs.estimator.build_xi", None)
     with pytest.raises(ValueError, match="exceeds the horizon"):
         fit(ev, FitConfig(gamma=1.0, A=5.0, basis=basis))
 

@@ -231,6 +231,9 @@ def test_grid_spec_validation():
         GridSpec((1.0,), (0.0,))
     with pytest.raises(ValueError):
         GridSpec((1.0,), (1.0,), split_fraction=1.0)
+    for gammas, betas, bad in (((1.0,), (np.inf, 1.0), "inf"), ((np.nan, 1.0), (1.0,), "nan")):
+        with pytest.raises(ValueError, match=f"finite, got {bad}"):
+            GridSpec(gammas, betas)
 
 
 def test_grid_search_single_cell():

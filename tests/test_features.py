@@ -27,6 +27,9 @@ def test_kernel_spec_validation():
         KernelSpec(beta=0.0)
     with pytest.raises(ValueError):
         KernelSpec(beta=-1.0)
+    for beta in (np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"got {beta}"):
+            KernelSpec(beta=beta)
 
 
 def test_build_basis_rejects_bad_m():
