@@ -23,6 +23,7 @@ from .features import (
     FeatureBasis,
     WindowIntegralTable,
     feature_matrix,
+    integral_phi_range,
     phi,
 )
 
@@ -96,15 +97,16 @@ def phi_tilde(events: EventSequence, basis: FeatureBasis, A: float, s: float) ->
     return out.ravel()
 
 
-def _pairs_lag_in_window(times: np.ndarray, A: float):
-    """Ordered event pairs (n, n') with n' < n and 0 < t_n - t_n' <= A.
+def _pairs_lag_in_window(starts: np.ndarray, a: int):
+    """Ordered event pairs (n, n') with n' <= n and t_n - t_n' <= A for the
+    events n = a, a + 1, ..., given their ``_support_start`` indices.
 
     Returns (idx_n, idx_np), grouped by n in increasing order and by n'
-    within each group.
+    within each group, so that (n, n) ends each group.
     """
-    starts = _support_start(times, times, A)
-    counts = np.arange(times.size) - starts
-    idx_n = np.repeat(np.arange(times.size), counts)
+    n = np.arange(a, a + starts.size)
+    counts = n + 1 - starts
+    idx_n = np.repeat(n, counts)
     first = np.cumsum(counts) - counts
     idx_np = np.arange(idx_n.size) - np.repeat(first - starts, counts)
     return idx_n, idx_np
@@ -116,6 +118,8 @@ _SERIES_TERMS = 20
 # elements per array of a chunk of pair entries (1 MB): entries x distinct
 # frequencies x (re, im) in the lag pass, entries x M in the edge terms
 _CHUNK = 1 << 17
+# reals a range of events may hold in ``_gram`` (32 MB), whatever the event count
+_RANGE = 1 << 22
 
 
 def _resonance(basis: FeatureBasis, A: float):
@@ -169,6 +173,15 @@ def _lag_sums(phasors: np.ndarray, first: np.ndarray, second: np.ndarray,
     return out.view(complex)
 
 
+def _add_series(X: np.ndarray, H: np.ndarray, turn: np.ndarray, series, A: float):
+    """Add the series of ``_gram`` to its near-resonant entries of X, by Horner's rule."""
+    for (m, k, y), moments in zip(series, (H, np.conj(H))):
+        acc = moments[-1, k]
+        for order in range(H.shape[0] - 2, -1, -1):
+            acc = moments[order, k] + 1j * y * acc
+        X[m, k] += A * (turn[m] * acc).real
+
+
 def _gram(events: EventSequence, basis: FeatureBasis, A: float,
           lo: float, hi: float):
     """Gram integral of phi_tilde over [lo, hi], shape (MU, MU), and the event
@@ -202,54 +215,74 @@ def _gram(events: EventSequence, basis: FeatureBasis, A: float,
     against that origin too (its own segment's, or the next one's when t_n'
     lies in the segment before; a lag <= A spans at most one boundary).  The
     offsets from the origins are exact, so the phases are as accurate as the
-    lags themselves, whatever the time origin.  A build costs O(N M)
-    exponentials, on the distinct frequencies only, O(P M) multiply-adds,
-    O(P_cut M) sines and cosines and O(P_cut M^2) GEMM work for the P_cut pairs
-    cut by the window, and O(M^2) arithmetic.
+    lags themselves, whatever the time origin.
+
+    Only the N_w events in [lo - 2A, hi) take part (a pair that meets the window
+    starts after lo - A; one more A covers rounding), walked in ranges of
+    consecutive events of about ``_RANGE`` reals each: 2M per phasor row and
+    about 16 per pair entry.  Lag sums and cut entries gather per block, and
+    the M^2 terms are formed once per block after the last range.  A build
+    costs O(N_w M) exponentials, O(P_w M) multiply-adds for the P_w pairs of
+    those events, O(P_cut M) sines and cosines and O(P_cut M^2) GEMM work for
+    the P_cut pairs cut by the window, and O(U^2 M^2) arithmetic, in
+    O(_RANGE + N_w + P_cut + U^2 M^2) memory whatever N is.
     """
     times, marks = events.times, events.marks
     M, U, J = basis.M, events.U, _SERIES_TERMS
-    idx_n, idx_np = _pairs_lag_in_window(times, A)
-    n = np.concatenate([np.arange(times.size), idx_n])
-    n2 = np.concatenate([np.arange(times.size), idx_np])
-    t_n, t_np = times[n], times[n2]
-    overlap = np.maximum(t_n, lo) < np.minimum(t_np + A, hi)
-    summed = (t_n >= lo) & (t_n < hi) & (n != n2)
-    block = (marks[n] - 1) * U + marks[n2] - 1
-    cut = overlap & (t_np + A > hi)
-    # one entry per pair that meets the window, at L_hi, and a ``lower`` one
-    # per pair cut at lo, at L_lo; sorted by block, the entries whose upper
-    # end is a window edge (hi, or lo for a lower one) after all the others
-    again = np.flatnonzero(overlap & (t_n < lo))
-    rows = np.concatenate([np.flatnonzero(overlap | summed), again])
-    lower = np.arange(rows.size) >= rows.size - again.size
-    key = block[rows] + U * U * (lower | cut[rows])
-    by_block = np.argsort(key.astype(np.min_scalar_type(2 * U * U)), kind="stable")
-    bounds = np.searchsorted(key[by_block], np.arange(2 * U * U + 1))
-    spans = [slice(*bounds[k:k + 2]) for k in range(2 * U * U)]
-    rows, lower, tail = rows[by_block], lower[by_block], bounds[U * U]
-    n, n2, t_n, t_np = n[rows], n2[rows], t_n[rows], t_np[rows]
-    edge = np.where(lower, lo, hi)
-    # L = A - D, not t_n' + A - t_n, keeps the series exact in the time origin
-    ell = np.concatenate([A - (t_n[:tail] - t_np[:tail]), edge[tail:] - t_n[tail:]]) / A
-    # a same-event pair enters its diagonal block once, and every block is
-    # added together with its transpose
-    weight = np.where(n == n2, 0.5, 1.0) * np.where(lower, -1.0, overlap[rows])
-    summed = summed[rows] & ~lower
-
     freq, inverse = np.unique(basis.omega, return_inverse=True)
     # segments of a power-of-two length >= 2A: t / span, its floor and the
-    # offset t - seg span are exact, and a lag <= A crosses at most one
-    # boundary; rows :N against each event's own origin, rows N: the next one
+    # offset t - seg span are exact, and a lag <= A crosses at most one boundary
     span = 2.0 ** np.ceil(np.log2(2.0 * A))
-    seg = np.floor(times / span)
-    phasors = np.empty((2 * times.size, freq.size), dtype=complex)
-    own = phasors[:times.size]
-    np.multiply.outer(times - seg * span, freq, out=own.real)
-    np.sin(own.real, out=own.imag)
-    np.cos(own.real, out=own.real)
-    np.multiply(own, np.exp(-1j * freq * span), out=phasors[times.size:])
-    second = n2 + times.size * (seg[n2] < seg[n])
+    first, last = np.searchsorted(times, [lo - 2.0 * A, hi])
+    starts = _support_start(times, times[first:last], A)
+    # reals held by the events before each; a range ends where this passes a multiple of _RANGE
+    cost = np.cumsum(np.concatenate([[0], 2 * M + 16 * (np.arange(first, last) + 1 - starts)]))
+    ends = np.unique(np.r_[np.searchsorted(cost, np.arange(0, cost[-1], _RANGE)), last - first])
+    # per block: lag sums of uncut entries, then of cut ones, kept as (c - t_n, c - t_n', w)
+    lags = np.zeros((2 * U * U, J + 2, freq.size), dtype=complex)
+    cuts = [[np.empty((3, 0))] for _ in range(U * U)]
+    for a, b in zip(ends[:-1], ends[1:]):
+        base = starts[a]  # partners are monotone: the range's first reaches furthest
+        n, n2 = _pairs_lag_in_window(starts[a:b], first + a)
+        t_n, t_np = times[n], times[n2]
+        overlap = np.maximum(t_n, lo) < np.minimum(t_np + A, hi)
+        summed = (t_n >= lo) & (t_n < hi) & (n != n2)
+        block = (marks[n] - 1) * U + marks[n2] - 1
+        cut = overlap & (t_np + A > hi)
+        # one entry per pair that meets the window, at L_hi, and a ``lower`` one
+        # per pair cut at lo, at L_lo; sorted by block, the entries whose upper
+        # end is a window edge (hi, or lo for a lower one) after all the others
+        again = np.flatnonzero(overlap & (t_n < lo))
+        rows = np.concatenate([np.flatnonzero(overlap | summed), again])
+        lower = np.arange(rows.size) >= rows.size - again.size
+        key = block[rows] + U * U * (lower | cut[rows])
+        by_block = np.argsort(key.astype(np.min_scalar_type(2 * U * U)), kind="stable")
+        bounds = np.searchsorted(key[by_block], np.arange(2 * U * U + 1))
+        rows, lower, tail = rows[by_block], lower[by_block], bounds[U * U]
+        n, n2, t_n, t_np = n[rows] - base, n2[rows] - base, t_n[rows], t_np[rows]
+        edge = np.where(lower, lo, hi)
+        # L = A - D, not t_n' + A - t_n, keeps the series exact in the time origin
+        ell = np.concatenate([A - (t_n[:tail] - t_np[:tail]), edge[tail:] - t_n[tail:]]) / A
+        # a same-event pair enters its diagonal block once, and every block is
+        # added together with its transpose
+        weight = np.where(n == n2, 0.5, 1.0) * np.where(lower, -1.0, overlap[rows])
+        summed = summed[rows] & ~lower
+        # rows :R against each event's own segment origin, rows R: the next one
+        local = times[base:first + b]
+        seg = np.floor(local / span)
+        phasors = np.empty((2 * local.size, freq.size), dtype=complex)
+        own = phasors[:local.size]
+        np.multiply.outer(local - seg * span, freq, out=own.real)
+        np.sin(own.real, out=own.imag)
+        np.cos(own.real, out=own.real)
+        np.multiply(own, np.exp(-1j * freq * span), out=phasors[local.size:])
+        second = n2 + local.size * (seg[n2] < seg[n])
+        for k in range(2 * U * U):
+            r = slice(*bounds[k:k + 2])
+            lags[k] += _lag_sums(phasors, n[r], second[r], ell[r], weight[r], summed[r])
+            if k >= U * U:
+                cuts[k - U * U].append(np.stack([edge[r] - t_n[r], edge[r] - t_np[r], weight[r]]))
+
     turn = np.exp(1j * basis.theta)
     F = np.exp(1j * (basis.omega * A + basis.theta))
     inv_fact = 1.0 / np.cumprod(np.arange(1.0, J + 1.0))
@@ -261,28 +294,22 @@ def _gram(events: EventSequence, basis: FeatureBasis, A: float,
     step = max(1, _CHUNK // M)
     for i in range(U):
         for j in range(U):
-            inside, edged = spans[i * U + j], spans[U * U + i * U + j]
-            sums_in, sums = (_lag_sums(phasors, n[r], second[r], ell[r], weight[r],
-                                       summed[r])[:, inverse] for r in (inside, edged))
+            sums_in, sums = lags[[i * U + j, U * U + i * U + j]][:, :, inverse]
             sums += sums_in
             event_sums[i, j] = basis.scale * (turn * sums[J + 1]).real
             G = turn * sums[0]
             E = F * np.conj(sums_in[0])
             X = (outer(E.imag, F.real) - outer(turn.imag, G.real)) * r_sum
             X += (outer(E.real, F.imag) - outer(turn.real, G.imag)) * r_diff
-            for start in range(edged.start, edged.stop, step):
-                part = slice(start, min(start + step, edged.stop))
-                alpha = outer(edge[part] - t_n[part], basis.omega) + basis.theta
-                beta = outer(edge[part] - t_np[part], basis.omega) + basis.theta
-                w = weight[part, None]
-                X += ((w * np.sin(alpha)).T @ np.cos(beta)) * r_sum
-                X += ((w * np.cos(alpha)).T @ np.sin(beta)) * r_diff
-            H = turn * sums[1:J + 1] * inv_fact[:, None]
-            for (m, k, y), moments in zip(series, (H, np.conj(H))):
-                acc = moments[J - 1, k]
-                for order in range(J - 2, -1, -1):
-                    acc = moments[order, k] + 1j * y * acc
-                X[m, k] += A * (turn[m] * acc).real
+            du, dv, w = np.concatenate(cuts[i * U + j], axis=1)
+            for start in range(0, w.size, step):
+                part = slice(start, start + step)
+                alpha = outer(du[part], basis.omega) + basis.theta
+                beta = outer(dv[part], basis.omega) + basis.theta
+                wp = w[part, None]
+                X += ((wp * np.sin(alpha)).T @ np.cos(beta)) * r_sum
+                X += ((wp * np.cos(alpha)).T @ np.sin(beta)) * r_diff
+            _add_series(X, turn * sums[1:J + 1] * inv_fact[:, None], turn, series, A)
             X /= M
             # each entry of out and its mirror sum the same two terms, so out
             # is symmetric to the last bit
@@ -352,15 +379,20 @@ class Design:
             raise ValueError(f"support window A must be positive, got {A}")
         if hi is None:
             hi = events.T
+        if not 0.0 <= lo <= hi <= events.T:
+            raise ValueError(f"window [{lo}, {hi}] must lie inside [0, {events.T}]")
         self.A = A
         self.length = hi - lo
-        table = WindowIntegralTable(basis, events.times, hi, A, lo=lo)
-        window_vec = np.zeros((events.U, basis.M))
-        np.add.at(window_vec, events.marks - 1, table.vectors)
+        # an event that the table would not clip (lo - t <= 0, hi - t >= A) adds int_0^A phi
+        reach = slice(*np.searchsorted(events.times, [lo - 2.0 * A, hi]))
+        times, marks = events.times[reach], events.marks[reach] - 1
+        full = (lo - times <= 0.0) & (hi - times >= A)
+        table = WindowIntegralTable(basis, times[~full], hi, A, lo=lo)
+        window_vec = np.multiply.outer(np.bincount(marks[full], minlength=events.U),
+                                       integral_phi_range(basis, 0.0, A))
+        np.add.at(window_vec, marks[~full], table.vectors)
         self.window_vec = window_vec.ravel()
-        inside = (events.times >= lo) & (events.times < hi)
-        self.counts = np.bincount(events.marks[inside] - 1,
-                                  minlength=events.U).astype(float)
+        self.counts = np.bincount(marks[times >= lo], minlength=events.U).astype(float)
         self.xi = build_xi(events, basis, A, lo, hi)
         self.event_sums = self.xi.event_sums
 

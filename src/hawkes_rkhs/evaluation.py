@@ -80,8 +80,6 @@ def ls_contrast(mu: np.ndarray, coeff: np.ndarray, basis, events: EventSequence,
     The window holds the events with t0 <= t_n < t1; intensities always see
     the full history, so events before t0 still excite inside the window.
     """
-    if t0 < 0 or t1 > events.T or t0 > t1:
-        raise ValueError(f"window [{t0}, {t1}] must lie inside [0, {events.T}]")
     return Design(events, basis, A, t0, t1).contrast(mu, coeff)
 
 

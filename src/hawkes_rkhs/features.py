@@ -209,12 +209,12 @@ def integral_phi_outer(basis: FeatureBasis, t_n: float, t_np: float,
 
 
 class WindowIntegralTable:
-    """Per-event window integrals of the feature map for a fixed event set.
+    """Per-event window integrals of the feature map: the per-event oracle.
 
     ``vectors[n]`` holds the integral of phi(t - t_n) over the part of
     [lo, hi] where event n is active, int_{L_lo}^{L_hi} phi(u) du with
     L_lo = clip(lo - t_n, 0, A) and L_hi = max(L_lo, clip(hi - t_n, 0, A)).
-    With the default lo = 0 this is the window integral over [0, hi].
+    ``Design`` builds it only for events within A of lo or hi; the rest add 0 or int_0^A phi.
     """
 
     def __init__(self, basis: FeatureBasis, times: np.ndarray, hi: float, A: float,

@@ -295,6 +295,67 @@ def test_gram_does_not_depend_on_time_origin():
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
+def test_gram_ranges_match_one_range_build(monkeypatch):
+    # budgets that cut the walk into ranges of 1-3 events against one range
+    # for the whole sequence, on windows that cut pairs at lo and at hi; the
+    # M^2 terms are formed once per block, whatever the number of ranges
+    import hawkes_rkhs.estimator as est
+    rng = np.random.default_rng(59)
+    A, lo, hi = 4.0, 2.5, 7.5
+    times = np.unique(np.concatenate([rng.uniform(lo - 1.0, lo, 12),
+                                      rng.uniform(hi - 1.0, hi, 12), rng.uniform(0.0, 10.0, 6)]))
+    ev = EventSequence(times, rng.integers(1, 3, times.size), 10.0, 2)
+    basis = build_basis(KernelSpec(beta=1.0), 8, 5)
+    windows = ((0.0, ev.T), (lo, hi), (2.0, 5.0))
+    for window in windows[1:]:
+        assert min(cut_pair_counts(ev, A, *window)[:2]) > 0
+    monkeypatch.setattr(est, "_RANGE", 1 << 40)
+    want = [build_xi(ev, basis, A, *window) for window in windows]
+
+    sizes, finished = [], []
+    pairs, add_series = est._pairs_lag_in_window, est._add_series
+
+    def counted_pairs(starts, a):
+        sizes.append(starts.size)
+        return pairs(starts, a)
+
+    def counted_series(*args):
+        finished.append(1)
+        return add_series(*args)
+
+    monkeypatch.setattr(est, "_pairs_lag_in_window", counted_pairs)
+    monkeypatch.setattr(est, "_add_series", counted_series)
+    for budget in (1, 80):
+        monkeypatch.setattr(est, "_RANGE", budget)
+        for window, ref in zip(windows, want):
+            sizes.clear()
+            finished.clear()
+            got = build_xi(ev, basis, A, *window)
+            assert len(sizes) > 3 and max(sizes) <= 3
+            assert len(finished) == ev.U ** 2
+            assert np.array_equal(got.values, got.values.T)
+            for g, w in ((got.values, ref.values), (got.event_sums, ref.event_sums)):
+                assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+
+
+def test_build_xi_memory_does_not_grow_with_the_event_count(monkeypatch):
+    # 4x the events at the same rate: with a budget of a few ranges per build,
+    # the traced peak of a build grows far less than the event count
+    import tracemalloc
+    monkeypatch.setattr("hawkes_rkhs.estimator._RANGE", 1 << 17, raising=False)
+    rng = np.random.default_rng(67)
+    basis = build_basis(KernelSpec(beta=1.0), 8, 1)
+    peaks = []
+    for T in (250.0, 1000.0):
+        times = np.unique(rng.uniform(0.0, T, int(8 * T)))
+        ev = EventSequence(times, rng.integers(1, 3, times.size), T, 2)
+        tracemalloc.start()
+        build_xi(ev, basis, 2.0)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
 @given(log_c=st.floats(min_value=-3.0, max_value=3.0))
 def test_fit_does_not_depend_on_time_unit(log_c):
     # times, T and A times c, beta and gamma over c: c g(c s) and c mu stay,
@@ -352,6 +413,55 @@ def test_design_prefix_matches_restricted_events():
     assert restricted.length == full.length
     for got, want in zip(design_parts(full), design_parts(restricted)):
         assert_allclose(got, want, rtol=1e-10, atol=1e-14)
+
+
+@pytest.mark.parametrize("lo,hi", [(6.0, 4.0), (2.0, 12.5), (-1.0, 5.0)])
+def test_design_rejects_window_outside_horizon(lo, hi):
+    # a reversed window would give an empty Gram and a negative length
+    ev, basis = small_instance(seed=3, T=12.0)
+    with pytest.raises(ValueError, match="must lie inside"):
+        Design(ev, basis, 3.0, lo, hi)
+
+
+def test_window_vec_matches_per_event_table():
+    # dyadic times at lo - A, lo, hi - A and inside (hi - A, hi), where the
+    # test for events that add all of int_0^A phi meets its bounds exactly;
+    # windows longer than A, shorter than A (no such event) and [s, T]
+    A, T = 2.5, 20.0
+    rng = np.random.default_rng(53)
+    basis = build_basis(KernelSpec(beta=1.0), 16, 3)
+    for lo, hi in ((5.0, 15.0), (7.0, 8.5), (16.0, T)):
+        edges = np.array([lo - A, lo, hi - A, hi - A / 4, hi - 2.0**-10])
+        grid = rng.integers(0, int(T) * 2**8, 40) / 2.0**8
+        times = np.unique(np.concatenate([grid, edges[(edges >= 0) & (edges < T)]]))
+        ev = EventSequence(times, rng.integers(1, 3, times.size), T, 2)
+        full = (times >= lo) & (times + A <= hi)
+        assert full.any() == (hi - lo >= A)
+        want = np.zeros((ev.U, basis.M))
+        for vector, mark in zip(WindowIntegralTable(basis, times, hi, A, lo=lo).vectors,
+                                ev.marks):
+            want[mark - 1] += vector
+        got = Design(ev, basis, A, lo, hi).window_vec
+        assert np.abs(got - want.ravel()).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_design_ignores_events_that_cannot_reach_the_window():
+    # events before lo - 2A (some of them partners of the first events the
+    # Gram walks) and events at or after hi change no statistic of [lo, hi]
+    rng = np.random.default_rng(61)
+    A, lo, hi, T = 2.0, 8.0, 14.0, 20.0
+    basis = build_basis(KernelSpec(beta=1.0), 16, 2)
+    core = np.unique(np.concatenate([rng.uniform(lo - 2 * A, hi, 40), [lo - 2 * A]]))
+    extra = np.concatenate([rng.uniform(0.0, lo - 2 * A, 15), [np.nextafter(lo - 2 * A, 0.0)],
+                            rng.uniform(lo - 3 * A, lo - 2 * A, 5), [hi],
+                            rng.uniform(hi, T, 15)])
+    times = np.unique(np.concatenate([core, extra]))
+    marks = rng.integers(1, 3, times.size)
+    kept = np.isin(times, core)
+    alone = Design(EventSequence(times[kept], marks[kept], T, 2), basis, A, lo, hi)
+    among = Design(EventSequence(times, marks, T, 2), basis, A, lo, hi)
+    for got, want in zip(design_parts(among), design_parts(alone)):
+        assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
 # --- fit ------------------------------------------------------------------------
