@@ -12,8 +12,6 @@ from .features import (
     feature_matrix,
     integral_phi_outer,
     integral_phi_range,
-    integral_phi_window,
-    phi,
 )
 from .estimator import (
     Design,
@@ -21,9 +19,7 @@ from .estimator import (
     FitConfig,
     FitError,
     FittedModel,
-    XiMatrix,
     build_xi,
-    evaluate_g,
     fit,
     g_curve,
     intensity,

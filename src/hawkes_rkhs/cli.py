@@ -28,6 +28,10 @@ from .simulation import SCENARIOS, read_curves_csv, simulate, true_curves, write
 SEED_ENV = "HAWKES_RKHS_SEED"
 
 
+class UsageError(Exception):
+    """A command line that cannot run as given; ``main`` exits with 2."""
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".4g")
 
@@ -132,15 +136,22 @@ def _seed_or_none(value):
     return int(env) if env else None
 
 
-def _writable(*paths) -> str | None:
-    """Name of the first output path whose directory is not writable."""
+def _writable(*paths) -> None:
+    """Raise OSError naming the first output path whose directory is not writable."""
     for path in paths:
         if path is None:
             continue
         parent = os.path.dirname(os.path.abspath(str(path))) or "."
         if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
-            return str(path)
-    return None
+            raise OSError(f"cannot write to {path}")
+
+
+def _scenario(name):
+    """Factory of the named scenario; UsageError for an unknown name."""
+    if name not in SCENARIOS:
+        raise UsageError(f"unknown scenario {name!r}; valid scenarios: "
+                         + ", ".join(sorted(SCENARIOS)))
+    return SCENARIOS[name]
 
 
 def _float_list(text) -> tuple:
@@ -148,23 +159,14 @@ def _float_list(text) -> tuple:
 
 
 def run_simulate(opts) -> int:
-    if opts["scenario"] not in SCENARIOS:
-        print(f"error: unknown scenario {opts['scenario']!r}; valid scenarios: "
-              + ", ".join(sorted(SCENARIOS)), file=sys.stderr)
-        return 2
+    spec = _scenario(opts["scenario"])()
     seed = _seed_or_none(opts["seed"])
     if seed is None:
-        print(f"error: simulate requires --seed (or {SEED_ENV})", file=sys.stderr)
-        return 2
+        raise UsageError(f"simulate requires --seed (or {SEED_ENV})")
     if opts["t_end"] is None or opts["out"] is None:
-        print("error: simulate requires --t-end and --out", file=sys.stderr)
-        return 2
+        raise UsageError("simulate requires --t-end and --out")
     curves_path = opts["curves_out"] or _derived_path(opts["out"], "_curves.csv")
-    bad = _writable(opts["out"], curves_path)
-    if bad is not None:
-        print(f"error: cannot write to {bad}", file=sys.stderr)
-        return 1
-    spec = SCENARIOS[opts["scenario"]]()
+    _writable(opts["out"], curves_path)
     result = simulate(spec, float(opts["t_end"]), seed)
     write_events_csv(opts["out"], result.events,
                      {"scenario": opts["scenario"], "seed": seed})
@@ -183,27 +185,16 @@ def _derived_path(base, suffix: str) -> str:
 
 def run_fit(opts) -> int:
     if opts["events"] is None or opts["out"] is None:
-        print("error: fit requires --events and --out", file=sys.stderr)
-        return 2
-    seed = _seed_or_none(opts["seed"])
-    if seed is None:
-        seed = 0
-    bad = _writable(opts["out"])
-    if bad is not None:
-        print(f"error: cannot write to {bad}", file=sys.stderr)
-        return 1
-    try:
-        events, meta = read_events_csv(opts["events"], T=opts["horizon"])
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise UsageError("fit requires --events and --out")
+    seed = _seed_or_none(opts["seed"]) or 0
+    _writable(opts["out"])
+    events, _ = read_events_csv(opts["events"], T=opts["horizon"])
     basis = build_basis(KernelSpec(beta=float(opts["beta"])), int(opts["features"]), seed)
     config = FitConfig(gamma=float(opts["gamma"]), A=float(opts["window"]), basis=basis)
     try:
         model = fit(events, config)
     except (FitError, ValueError) as exc:  # LinAlgError is a ValueError
-        print(f"error: fit failed on {opts['events']}: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"fit failed on {opts['events']}: {exc}") from exc
     _write_json(opts["out"], model.to_dict())
     mu = ", ".join(_fmt(v) for v in model.mu_hat)
     mu_c = ", ".join(_fmt(v) for v in model.mu_hat_clipped)
@@ -220,23 +211,15 @@ def run_fit(opts) -> int:
 
 def run_grid_search(opts) -> int:
     if opts["events"] is None or opts["out"] is None:
-        print("error: grid-search requires --events and --out", file=sys.stderr)
-        return 2
+        raise UsageError("grid-search requires --events and --out")
     seed = _seed_or_none(opts["seed"]) or 0
     workers = int(opts["workers"]) if opts["workers"] else (os.cpu_count() or 1)
-    bad = _writable(opts["out"])
-    if bad is not None:
-        print(f"error: cannot write to {bad}", file=sys.stderr)
-        return 1
-    try:
-        events, _ = read_events_csv(opts["events"], T=opts["horizon"])
-        grid = GridSpec(_float_list(opts["gammas"]), _float_list(opts["betas"]),
-                        float(opts["split"]))
-        best, cells = grid_search(events, grid, int(opts["features"]),
-                                  float(opts["window"]), seed, workers=workers)
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _writable(opts["out"])
+    events, _ = read_events_csv(opts["events"], T=opts["horizon"])
+    grid = GridSpec(_float_list(opts["gammas"]), _float_list(opts["betas"]),
+                    float(opts["split"]))
+    best, cells = grid_search(events, grid, int(opts["features"]),
+                              float(opts["window"]), seed, workers=workers)
     doc = {
         "chosen": best.to_dict(),
         "cells": [cell.to_dict() for cell in cells],
@@ -254,33 +237,22 @@ def run_grid_search(opts) -> int:
 
 def run_evaluate(opts) -> int:
     if opts["model"] is None or opts["out"] is None:
-        print("error: evaluate requires --model and --out", file=sys.stderr)
-        return 2
+        raise UsageError("evaluate requires --model and --out")
     if (opts["scenario"] is None) == (opts["truth_curves"] is None):
-        print("error: pass exactly one of --scenario or --truth-curves", file=sys.stderr)
-        return 2
+        raise UsageError("pass exactly one of --scenario or --truth-curves")
     try:
         with open(opts["model"]) as fh:
             model = FittedModel.from_dict(json.load(fh))
     except (ValueError, OSError, KeyError) as exc:
-        print(f"error: cannot load model {opts['model']}: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if opts["scenario"] is not None:
-            if opts["scenario"] not in SCENARIOS:
-                print(f"error: unknown scenario {opts['scenario']!r}; valid scenarios: "
-                      + ", ".join(sorted(SCENARIOS)), file=sys.stderr)
-                return 2
-            truth = SCENARIOS[opts["scenario"]]()
-            report = ise(truth, model)
-            s = np.linspace(0.0, truth.A, 501)
-            curves = true_curves(truth, s)
-        else:
-            s, curves, U = read_curves_csv(opts["truth_curves"])
-            report = ise_on_grid(s, curves, model)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"cannot load model {opts['model']}: {exc}") from exc
+    if opts["scenario"] is not None:
+        truth = _scenario(opts["scenario"])()
+        report = ise(truth, model)
+        s = np.linspace(0.0, truth.A, 501)
+        curves = true_curves(truth, s)
+    else:
+        s, curves, _ = read_curves_csv(opts["truth_curves"])
+        report = ise_on_grid(s, curves, model)
     _write_json(opts["out"], report.to_dict())
     if opts["curves_out"]:
         _write_pair_curves(opts["curves_out"], s, curves, model)
@@ -310,20 +282,15 @@ _REPRODUCE_SEEDS = {"mutually-exciting": "160-169", "refractory": "1-10"}
 
 def run_reproduce(opts) -> int:
     if opts["scenario"] not in _REPRODUCE_SEEDS:
-        print("error: reproduce needs --scenario, one of: "
-              + ", ".join(sorted(_REPRODUCE_SEEDS)), file=sys.stderr)
-        return 2
+        raise UsageError("reproduce needs --scenario, one of: "
+                         + ", ".join(sorted(_REPRODUCE_SEEDS)))
     if opts["baseline"] is not None and opts["scenario"] != "refractory":
-        print("error: --baseline applies to the refractory scenario only",
-              file=sys.stderr)
-        return 2
+        raise UsageError("--baseline applies to the refractory scenario only")
     text = str(opts["seeds"] or _REPRODUCE_SEEDS[opts["scenario"]])
     match = re.fullmatch(r"([0-9]+)(?:-([0-9]+))?", text)
     seeds = range(int(match[1]), int(match[2] or match[1]) + 1) if match else range(0)
     if not seeds:
-        print(f"error: --seeds {text} is not a seed range: expected N or N-M "
-              "with N <= M", file=sys.stderr)
-        return 2
+        raise UsageError(f"--seeds {text} is not a seed range: expected N or N-M with N <= M")
     factory = SCENARIOS[opts["scenario"]]
     spec = factory() if opts["baseline"] is None else factory(float(opts["baseline"]))
     t_end = float(opts["t_end"])
@@ -350,12 +317,8 @@ def run_reproduce(opts) -> int:
 
 
 def run_bench(opts) -> int:
-    if opts["scenario"] not in SCENARIOS:
-        print(f"error: unknown scenario {opts['scenario']!r}; valid scenarios: "
-              + ", ".join(sorted(SCENARIOS)), file=sys.stderr)
-        return 2
+    spec = _scenario(opts["scenario"])()
     seed = _seed_or_none(opts["seed"]) or 0
-    spec = SCENARIOS[opts["scenario"]]()
     horizons = _float_list(opts["horizons"])
     rows, slopes = bench_scaling(spec, horizons, int(opts["features"]),
                                  reps=int(opts["reps"]), seed=seed)
@@ -402,9 +365,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(_resolve(args))
-    except (OSError, ValueError, RuntimeError) as exc:  # argparse handles usage
+    except (UsageError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ from .features import (
     WindowIntegralTable,
     feature_matrix,
     integral_phi_range,
-    phi,
 )
 
 
@@ -46,26 +45,6 @@ class FitConfig:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if not self.A > 0:
             raise ValueError(f"support window A must be positive, got {self.A}")
-
-
-@dataclass(frozen=True)
-class XiMatrix:
-    """Dense symmetric MU x MU Gram integral of the windowed feature sum,
-    organized as U x U blocks of M x M submatrices.
-
-    ``event_sums[i]`` is the sum of phi_tilde(t_n) over the events of
-    dimension i in the same window, shape (U, MU): the pass over the pairs
-    that builds the Gram gives it at the cost of one more weighted sum."""
-
-    values: np.ndarray
-    M: int
-    U: int
-    event_sums: np.ndarray | None = None
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        """(i, j) block, 1-based dimensions."""
-        M = self.M
-        return self.values[(i - 1) * M:i * M, (j - 1) * M:j * M]
 
 
 def _support_start(times: np.ndarray, s, A: float):
@@ -118,7 +97,7 @@ _SERIES_TERMS = 20
 # elements per array of a chunk of pair entries (1 MB): entries x distinct
 # frequencies x (re, im) in the lag pass, entries x M in the edge terms
 _CHUNK = 1 << 17
-# reals a range of events may hold in ``_gram`` (32 MB), whatever the event count
+# reals a range of events may hold in ``build_xi`` (32 MB), whatever the event count
 _RANGE = 1 << 22
 
 
@@ -174,7 +153,7 @@ def _lag_sums(phasors: np.ndarray, first: np.ndarray, second: np.ndarray,
 
 
 def _add_series(X: np.ndarray, H: np.ndarray, turn: np.ndarray, series, A: float):
-    """Add the series of ``_gram`` to its near-resonant entries of X, by Horner's rule."""
+    """Add the series of ``build_xi`` to its near-resonant entries of X, by Horner's rule."""
     for (m, k, y), moments in zip(series, (H, np.conj(H))):
         acc = moments[-1, k]
         for order in range(H.shape[0] - 2, -1, -1):
@@ -182,10 +161,12 @@ def _add_series(X: np.ndarray, H: np.ndarray, turn: np.ndarray, series, A: float
         X[m, k] += A * (turn[m] * acc).real
 
 
-def _gram(events: EventSequence, basis: FeatureBasis, A: float,
-          lo: float, hi: float):
-    """Gram integral of phi_tilde over [lo, hi], shape (MU, MU), and the event
-    sums of ``Design`` over lo <= t_n < hi, shape (U, MU), from one pass.
+def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
+             lo: float = 0.0, hi: float | None = None):
+    """Gram integral Xi of phi_tilde over [lo, hi] (by default [0, T]), shape
+    (MU, MU), and the event sums of ``Design`` over lo <= t_n < hi, shape
+    (U, MU), from one pass.  Raises ValueError unless A > 0 and
+    0 <= lo <= hi <= T.
 
     Pair (n, n'), t_n' <= t_n, adds int_a^b phi(t - t_n) phi(t - t_n')^T dt,
     a = max(t_n, lo), b = min(t_n' + A, hi), to its (mark_n, mark_n') block,
@@ -227,6 +208,12 @@ def _gram(events: EventSequence, basis: FeatureBasis, A: float,
     the P_cut pairs cut by the window, and O(U^2 M^2) arithmetic, in
     O(_RANGE + N_w + P_cut + U^2 M^2) memory whatever N is.
     """
+    if not A > 0:
+        raise ValueError(f"support window A must be positive, got {A}")
+    if hi is None:
+        hi = events.T
+    if not 0.0 <= lo <= hi <= events.T:
+        raise ValueError(f"window [{lo}, {hi}] must lie inside [0, {events.T}]")
     times, marks = events.times, events.marks
     M, U, J = basis.M, events.U, _SERIES_TERMS
     freq, inverse = np.unique(basis.omega, return_inverse=True)
@@ -318,21 +305,6 @@ def _gram(events: EventSequence, basis: FeatureBasis, A: float,
     return out, event_sums.reshape(U, U * M)
 
 
-def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
-             lo: float = 0.0, hi: float | None = None) -> XiMatrix:
-    """Assemble the symmetric positive semi-definite block matrix Xi.
-
-    With the default bounds this is the Gram integral of phi_tilde over
-    [0, T]; restricting (lo, hi) yields the window-limited Gram used for
-    validation scoring.  The event sums over the same window come from the
-    same pass over the pairs.
-    """
-    if hi is None:
-        hi = events.T
-    values, event_sums = _gram(events, basis, A, lo, hi)
-    return XiMatrix(values, basis.M, events.U, event_sums)
-
-
 def _check_fittable(has_events: bool, A: float, length: float):
     """Raise FitError for a window without events, ValueError for A beyond it."""
     if not has_events:
@@ -375,12 +347,9 @@ class Design:
 
     def __init__(self, events: EventSequence, basis: FeatureBasis, A: float,
                  lo: float = 0.0, hi: float | None = None):
-        if not A > 0:
-            raise ValueError(f"support window A must be positive, got {A}")
-        if hi is None:
-            hi = events.T
-        if not 0.0 <= lo <= hi <= events.T:
-            raise ValueError(f"window [{lo}, {hi}] must lie inside [0, {events.T}]")
+        # first, so that build_xi checks A and the window
+        self.xi, self.event_sums = build_xi(events, basis, A, lo, hi)
+        hi = events.T if hi is None else hi
         self.A = A
         self.length = hi - lo
         # an event that the table would not clip (lo - t <= 0, hi - t >= A) adds int_0^A phi
@@ -393,15 +362,13 @@ class Design:
         np.add.at(window_vec, marks[~full], table.vectors)
         self.window_vec = window_vec.ravel()
         self.counts = np.bincount(marks[times >= lo], minlength=events.U).astype(float)
-        self.xi = build_xi(events, basis, A, lo, hi)
-        self.event_sums = self.xi.event_sums
 
     def solve_system(self, gamma: float, rhs: np.ndarray):
         """Solve ((1/gamma) I + Xi) x = rhs; returns (x, Cholesky factor,
         condition estimate)."""
         if not gamma > 0:
             raise ValueError(f"gamma must be positive, got {gamma}")
-        Z = self.xi.values + np.eye(self.xi.values.shape[0]) / gamma
+        Z = self.xi + np.eye(self.xi.shape[0]) / gamma
         return _solve_spd(Z, rhs, gamma)
 
     def solve(self, gamma: float):
@@ -444,7 +411,7 @@ class Design:
         mu = np.asarray(mu, dtype=float)
         coeff = np.asarray(coeff, dtype=float)
         quadratic = (self.length * mu * mu + 2.0 * mu * (coeff @ self.window_vec)
-                     + np.sum((coeff @ self.xi.values) * coeff, axis=1))
+                     + np.sum((coeff @ self.xi) * coeff, axis=1))
         linear = self.counts @ mu + np.sum(coeff * self.event_sums)
         return float(np.sum(quadratic) - 2.0 * linear)
 
@@ -519,16 +486,10 @@ def fit(events: EventSequence, config: FitConfig) -> FittedModel:
                        T=events.T, U=events.U, stats=stats)
 
 
-def evaluate_g(model: FittedModel, i: int, j: int, s: float) -> float:
-    """Estimated triggering kernel g_ij at lag s (1-based dimensions).
-
-    Values outside [0, A] are extrapolation; reporting restricts to [0, A].
-    """
-    return float(phi(model.basis, s) @ model.coeff_block(i, j))
-
-
 def g_curve(model: FittedModel, i: int, j: int, s) -> np.ndarray:
-    """Vectorized ``evaluate_g`` over an array of lags."""
+    """Estimated triggering kernel g_ij (1-based dimensions) at a lag or on an
+    array of lags.  Values outside [0, A] are extrapolation; reporting
+    restricts to [0, A]."""
     return feature_matrix(model.basis, s) @ model.coeff_block(i, j)
 
 
@@ -564,33 +525,26 @@ class EquivalentKernel:
         return cho_solve(
             self._factor, phi_tilde(self.events, self.basis, self.A, s_prime))
 
-    def h(self, j: int, s: float, s_prime: float) -> float:
+    def h(self, j: int, s, s_prime: float) -> np.ndarray:
+        """h_j(s, s') at a lag s or on an array of lags, for one fixed s'."""
         c = self.coefficients(s_prime)
         M = self.basis.M
-        return float(phi(self.basis, s) @ c[(j - 1) * M:j * M])
-
-    def h_first_grid(self, j: int, s_values, s_prime: float) -> np.ndarray:
-        """h_j(s, s') over an array of first arguments for one fixed s'."""
-        c = self.coefficients(s_prime)
-        M = self.basis.M
-        return feature_matrix(self.basis, s_values) @ c[(j - 1) * M:j * M]
+        return feature_matrix(self.basis, s) @ c[(j - 1) * M:j * M]
 
     def integral_second(self, j: int, s: float) -> float:
         """Closed form of int_0^T h_j(s, t) dt."""
         M = self.basis.M
-        return float(phi(self.basis, s) @ self._window_solution[(j - 1) * M:j * M])
+        return float(feature_matrix(self.basis, s) @ self._window_solution[(j - 1) * M:j * M])
 
 
 __all__ = [
     "FitError",
     "FitConfig",
-    "XiMatrix",
     "Design",
     "FittedModel",
     "phi_tilde",
     "build_xi",
     "fit",
-    "evaluate_g",
     "g_curve",
     "intensity",
     "EquivalentKernel",

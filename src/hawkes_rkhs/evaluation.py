@@ -83,8 +83,7 @@ def ls_contrast(mu: np.ndarray, coeff: np.ndarray, basis, events: EventSequence,
     return Design(events, basis, A, t0, t1).contrast(mu, coeff)
 
 
-def ise(truth: ScenarioSpec, model: FittedModel, A: float | None = None,
-        n_nodes: int = 2001) -> EvalReport:
+def ise(truth: ScenarioSpec, model: FittedModel, n_nodes: int = 2001) -> EvalReport:
     """Integrated squared error between true and fitted triggering kernels,
 
         delta^2 = sum_ij int_0^A (g_ij(s) - ghat_ij(s))^2 ds,
@@ -93,13 +92,11 @@ def ise(truth: ScenarioSpec, model: FittedModel, A: float | None = None,
     """
     if truth.U != model.U:
         raise ValueError(f"dimension mismatch: truth U={truth.U}, model U={model.U}")
-    if A is None:
-        A = truth.A
-    if abs(model.config.A - A) > 1e-12:
-        raise ValueError(f"window mismatch: scoring A={A}, model A={model.config.A}")
+    if abs(model.config.A - truth.A) > 1e-12:
+        raise ValueError(f"window mismatch: scoring A={truth.A}, model A={model.config.A}")
     if n_nodes % 2 == 0:
         n_nodes += 1
-    s = np.linspace(0.0, A, n_nodes)
+    s = np.linspace(0.0, truth.A, n_nodes)
     return ise_on_grid(s, true_curves(truth, s), model)
 
 
@@ -194,9 +191,11 @@ def bench_scaling(scenario: ScenarioSpec, horizons, M: int, reps: int = 1,
 
     Returns (rows, slopes): one row per horizon with event count and phase
     times (min over ``reps``), plus the fitted log-log slope of the Gram
-    build time against the event count.
+    build time against the event count, which needs two horizons or more.
     """
     horizons = [float(T) for T in horizons]
+    if len(horizons) < 2:
+        raise ValueError(f"a slope needs at least two horizons, got {len(horizons)}")
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ValueError("horizons must be increasing")
     basis = build_basis(KernelSpec(beta=beta), M, seed)
@@ -227,15 +226,18 @@ def bench_factorization(events: EventSequence, m_values, reps: int = 3,
     """Cholesky factorization time versus feature count on a fixed event set.
 
     Returns (rows, slopes) with the log-log slope of factorization time
-    against M; the expected exponent is 3 (cubic solve cost).
+    against M, which needs two M values or more; the expected exponent is 3
+    (cubic solve cost).
     """
     from scipy.linalg import cho_factor
 
+    if len(m_values) < 2:
+        raise ValueError(f"a slope needs at least two feature counts, got {len(m_values)}")
     rows = []
     for M in m_values:
         basis = build_basis(KernelSpec(beta=beta), int(M), seed)
-        xi = build_xi(events, basis, min(5.0, events.T))
-        Z = xi.values + np.eye(xi.values.shape[0]) / gamma
+        xi, _ = build_xi(events, basis, min(5.0, events.T))
+        Z = xi + np.eye(xi.shape[0]) / gamma
         best = np.inf
         for _ in range(max(1, reps)):
             t0 = time.perf_counter()

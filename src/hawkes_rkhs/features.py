@@ -146,13 +146,9 @@ def sinc_u(x):
     return np.where(small, series, direct)
 
 
-def phi(basis: FeatureBasis, s: float) -> np.ndarray:
-    """Feature map at a single lag: phi_m(s) = sqrt(2/M) cos(omega_m s + theta_m)."""
-    return basis.scale * np.cos(basis.omega * float(s) + basis.theta)
-
-
 def feature_matrix(basis: FeatureBasis, s) -> np.ndarray:
-    """Feature map evaluated on an array of lags; rows are phi(s_k)."""
+    """Feature map phi_m(s) = sqrt(2/M) cos(omega_m s + theta_m) at a lag, shape
+    (M,), or on an array of lags, one row phi(s_k) per lag."""
     s = np.asarray(s, dtype=float)
     return basis.scale * np.cos(np.multiply.outer(s, basis.omega) + basis.theta)
 
@@ -170,16 +166,6 @@ def integral_phi_range(basis: FeatureBasis, lo, hi) -> np.ndarray:
     mid = ((hi + lo) * 0.5)[..., None]
     arg = basis.omega * mid + basis.theta
     return basis.scale * length * np.cos(arg) * sinc_u(basis.omega * length * 0.5)
-
-
-def integral_phi_window(basis: FeatureBasis, t_event: float, T: float, A: float) -> np.ndarray:
-    """int_0^L phi(u) du with L = max(0, min(T - t_event, A)).
-
-    This is the contribution of an event at ``t_event`` to the integral of the
-    windowed feature sum over [0, T]; it vanishes when t_event >= T.
-    """
-    L = max(0.0, min(T - t_event, A))
-    return integral_phi_range(basis, 0.0, L)
 
 
 def integral_phi_outer(basis: FeatureBasis, t_n: float, t_np: float,
@@ -230,10 +216,8 @@ __all__ = [
     "FeatureBasis",
     "build_basis",
     "sinc_u",
-    "phi",
     "feature_matrix",
     "integral_phi_range",
-    "integral_phi_window",
     "integral_phi_outer",
     "WindowIntegralTable",
 ]

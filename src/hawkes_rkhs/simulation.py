@@ -315,15 +315,18 @@ def true_curves(spec: ScenarioSpec, s) -> np.ndarray:
     return out
 
 
-def write_curves_csv(path, spec: ScenarioSpec, n_points: int = 500) -> None:
-    """Ground-truth kernel curves on an n-point grid over [0, A], columns
-    s, g_11, ..., g_UU (row-major pair order)."""
-    s = np.linspace(0.0, spec.A, n_points)
+CURVE_POINTS = 500  # grid points of a ground-truth curve file
+
+
+def write_curves_csv(path, spec: ScenarioSpec) -> None:
+    """Ground-truth kernel curves on a ``CURVE_POINTS``-point grid over [0, A],
+    columns s, g_11, ..., g_UU (row-major pair order)."""
+    s = np.linspace(0.0, spec.A, CURVE_POINTS)
     curves = true_curves(spec, s)
     header = "s," + ",".join(
         f"g_{i + 1}{j + 1}" for i in range(spec.U) for j in range(spec.U))
     lines = [f"# A={spec.A:.17g}", f"# U={spec.U}", header]
-    for k in range(n_points):
+    for k in range(CURVE_POINTS):
         vals = [f"{s[k]:.17g}"]
         vals += [f"{curves[i, j, k]:.17g}" for i in range(spec.U) for j in range(spec.U)]
         lines.append(",".join(vals))

@@ -113,13 +113,13 @@ def quad_gram_converged(events, basis, A, lo=0.0, hi=None, rel_tol=1e-9):
 
 def intensity_loop(model, events: EventSequence, i: int, t: float) -> float:
     """Naive double-loop predicted intensity."""
-    from hawkes_rkhs.estimator import evaluate_g
+    from hawkes_rkhs.estimator import g_curve
 
     val = model.mu_hat[i - 1]
     for t_n, m in zip(events.times, events.marks):
         lag = t - t_n
         if 0.0 < lag <= model.config.A:
-            val += evaluate_g(model, i, m, lag)
+            val += g_curve(model, i, m, lag)
     return float(val)
 
 
@@ -141,7 +141,7 @@ def kkt_solve(events: EventSequence, basis: FeatureBasis, gamma: float, A: float
     for n, m in enumerate(events.marks):
         window_vec[(m - 1) * M:m * M] += table.vectors[n]
     sums = event_sums_loop(events, basis, A, 0.0, events.T)
-    Z = build_xi(events, basis, A).values + np.eye(MU) / gamma
+    Z = build_xi(events, basis, A)[0] + np.eye(MU) / gamma
 
     dim = U * (MU + 1)
     K = np.zeros((dim, dim))
@@ -173,7 +173,7 @@ def objective_gradient(events, basis, gamma, A, mu, coeff):
     for n, m in enumerate(events.marks):
         window_vec[(m - 1) * M:m * M] += table.vectors[n]
     sums = event_sums_loop(events, basis, A, 0.0, events.T)
-    Z = build_xi(events, basis, A).values + np.eye(U * M) / gamma
+    Z = build_xi(events, basis, A)[0] + np.eye(U * M) / gamma
     grad_c = coeff @ Z + np.outer(mu, window_vec) - sums
     grad_mu = coeff @ window_vec + events.T * np.asarray(mu) - events.counts
     return float(max(np.abs(grad_c).max(), np.abs(grad_mu).max()))

@@ -22,8 +22,8 @@ from hawkes_rkhs.estimator import (
     EquivalentKernel,
     FitConfig,
     build_xi,
-    evaluate_g,
     fit,
+    g_curve,
 )
 from hawkes_rkhs.events import EventSequence
 from hawkes_rkhs.evaluation import (
@@ -38,8 +38,6 @@ from hawkes_rkhs.features import (
     build_basis,
     feature_matrix,
     integral_phi_outer,
-    integral_phi_window,
-    phi,
 )
 from hawkes_rkhs.simulation import (
     IdentityLink,
@@ -80,7 +78,7 @@ def test_criterion_1_closed_form_integral_fidelity():
         t_event = rng.uniform(0.0, 6.0)
         T = rng.uniform(0.5, 10.0)
         A = rng.uniform(0.1, 6.0)
-        got = integral_phi_window(basis, t_event, T, A)
+        got = WindowIntegralTable(basis, [t_event], T, A).vectors[0]
         L = max(0.0, min(T - t_event, A))
         want = quad_phi_vector(basis, 0.0, L)
         worst_w = max(worst_w, np.abs(got - want).max()
@@ -110,7 +108,7 @@ def test_criterion_2_gram_identity():
         A = float(rng.uniform(1.0, 5.0))
         events, basis = random_instance(rng, U=U, n_events=n, T=T, M=8,
                                         beta=float(rng.uniform(0.5, 1.5)))
-        got = build_xi(events, basis, A).values
+        got = build_xi(events, basis, A)[0]
         want = quad_gram_converged(events, basis, A)
         worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
     assert worst <= 1e-6
@@ -194,8 +192,8 @@ def _fredholm_sup_error(events, basis, gamma, A, n_nodes=2000):
             for n in events.dim_indices(j):
                 lag = sp - events.times[n]
                 if 0.0 < lag <= A:
-                    rhs_vec += phi(basis, lag)
-            lhs = eq.h_first_grid(j, s_grid, sp) / gamma + Phi_s @ vec
+                    rhs_vec += feature_matrix(basis, lag)
+            lhs = eq.h(j, s_grid, sp) / gamma + Phi_s @ vec
             rhs = Phi_s @ rhs_vec
             sup = max(sup, np.abs(lhs - rhs).max())
     return sup
@@ -235,7 +233,7 @@ def test_criterion_4_fredholm_residual_and_exchange_identity():
                 for n2 in events.dim_indices(i):
                     lag = events.times[n2] - events.times[k]
                     if 0.0 < lag <= A:
-                        w += phi(basis, lag)
+                        w += feature_matrix(basis, lag)
                 rhs += w @ z[(events.marks[k] - 1) * M:events.marks[k] * M]
             worst_ident = max(worst_ident,
                               abs(lhs - rhs) / (1.0 + abs(rhs)))
@@ -246,7 +244,7 @@ def test_criterion_4_fredholm_residual_and_exchange_identity():
 
 
 def test_criterion_5_representer_consistency():
-    """evaluate_g equals the unit-coefficient expansion in equivalent kernels
+    """g_curve equals the unit-coefficient expansion in equivalent kernels
     minus the baseline times the closed-form window integral of h."""
     rng = np.random.default_rng(31)
     worst = 0.0
@@ -263,7 +261,7 @@ def test_criterion_5_representer_consistency():
                 for s in np.linspace(0.0, A, 7):
                     expansion = sum(eq.h(j, s, events.times[n]) for n in idx)
                     expansion -= model.mu_hat[i - 1] * eq.integral_second(j, s)
-                    err = abs(evaluate_g(model, i, j, s) - expansion) \
+                    err = abs(g_curve(model, i, j, s) - expansion) \
                         / (1.0 + abs(expansion))
                     worst = max(worst, err)
     assert worst <= 1e-8

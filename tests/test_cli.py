@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -337,3 +339,122 @@ def test_reproduce_rejects_bad_options():
         out = run_cli("reproduce", "--scenario", "refractory", "--seeds", seeds)
         assert out.returncode == 2 and not out.stdout
         assert "--seeds" in out.stderr and "N or N-M" in out.stderr
+
+
+# every "error: ..." line a command prints, with its exit code: usage errors
+# exit 2, failures of the inputs or of the run exit 1.  {d} is the directory
+# of ``error_inputs`` (model.json has U = 1); {d}/missing does not exist
+CLI_ERRORS = {
+    "simulate-unknown-scenario": (
+        ["simulate", "--scenario", "nope", "--t-end", "10", "--seed", "1",
+         "--out", "{d}/x.csv"], 2,
+        "unknown scenario 'nope'; valid scenarios: mutually-exciting, refractory"),
+    "simulate-no-seed": (
+        ["simulate", "--scenario", "refractory", "--t-end", "10", "--out", "{d}/x.csv"], 2,
+        "simulate requires --seed (or HAWKES_RKHS_SEED)"),
+    "simulate-no-out": (
+        ["simulate", "--scenario", "refractory", "--t-end", "10", "--seed", "1"], 2,
+        "simulate requires --t-end and --out"),
+    "simulate-unwritable": (
+        ["simulate", "--scenario", "refractory", "--t-end", "10", "--seed", "1",
+         "--out", "{d}/x.csv", "--curves-out", "{d}/missing/c.csv"], 1,
+        "cannot write to {d}/missing/c.csv"),
+    "fit-no-out": (["fit", "--events", "{d}/events.csv"], 2,
+                   "fit requires --events and --out"),
+    "fit-unwritable": (["fit", "--events", "{d}/events.csv", "--out", "{d}/missing/m.json"], 1,
+                       "cannot write to {d}/missing/m.json"),
+    "fit-unreadable": (["fit", "--events", "{d}/dup.csv", "--out", "{d}/m.json"], 1,
+                       "{d}/dup.csv: duplicate event time at line 5"),
+    "fit-missing-events": (["fit", "--events", "{d}/none.csv", "--out", "{d}/m.json"], 1,
+                           "[Errno 2] No such file or directory: '{d}/none.csv'"),
+    "fit-failed": (["fit", "--events", "{d}/events.csv", "--window", "20", "--out",
+                    "{d}/m.json"], 1,
+                   "fit failed on {d}/events.csv: support window A=20.0 exceeds the "
+                   "horizon T=10.0"),
+    "fit-failed-empty": (["fit", "--events", "{d}/empty.csv", "--out", "{d}/m.json"], 1,
+                         "fit failed on {d}/empty.csv: cannot fit an empty event sequence"),
+    "grid-search-no-out": (["grid-search", "--events", "{d}/events.csv"], 2,
+                           "grid-search requires --events and --out"),
+    "grid-search-unwritable": (
+        ["grid-search", "--events", "{d}/events.csv", "--out", "{d}/missing/g.json"], 1,
+        "cannot write to {d}/missing/g.json"),
+    "grid-search-empty-validation": (
+        ["grid-search", "--events", "{d}/events.csv", "--out", "{d}/g.json"], 1,
+        "validation window empty: no events after t=8"),
+    "grid-search-bad-grid": (
+        ["grid-search", "--events", "{d}/events.csv", "--gammas", "-1", "--out",
+         "{d}/g.json"], 1, "grid values must be positive and finite, got -1.0"),
+    "evaluate-no-out": (["evaluate", "--model", "{d}/model.json"], 2,
+                        "evaluate requires --model and --out"),
+    "evaluate-two-truths": (
+        ["evaluate", "--model", "{d}/model.json", "--out", "{d}/r.json"], 2,
+        "pass exactly one of --scenario or --truth-curves"),
+    "evaluate-unloadable-model": (
+        ["evaluate", "--model", "{d}/events.csv", "--scenario", "refractory",
+         "--out", "{d}/r.json"], 1,
+        "cannot load model {d}/events.csv: Expecting value: line 1 column 1 (char 0)"),
+    "evaluate-model-without-key": (
+        ["evaluate", "--model", "{d}/keyless.json", "--scenario", "refractory",
+         "--out", "{d}/r.json"], 1, "cannot load model {d}/keyless.json: 'basis_ref'"),
+    "evaluate-unknown-scenario": (
+        ["evaluate", "--model", "{d}/model.json", "--scenario", "nope", "--out",
+         "{d}/r.json"], 2,
+        "unknown scenario 'nope'; valid scenarios: mutually-exciting, refractory"),
+    "evaluate-dimension-mismatch": (
+        ["evaluate", "--model", "{d}/model.json", "--scenario", "refractory", "--out",
+         "{d}/r.json"], 1, "dimension mismatch: truth U=3, model U=1"),
+    "evaluate-missing-curves": (
+        ["evaluate", "--model", "{d}/model.json", "--truth-curves", "{d}/none.csv",
+         "--out", "{d}/r.json"], 1, "[Errno 2] No such file or directory: '{d}/none.csv'"),
+    "reproduce-unknown-scenario": (
+        ["reproduce", "--scenario", "poisson"], 2,
+        "reproduce needs --scenario, one of: mutually-exciting, refractory"),
+    "reproduce-baseline": (
+        ["reproduce", "--scenario", "mutually-exciting", "--baseline", "0.1"], 2,
+        "--baseline applies to the refractory scenario only"),
+    "reproduce-bad-seeds": (
+        ["reproduce", "--scenario", "refractory", "--seeds", "5-3"], 2,
+        "--seeds 5-3 is not a seed range: expected N or N-M with N <= M"),
+    "bench-unknown-scenario": (["bench", "--scenario", "nope"], 2,
+                               "unknown scenario 'nope'; valid scenarios: "
+                               "mutually-exciting, refractory"),
+    "unknown-config-key": (["fit", "--config", "{d}/run.toml"], 1,
+                           "{d}/run.toml: unknown config key(s): featurs"),
+}
+
+
+@pytest.fixture(scope="module")
+def error_inputs(tmp_path_factory):
+    from hawkes_rkhs import cli
+
+    d = tmp_path_factory.mktemp("errors")
+    (d / "events.csv").write_text("# T=10\n# U=1\ntime,mark\n0.5,1\n2.5,1\n")
+    (d / "dup.csv").write_text("# T=10\n# U=1\ntime,mark\n0.5,1\n0.5,1\n")
+    (d / "empty.csv").write_text("# T=10\n# U=1\ntime,mark\n")
+    (d / "keyless.json").write_text("{}\n")
+    (d / "run.toml").write_text("featurs = 16\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["fit", "--events", str(d / "events.csv"), "--features", "2",
+                         "--window", "1", "--out", str(d / "model.json")]) == 0
+    return d
+
+
+@pytest.mark.parametrize("case", sorted(CLI_ERRORS))
+def test_cli_error_exit_code_and_message(case, error_inputs, capsys, monkeypatch):
+    from hawkes_rkhs import cli
+
+    monkeypatch.delenv("HAWKES_RKHS_SEED", raising=False)
+    argv, code, message = CLI_ERRORS[case]
+    d = str(error_inputs)
+    capsys.readouterr()
+    assert cli.main([arg.format(d=d) for arg in argv]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: " + message.format(d=d) + "\n"
+
+
+def test_bench_rejects_a_single_horizon(capsys):
+    from hawkes_rkhs import cli
+
+    assert cli.main(["bench", "--horizons", "250", "--features", "8"]) == 1
+    assert capsys.readouterr().err == "error: a slope needs at least two horizons, got 1\n"

@@ -10,14 +10,13 @@ from hawkes_rkhs.estimator import (
     FitError,
     FittedModel,
     build_xi,
-    evaluate_g,
     fit,
     g_curve,
     intensity,
     phi_tilde,
 )
 from hawkes_rkhs.events import EventSequence
-from hawkes_rkhs.features import KernelSpec, WindowIntegralTable, build_basis, phi
+from hawkes_rkhs.features import KernelSpec, WindowIntegralTable, build_basis, feature_matrix
 from oracles import (
     event_sums_loop,
     intensity_loop,
@@ -70,7 +69,7 @@ def test_phi_tilde_single_event_blocks():
     basis = build_basis(KernelSpec(beta=1.0), 8, 1)
     ev = EventSequence(np.array([1.0]), np.array([1]), 10.0, 2)
     out = phi_tilde(ev, basis, 5.0, 2.0)
-    assert_allclose(out[:8], phi(basis, 1.0))
+    assert_allclose(out[:8], feature_matrix(basis, 1.0))
     assert_allclose(out[8:], 0.0)
 
 
@@ -106,32 +105,33 @@ def test_phi_tilde_window_edges():
 def test_xi_empty_events():
     basis = build_basis(KernelSpec(beta=1.0), 4, 0)
     ev = EventSequence(np.array([]), np.array([]), 10.0, 2)
-    xi = build_xi(ev, basis, 5.0)
-    assert_allclose(xi.values, 0.0)
+    xi, _ = build_xi(ev, basis, 5.0)
+    assert_allclose(xi, 0.0)
 
 
 def test_xi_single_event_matches_quadrature():
     basis = build_basis(KernelSpec(beta=1.0), 8, 7)
     ev = EventSequence(np.array([1.0]), np.array([1]), 10.0, 1)
-    xi = build_xi(ev, basis, 5.0)
+    xi, _ = build_xi(ev, basis, 5.0)
     want = quad_phi_outer(basis, 1.0, 1.0, 1.0, 6.0)
-    assert_allclose(xi.values, want, atol=1e-9)
+    assert_allclose(xi, want, atol=1e-9)
 
 
 def test_xi_gram_identity_small():
     ev, basis = small_instance(seed=8, U=2, n=10)
-    xi = build_xi(ev, basis, 3.0)
+    xi, _ = build_xi(ev, basis, 3.0)
     want = quad_gram_converged(ev, basis, 3.0)
-    err = np.linalg.norm(xi.values - want) / np.linalg.norm(want)
+    err = np.linalg.norm(xi - want) / np.linalg.norm(want)
     assert err < 1e-9
 
 
 def test_xi_symmetry_and_psd():
     ev, basis = small_instance(seed=2, U=3, n=18, M=6)
-    xi = build_xi(ev, basis, 4.0)
-    assert np.array_equal(xi.values, xi.values.T)
-    assert np.linalg.eigvalsh(xi.values).min() >= -1e-10
-    assert_allclose(xi.block(1, 2), xi.block(2, 1).T)
+    xi, _ = build_xi(ev, basis, 4.0)
+    assert np.array_equal(xi, xi.T)
+    assert np.linalg.eigvalsh(xi).min() >= -1e-10
+    M = basis.M
+    assert_allclose(xi[:M, M:2 * M], xi[M:2 * M, :M].T)
 
 
 def test_xi_agrees_with_per_pair_closed_form():
@@ -143,8 +143,8 @@ def test_xi_agrees_with_per_pair_closed_form():
     for M in (8, 256):
         ev, basis = random_instance(rng, U=2, n_events=15, T=10.0, M=M, seed=9)
         A = 4.0
-        xi = build_xi(ev, basis, A)
-        ref = np.zeros_like(xi.values)
+        xi, _ = build_xi(ev, basis, A)
+        ref = np.zeros_like(xi)
         for n in range(len(ev)):
             for n2 in range(len(ev)):
                 a = max(ev.times[n], ev.times[n2])
@@ -153,12 +153,12 @@ def test_xi_agrees_with_per_pair_closed_form():
                     G = integral_phi_outer(basis, ev.times[n], ev.times[n2], a, b)
                     i, j = ev.marks[n] - 1, ev.marks[n2] - 1
                     ref[i * M:(i + 1) * M, j * M:(j + 1) * M] += G
-        assert np.abs(xi.values - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        assert np.abs(xi - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 def test_xi_windowed_matches_quadrature():
     ev, basis = small_instance(seed=13, U=2, n=14, T=12.0)
-    got = build_xi(ev, basis, 3.0, lo=4.0, hi=9.0).values
+    got, _ = build_xi(ev, basis, 3.0, lo=4.0, hi=9.0)
     want = quad_gram(ev, basis, 3.0, lo=4.0, hi=9.0, order=60)
     assert_allclose(got, want, atol=1e-9 * max(1.0, np.abs(want).max()))
 
@@ -206,7 +206,7 @@ def test_xi_windowed_agrees_with_per_pair_closed_form():
         cases += [(burst, basis, lo, hi, (60, 60, 0)), (burst, basis, 2.0, 5.0, (20, 20, 20))]
     for ev, basis, lo, hi, least in cases:
         assert np.all(np.array(cut_pair_counts(ev, A, lo, hi)) >= least)
-        got = build_xi(ev, basis, A, lo, hi).values
+        got, _ = build_xi(ev, basis, A, lo, hi)
         ref = per_pair_xi(ev, basis, A, lo, hi)
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
@@ -234,7 +234,7 @@ def test_xi_near_resonant_entries_agree_with_per_pair_closed_form():
     assert cut_pair_counts(ev, A, 3.0, 9.0)[0] > 0       # pairs cut at lo
     assert cut_pair_counts(ev, A, 5.0, 8.0)[2] > 0       # and at both ends
     for lo, hi in ((0.0, ev.T), (3.0, 9.0), (5.0, 8.0)):
-        got = build_xi(ev, basis, A, lo, hi).values
+        got, _ = build_xi(ev, basis, A, lo, hi)
         ref = per_pair_xi(ev, basis, A, lo, hi)
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
@@ -268,11 +268,11 @@ def test_gram_at_phase_segment_edges(A):
     rng = np.random.default_rng(43)
     ev = EventSequence(times, rng.integers(1, 3, times.size), 9.5 * A, 2)
     basis = build_basis(KernelSpec(beta=1.0), 8, 7)
-    xi = build_xi(ev, basis, A)
+    xi, event_sums = build_xi(ev, basis, A)
     ref = per_pair_xi(ev, basis, A, 0.0, ev.T)
-    assert np.abs(xi.values - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+    assert np.abs(xi - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
     want = event_sums_loop(ev, basis, A, 0.0, ev.T)
-    assert np.abs(xi.event_sums - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    assert np.abs(event_sums - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
     for t in times:
         assert_allclose(phi_tilde(ev, basis, A, t), phi_tilde_loop(ev, basis, A, t),
                         rtol=0, atol=1e-12)
@@ -291,7 +291,7 @@ def test_gram_does_not_depend_on_time_origin():
         ref = Design(EventSequence(times, marks, T, 2), basis, A, lo, hi)
         got = Design(EventSequence(times + shift, marks, T + shift, 2), basis, A,
                      lo + shift, hi + shift)
-        for g, w in ((got.xi.values, ref.xi.values), (got.event_sums, ref.event_sums)):
+        for g, w in ((got.xi, ref.xi), (got.event_sums, ref.event_sums)):
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
@@ -333,8 +333,8 @@ def test_gram_ranges_match_one_range_build(monkeypatch):
             got = build_xi(ev, basis, A, *window)
             assert len(sizes) > 3 and max(sizes) <= 3
             assert len(finished) == ev.U ** 2
-            assert np.array_equal(got.values, got.values.T)
-            for g, w in ((got.values, ref.values), (got.event_sums, ref.event_sums)):
+            assert np.array_equal(got[0], got[0].T)
+            for g, w in zip(got, ref):
                 assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
 
 
@@ -386,7 +386,7 @@ def test_fit_does_not_depend_on_time_unit(log_c):
 # --- design ---------------------------------------------------------------------
 
 def design_parts(design):
-    return (design.xi.values, design.window_vec, design.event_sums, design.counts)
+    return (design.xi, design.window_vec, design.event_sums, design.counts)
 
 
 @pytest.mark.parametrize("seed,split", [(5, 0.5), (17, 0.8), (23, None)])
@@ -421,6 +421,16 @@ def test_design_rejects_window_outside_horizon(lo, hi):
     ev, basis = small_instance(seed=3, T=12.0)
     with pytest.raises(ValueError, match="must lie inside"):
         Design(ev, basis, 3.0, lo, hi)
+
+
+@pytest.mark.parametrize("A,lo,hi,message", [
+    (3.0, 6.0, 4.0, "must lie inside"),    # reversed: an all-zero Gram before the check
+    (3.0, 2.0, 12.5, "must lie inside"),   # past the horizon
+    (0.0, 0.0, None, "must be positive")])
+def test_build_xi_rejects_bad_window_and_support(A, lo, hi, message):
+    ev, basis = small_instance(seed=3, T=12.0)
+    with pytest.raises(ValueError, match=message):
+        build_xi(ev, basis, A, lo, hi)
 
 
 def test_window_vec_matches_per_event_table():
@@ -495,7 +505,7 @@ def test_fit_empty_dimension_gives_zero_estimates():
     assert model.mu_hat[1] == pytest.approx(0.0, abs=1e-14)
     assert_allclose(model.coeff[1], 0.0, atol=1e-14)
     for s in (0.0, 1.0, 2.9):
-        assert evaluate_g(model, 2, 1, s) == pytest.approx(0.0, abs=1e-13)
+        assert g_curve(model, 2, 1, s) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_fit_strong_penalty_shrinks_g_to_zero():
@@ -552,7 +562,7 @@ def test_solver_rejects_non_spd():
         _solve_spd(bad, np.ones(2), gamma=1.0)
 
 
-# --- evaluate_g / intensity -----------------------------------------------------
+# --- g_curve / intensity --------------------------------------------------------
 
 def test_evaluate_g_zero_model():
     ev, basis = small_instance()
@@ -560,7 +570,7 @@ def test_evaluate_g_zero_model():
     zero = FittedModel(mu_hat=np.zeros(ev.U),
                        coeff=np.zeros_like(model.coeff),
                        basis=basis, config=model.config, T=ev.T, U=ev.U)
-    assert evaluate_g(zero, 1, 2, 1.3) == 0.0
+    assert g_curve(zero, 1, 2, 1.3) == 0.0
     assert intensity(zero, ev, 1, 5.0) == 0.0
 
 
@@ -573,8 +583,8 @@ def test_evaluate_g_matches_oracle_coefficients():
     for s in (0.1, 0.9, 2.4):
         for i in (1, 2):
             for j in (1, 2):
-                want = phi(basis, s) @ coeff_o[i - 1, (j - 1) * M:j * M]
-                assert evaluate_g(model, i, j, s) == pytest.approx(want, abs=1e-7)
+                want = feature_matrix(basis, s) @ coeff_o[i - 1, (j - 1) * M:j * M]
+                assert g_curve(model, i, j, s) == pytest.approx(want, abs=1e-7)
 
 
 def test_intensity_before_first_event_is_baseline():
@@ -614,7 +624,7 @@ def test_representer_consistency():
             for s in (0.15, 1.1, 2.8):
                 expansion = sum(eq.h(j, s, ev.times[n]) for n in idx)
                 expansion -= model.mu_hat[i - 1] * eq.integral_second(j, s)
-                got = evaluate_g(model, i, j, s)
+                got = g_curve(model, i, j, s)
                 assert abs(got - expansion) <= 1e-8 * (1.0 + abs(expansion))
 
 
@@ -640,7 +650,7 @@ def test_identity_sum_exchange():
             for np_ in ev.dim_indices(i):
                 lag = ev.times[np_] - ev.times[n]
                 if 0.0 < lag <= A:
-                    w += phi(basis, lag)
+                    w += feature_matrix(basis, lag)
             rhs += w @ z[(ev.marks[n] - 1) * M:ev.marks[n] * M]
         assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(rhs))
 
@@ -656,7 +666,7 @@ def test_model_json_round_trip():
     assert_allclose(clone.mu_hat, model.mu_hat)
     assert_allclose(clone.coeff, model.coeff)
     assert clone.basis.beta == model.basis.beta
-    assert evaluate_g(clone, 1, 2, 0.7) == pytest.approx(evaluate_g(model, 1, 2, 0.7))
+    assert g_curve(clone, 1, 2, 0.7) == pytest.approx(g_curve(model, 1, 2, 0.7))
 
 
 @pytest.mark.parametrize("mu_hat", [[0.3], [0.3, 0.2, 0.1], [[0.3, 0.2]]])

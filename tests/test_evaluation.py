@@ -9,6 +9,7 @@ from hawkes_rkhs.events import EventSequence
 from hawkes_rkhs.evaluation import (
     EvalReport,
     GridSpec,
+    bench_factorization,
     bench_scaling,
     grid_search,
     ise,
@@ -348,3 +349,13 @@ def test_bench_scaling_smoke():
     assert "xi_build_vs_events" in slopes
     with pytest.raises(ValueError):
         bench_scaling(spec, [100.0, 50.0], M=8)
+
+
+def test_bench_slopes_need_two_points():
+    # a log-log slope through one point is not defined (numpy warns and
+    # returns a number)
+    with pytest.raises(ValueError, match="two horizons"):
+        bench_scaling(dense_scenario(), [60.0], M=8)
+    events = simulate(dense_scenario(), 30.0, 4).events
+    with pytest.raises(ValueError, match="two feature counts"):
+        bench_factorization(events, [8])

@@ -13,8 +13,6 @@ from hawkes_rkhs.features import (
     feature_matrix,
     integral_phi_outer,
     integral_phi_range,
-    integral_phi_window,
-    phi,
     sinc_u,
 )
 from oracles import quad_phi_outer, quad_phi_vector
@@ -84,7 +82,7 @@ def test_feature_norm_near_one():
 
 def test_phi_at_zero():
     basis = build_basis(KernelSpec(beta=1.0), 8, 9)
-    v = phi(basis, 0.0)
+    v = feature_matrix(basis, 0.0)
     half = basis.M // 2
     assert_allclose(v[:half], basis.scale)
     assert_allclose(v[half:], 0.0, atol=1e-16)
@@ -92,7 +90,7 @@ def test_phi_at_zero():
 
 def test_phi_self_inner_product():
     basis = build_basis(KernelSpec(beta=1.0), 100, 1)
-    v = phi(basis, 2.0)
+    v = feature_matrix(basis, 2.0)
     assert abs(v @ v - 1.0) <= 0.1
 
 
@@ -105,21 +103,21 @@ def test_sinc_series_matches_direct():
 
 def test_window_integral_empty_when_past_horizon():
     basis = build_basis(KernelSpec(beta=1.0), 8, 2)
-    assert_allclose(integral_phi_window(basis, 10.0, 10.0, 5.0), 0.0)
-    assert_allclose(integral_phi_window(basis, 12.0, 10.0, 5.0), 0.0)
+    assert_allclose(WindowIntegralTable(basis, [10.0], 10.0, 5.0).vectors[0], 0.0)
+    assert_allclose(WindowIntegralTable(basis, [12.0], 10.0, 5.0).vectors[0], 0.0)
 
 
 def test_window_integral_zero_frequency_limit():
     # hand-built basis with an exactly zero frequency exercises the series path
     basis = FeatureBasis(omega=np.array([0.0, 0.0]), theta=np.array([0.0, -np.pi / 2]))
-    v = integral_phi_window(basis, 0.0, 10.0, 3.0)
+    v = WindowIntegralTable(basis, [0.0], 10.0, 3.0).vectors[0]
     assert_allclose(v[0], np.sqrt(2.0 / 2) * 3.0, rtol=1e-15)
     assert_allclose(v[1], np.sqrt(2.0 / 2) * 3.0 * np.cos(-np.pi / 2), atol=1e-15)
 
 
 def test_window_integral_matches_quadrature():
     basis = build_basis(KernelSpec(beta=1.0), 8, 11)
-    got = integral_phi_window(basis, 1.0, 10.0, 5.0)
+    got = WindowIntegralTable(basis, [1.0], 10.0, 5.0).vectors[0]
     want = quad_phi_vector(basis, 0.0, 5.0)
     assert_allclose(got, want, atol=1e-10, rtol=0)
 
@@ -175,7 +173,7 @@ def test_closed_forms_match_quadrature_randomized(beta, t_n, t_np, a, length, se
     got = integral_phi_outer(basis, t_n, t_np, a, a + length)
     want = quad_phi_outer(basis, t_n, t_np, a, a + length)
     assert_allclose(got, want, atol=1e-9 * max(1.0, np.abs(want).max()), rtol=0)
-    got_w = integral_phi_window(basis, t_n, a + length, length + 0.5)
+    got_w = WindowIntegralTable(basis, [t_n], a + length, length + 0.5).vectors[0]
     L = max(0.0, min(a + length - t_n, length + 0.5))
     want_w = quad_phi_vector(basis, 0.0, L)
     assert_allclose(got_w, want_w, atol=1e-9 * max(1.0, np.abs(want_w).max()), rtol=0)

@@ -8,6 +8,7 @@ from scipy.stats import expon, kstest
 from hawkes_rkhs import simulation
 from hawkes_rkhs.events import read_events_csv, write_events_csv
 from hawkes_rkhs.simulation import (
+    CURVE_POINTS,
     IdentityLink,
     ScenarioSpec,
     SoftplusLink,
@@ -302,9 +303,9 @@ def test_events_csv_errors(tmp_path):
 def test_curves_csv_round_trip(tmp_path):
     spec = mutually_exciting_scenario()
     path = tmp_path / "curves.csv"
-    write_curves_csv(path, spec, n_points=200)
+    write_curves_csv(path, spec)
     s, curves, U = read_curves_csv(path)
-    assert U == 3 and s.size == 200
+    assert U == 3 and s.size == CURVE_POINTS
     assert s[0] == 0.0 and s[-1] == spec.A
     want = true_curves(spec, s)
     assert_allclose(curves, want, rtol=1e-15)
