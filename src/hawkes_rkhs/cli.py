@@ -3,8 +3,9 @@ bench.
 
 Every command reads an optional flat key=value config file (a TOML-compatible
 subset; keys match the long flag names of any subcommand, with dashes or
-underscores) and lets explicit flags override it.  Machine artifacts print
-floats with 17 significant digits; human summaries use 4.
+underscores) and lets explicit flags override it.  Floats in CSV files carry
+17 significant digits and in JSON files their shortest round-trip repr; human
+summaries use 4.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import time
 import numpy as np
 
 from .estimator import FitConfig, FitError, FittedModel, fit, g_curve
-from .events import read_events_csv, write_events_csv
+from .events import read_events_csv, write_events_csv, write_table
 from .evaluation import GridSpec, bench_factorization, bench_scaling
 from .evaluation import fit_scenario_draw, grid_search, ise, ise_on_grid
 from .features import KernelSpec, build_basis
@@ -36,30 +37,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".4g")
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _json_ready(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
 def _write_json(path, doc) -> None:
     with open(path, "w") as fh:
-        json.dump(_json_ready(doc), fh, indent=1, sort_keys=True)
+        json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
+# a config line up to its '#' comment; quoted strings are taken whole
+_UNCOMMENTED = re.compile(r"""(?:[^#"']|"[^"]*"|'[^']*'|["'])*""")
+
+
 def load_config(path) -> dict:
-    """Parse a flat key = value config file; '#' starts a comment."""
+    """Parse a flat key = value config file; '#' outside quotes starts a comment."""
     opts = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
+            line = _UNCOMMENTED.match(raw)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -268,12 +261,8 @@ def _write_pair_curves(prefix, s, truth_curves, model) -> None:
     for i in range(model.U):
         for j in range(model.U):
             est = g_curve(model, i + 1, j + 1, s)
-            path = f"{prefix}_g{i + 1}{j + 1}.csv"
-            lines = ["s,g_true,g_hat"]
-            for k in range(len(s)):
-                lines.append(f"{s[k]:.17g},{truth_curves[i, j, k]:.17g},{est[k]:.17g}")
-            with open(path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+            write_table(f"{prefix}_g{i + 1}{j + 1}.csv", {}, ("s", "g_true", "g_hat"),
+                        np.column_stack([s, truth_curves[i, j], est]).tolist())
 
 
 # default seed ranges of the two benchmark reproductions
@@ -323,21 +312,22 @@ def run_bench(opts) -> int:
     rows, slopes = bench_scaling(spec, horizons, int(opts["features"]),
                                  reps=int(opts["reps"]), seed=seed)
     doc = {"scaling": rows, "slopes": slopes}
-    print(f"{'T':>8} {'events':>8} {'xi_build_s':>11} {'solve_s':>9} {'total_s':>9}")
-    for r in rows:
-        print(f"{r['T']:>8.0f} {r['n_events']:>8d} {r['xi_build_s']:>11.4g} "
-              f"{r['solve_s']:>9.4g} {r['total_s']:>9.4g}")
-    print(f"xi-build vs events log-log slope: {_fmt(slopes['xi_build_vs_events'])}")
-    if opts["fact_features"]:
+    if opts["fact_features"]:  # both tables are measured before either prints
         m_values = [int(v) for v in _float_list(opts["fact_features"])]
         events = simulate(spec, horizons[0], seed).events
         fact_rows, fact_slopes = bench_factorization(events, m_values,
                                                      reps=int(opts["reps"]))
         doc["factorization"] = fact_rows
         doc["slopes"].update(fact_slopes)
-        for r in fact_rows:
+    print(f"{'T':>8} {'events':>8} {'xi_build_s':>11} {'solve_s':>9} {'total_s':>9}")
+    for r in rows:
+        print(f"{r['T']:>8.0f} {r['n_events']:>8d} {r['xi_build_s']:>11.4g} "
+              f"{r['solve_s']:>9.4g} {r['total_s']:>9.4g}")
+    print(f"xi-build vs events log-log slope: {_fmt(slopes['xi_build_vs_events'])}")
+    if "factorization" in doc:
+        for r in doc["factorization"]:
             print(f"M={r['M']:>5d} size={r['size']:>6d} factorize {r['factorize_s']:.4g}s")
-        print(f"factorize vs M log-log slope: {_fmt(fact_slopes['factorize_vs_M'])}")
+        print(f"factorize vs M log-log slope: {_fmt(slopes['factorize_vs_M'])}")
     if opts["out"]:
         _write_json(opts["out"], doc)
         print(f"bench table -> {opts['out']}")

@@ -1,11 +1,13 @@
-"""Marked event sequences on [0, T] and their CSV serialization.
+"""Marked event sequences on [0, T] and the package's one CSV layout.
 
-The file format is line-oriented CSV with ``#``-prefixed metadata comments,
-a ``time,mark`` header, strictly increasing times and 1-based integer marks:
+Every CSV file holds ``# key=value`` metadata comments, a header and comma
+rows, floats with 17 significant digits so parsing round-trips exactly.  An
+events file has a ``time,mark`` header, strictly increasing times and 1-based
+integer marks:
 
-    # scenario=mutually-exciting
     # T=2000
     # U=3
+    # scenario=mutually-exciting
     # seed=1
     time,mark
     0.81717864519964937,2
@@ -79,23 +81,44 @@ class EventSequence:
         return EventSequence(self.times[keep], self.marks[keep], t_end, self.U)
 
 
-def write_events_csv(path, events: EventSequence, meta: dict | None = None) -> None:
-    """Write an event sequence with metadata comments; floats use 17
-    significant digits so parsing round-trips exactly."""
-    lines = []
-    meta = dict(meta or {})
-    meta.setdefault("T", events.T)
-    meta.setdefault("U", events.U)
-    for key in sorted(meta):
-        value = meta[key]
-        if isinstance(value, float):
-            value = format(value, ".17g")
-        lines.append(f"# {key}={value}")
-    lines.append("time,mark")
-    for t, m in zip(events.times, events.marks):
-        lines.append(f"{t:.17g},{m}")
+def _text(value) -> str:
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def write_table(path, meta: dict, header, rows) -> None:
+    """Write ``# key=value`` lines in key order, the header fields and one
+    line per row, comma-separated; floats get 17 significant digits."""
+    lines = [f"# {key}={_text(meta[key])}" for key in sorted(meta)]
+    lines.append(",".join(header))
+    lines += [",".join(map(_text, row)) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def read_table(path):
+    """Parse the layout ``write_table`` writes; returns (meta, (line number,
+    header fields), [(line number, fields), ...]), the header (None, None) if
+    there is none.  A ``#`` line anywhere adds its ``key=value`` to meta;
+    the callers check the fields."""
+    meta: dict[str, str] = {}
+    lines = []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if line.startswith("#"):
+                key, eq, value = line[1:].partition("=")
+                if eq:
+                    meta[key.strip()] = value.strip()
+            elif line:
+                lines.append((lineno, line.split(",")))
+    return meta, (lines[0] if lines else (None, None)), lines[1:]
+
+
+def write_events_csv(path, events: EventSequence, meta: dict | None = None) -> None:
+    """Write an event sequence under metadata comments that include T and U."""
+    meta = {"T": events.T, "U": events.U, **(meta or {})}
+    write_table(path, meta, ("time", "mark"),
+                zip(events.times.tolist(), events.marks.tolist()))
 
 
 def read_events_csv(path, T: float | None = None, U: int | None = None):
@@ -105,45 +128,30 @@ def read_events_csv(path, T: float | None = None, U: int | None = None):
     given, else from the file metadata.  Malformed rows raise ValueError
     naming the offending line number.
     """
-    meta: dict[str, str] = {}
+    meta, (lineno, header), rows = read_table(path)
+    if header is None:
+        raise ValueError(f"{path}: missing 'time,mark' header")
+    if ",".join(header).replace(" ", "") != "time,mark":
+        raise ValueError(
+            f"{path}: line {lineno}: expected header 'time,mark', got {','.join(header)!r}")
     times: list[float] = []
     marks: list[int] = []
-    header_seen = False
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, value = body.split("=", 1)
-                    meta[key.strip()] = value.strip()
-                continue
-            if not header_seen:
-                if line.replace(" ", "") != "time,mark":
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected header 'time,mark', got {line!r}")
-                header_seen = True
-                continue
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 'time,mark', got {line!r}")
-            try:
-                t = float(fields[0])
-                m = int(fields[1])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: malformed row {line!r}") from None
-            if times and t == times[-1]:
-                raise ValueError(f"{path}: duplicate event time at line {lineno}")
-            if times and t < times[-1]:
-                raise ValueError(f"{path}: non-increasing event time at line {lineno}")
-            times.append(t)
-            marks.append(m)
-    if not header_seen:
-        raise ValueError(f"{path}: missing 'time,mark' header")
+    for lineno, fields in rows:
+        if len(fields) != 2:
+            raise ValueError(
+                f"{path}: line {lineno}: expected 'time,mark', got {','.join(fields)!r}")
+        try:
+            t = float(fields[0])
+            m = int(fields[1])
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: malformed row {','.join(fields)!r}") from None
+        if times and t == times[-1]:
+            raise ValueError(f"{path}: duplicate event time at line {lineno}")
+        if times and t < times[-1]:
+            raise ValueError(f"{path}: non-increasing event time at line {lineno}")
+        times.append(t)
+        marks.append(m)
     if T is None:
         if "T" not in meta:
             raise ValueError(
@@ -155,4 +163,4 @@ def read_events_csv(path, T: float | None = None, U: int | None = None):
     return events, meta
 
 
-__all__ = ["EventSequence", "write_events_csv", "read_events_csv"]
+__all__ = ["EventSequence", "write_table", "read_table", "write_events_csv", "read_events_csv"]

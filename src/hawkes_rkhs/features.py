@@ -10,7 +10,6 @@ integrals of shifted copies) has a closed form collected here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,9 +88,6 @@ class FeatureBasis:
             "theta": self.theta.tolist(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, doc: dict) -> "FeatureBasis":
         basis = cls(
@@ -104,10 +100,6 @@ class FeatureBasis:
         if basis.M != int(doc["M"]):
             raise ValueError("inconsistent feature count in basis document")
         return basis
-
-    @classmethod
-    def from_json(cls, text: str) -> "FeatureBasis":
-        return cls.from_dict(json.loads(text))
 
 
 def build_basis(spec: KernelSpec, M: int, seed: int) -> FeatureBasis:

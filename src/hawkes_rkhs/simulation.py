@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .events import EventSequence
+from .events import EventSequence, read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -319,51 +319,34 @@ CURVE_POINTS = 500  # grid points of a ground-truth curve file
 
 
 def write_curves_csv(path, spec: ScenarioSpec) -> None:
-    """Ground-truth kernel curves on a ``CURVE_POINTS``-point grid over [0, A],
-    columns s, g_11, ..., g_UU (row-major pair order)."""
+    """Ground-truth kernel curves on a ``CURVE_POINTS``-point grid over [0, A]
+    under ``# A=``, ``# U=``; columns s, g_11, ..., g_UU (row-major pairs)."""
     s = np.linspace(0.0, spec.A, CURVE_POINTS)
-    curves = true_curves(spec, s)
-    header = "s," + ",".join(
-        f"g_{i + 1}{j + 1}" for i in range(spec.U) for j in range(spec.U))
-    lines = [f"# A={spec.A:.17g}", f"# U={spec.U}", header]
-    for k in range(CURVE_POINTS):
-        vals = [f"{s[k]:.17g}"]
-        vals += [f"{curves[i, j, k]:.17g}" for i in range(spec.U) for j in range(spec.U)]
-        lines.append(",".join(vals))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    curves = true_curves(spec, s).reshape(spec.U * spec.U, CURVE_POINTS)
+    header = ["s"] + [f"g_{i + 1}{j + 1}" for i in range(spec.U) for j in range(spec.U)]
+    write_table(path, {"A": spec.A, "U": spec.U}, header,
+                np.column_stack([s, curves.T]).tolist())
 
 
 def read_curves_csv(path):
-    """Parse a kernel-curve file; returns (s grid, curves (U, U, n), U)."""
-    meta = {}
-    rows = []
-    header = None
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    k, v = body.split("=", 1)
-                    meta[k.strip()] = v.strip()
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            rows.append([float(x) for x in line.split(",")])
+    """Parse a kernel-curve file; returns (s grid, curves (U, U, n), U).
+    A short or non-numeric row raises ValueError naming its line."""
+    meta, (_, header), rows = read_table(path)
     if header is None or not rows:
         raise ValueError(f"{path}: no curve data")
-    data = np.asarray(rows)
     n_pairs = len(header) - 1
     U = int(meta.get("U", round(math.sqrt(n_pairs))))
     if U * U != n_pairs:
         raise ValueError(f"{path}: expected U^2 kernel columns, got {n_pairs}")
-    s = data[:, 0]
-    curves = data[:, 1:].T.reshape(U, U, s.size)
-    return s, curves, U
+    data = np.empty((len(rows), len(header)))
+    for k, (lineno, fields) in enumerate(rows):
+        try:
+            if len(fields) != len(header):
+                raise ValueError(f"expected {len(header)} values, got {len(fields)}")
+            data[k] = [float(x) for x in fields]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    return data[:, 0], data[:, 1:].T.reshape(U, U, len(rows)), U
 
 
 __all__ = [

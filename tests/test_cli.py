@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import hawkes_rkhs
-from hawkes_rkhs.cli import build_parser
+from hawkes_rkhs.cli import build_parser, load_config
 from hawkes_rkhs.events import read_events_csv
 
 # the child runs the package these tests import, also when that is the
@@ -261,6 +262,21 @@ def test_full_pipeline_from_config(tmp_path):
     assert json.loads(report.read_text())["delta_sq"] >= 0
 
 
+def test_config_comment_starts_outside_quotes(tmp_path):
+    config = tmp_path / "run.toml"
+    config.write_text(
+        'out = "runs#1.csv"  # a comment after a quoted value\n'
+        "curves_out = 'a\"b#2.csv'\n"
+        'scenario = "refractory"#no space before the comment\n'
+        "seed = 7 # seven\n"
+        "# a whole-line comment\n"
+        'events = "unterminated#cut\n'
+    )
+    assert load_config(config) == {
+        "out": "runs#1.csv", "curves_out": 'a"b#2.csv', "scenario": "refractory",
+        "seed": 7, "events": '"unterminated'}
+
+
 def test_unknown_config_key_is_an_error(sim_files, tmp_path):
     _, events, _ = sim_files
     config = tmp_path / "run.toml"
@@ -403,6 +419,16 @@ CLI_ERRORS = {
     "evaluate-dimension-mismatch": (
         ["evaluate", "--model", "{d}/model.json", "--scenario", "refractory", "--out",
          "{d}/r.json"], 1, "dimension mismatch: truth U=3, model U=1"),
+    "evaluate-curves-not-a-number": (
+        ["evaluate", "--model", "{d}/model.json", "--truth-curves", "{d}/nan_curves.csv",
+         "--out", "{d}/r.json"], 1,
+        "{d}/nan_curves.csv: line 5: could not convert string to float: 'x'"),
+    "evaluate-curves-short-row": (
+        ["evaluate", "--model", "{d}/model.json", "--truth-curves", "{d}/short_curves.csv",
+         "--out", "{d}/r.json"], 1, "{d}/short_curves.csv: line 5: expected 2 values, got 1"),
+    "evaluate-curves-no-rows": (
+        ["evaluate", "--model", "{d}/model.json", "--truth-curves", "{d}/bare_curves.csv",
+         "--out", "{d}/r.json"], 1, "{d}/bare_curves.csv: no curve data"),
     "evaluate-missing-curves": (
         ["evaluate", "--model", "{d}/model.json", "--truth-curves", "{d}/none.csv",
          "--out", "{d}/r.json"], 1, "[Errno 2] No such file or directory: '{d}/none.csv'"),
@@ -418,6 +444,9 @@ CLI_ERRORS = {
     "bench-unknown-scenario": (["bench", "--scenario", "nope"], 2,
                                "unknown scenario 'nope'; valid scenarios: "
                                "mutually-exciting, refractory"),
+    "bench-one-fact-feature": (
+        ["bench", "--horizons", "50,100", "--features", "8", "--fact-features", "16"], 1,
+        "a slope needs at least two feature counts, got 1"),
     "unknown-config-key": (["fit", "--config", "{d}/run.toml"], 1,
                            "{d}/run.toml: unknown config key(s): featurs"),
 }
@@ -432,6 +461,9 @@ def error_inputs(tmp_path_factory):
     (d / "dup.csv").write_text("# T=10\n# U=1\ntime,mark\n0.5,1\n0.5,1\n")
     (d / "empty.csv").write_text("# T=10\n# U=1\ntime,mark\n")
     (d / "keyless.json").write_text("{}\n")
+    (d / "nan_curves.csv").write_text("# A=1\n# U=1\ns,g_11\n0,0.5\n0.5,x\n")
+    (d / "short_curves.csv").write_text("# A=1\n# U=1\ns,g_11\n0,0.5\n0.5\n")
+    (d / "bare_curves.csv").write_text("# A=1\n# U=1\ns,g_11\n")
     (d / "run.toml").write_text("featurs = 16\n")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["fit", "--events", str(d / "events.csv"), "--features", "2",
@@ -458,3 +490,61 @@ def test_bench_rejects_a_single_horizon(capsys):
 
     assert cli.main(["bench", "--horizons", "250", "--features", "8"]) == 1
     assert capsys.readouterr().err == "error: a slope needs at least two horizons, got 1\n"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_refractory_draw_files_match_benchmark_digests(tmp_path):
+    # the digests perfbench/references.json records for the simulate-refractory
+    # workload (seed 175, T=2000): the benchmark checks every run against them
+    from hawkes_rkhs import cli
+
+    events, curves = tmp_path / "events.csv", tmp_path / "curves.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "--scenario", "refractory", "--t-end", "2000.0",
+                         "--seed", "175", "--out", str(events),
+                         "--curves-out", str(curves)]) == 0
+    assert _sha256(events) == "e38357d9bc596a0f83b74898068eea44cf78c0061e589f87b037f6c8e58b6a4c"
+    assert _sha256(curves) == "cf83279b2d6ca0c868bab7f5ff3cac647f6b7f961de5a0e326d87fe0a3323f92"
+
+
+# SHA-256 of every file a small simulate -> fit -> evaluate run writes, as the
+# code wrote them before the CSV writers shared one function; the model and
+# report digests assume IEEE float64 arithmetic with numpy's own BLAS
+PIPELINE_DIGESTS = {
+    "ev.csv": "63800c39de7543d6aa3b73786d9059f72b3abcf5a05f011070f6cb44b7aad672",
+    "ev_curves.csv": "d2a4b642f571d9ddea76fc1e261d13d90b39627ae6e1ff76503d4e197e32b2c2",
+    "model.json": "e968f78fadea3072a4375bc3e075ad09abc2451226f30eec2d09efa600965897",
+    "pair_g11.csv": "04f349ae49f4aecf1864528e44d5c07a8748f22a37c3c037c5d90fb6dfb59d2d",
+    "pair_g12.csv": "2d559f0f098107c32e68a0b7055868b65fdb551b79d1ca23cec7bacb2d49ac31",
+    "pair_g13.csv": "61cc59ddf4144faade3751a935e30e7beccc19f91a957b5ac1874df221eaf27a",
+    "pair_g21.csv": "0a944239af2662ca7c444003df53b75391e55f1a1d2459c3bf3463e93ae9e3ad",
+    "pair_g22.csv": "157134611869e149297863d8d95157d275e72bbe1e0e567b49788672417775c4",
+    "pair_g23.csv": "e24ab65af3433363809b81c5fbc57d2f4b64ca4bb2e80ea75e670e0b1e834040",
+    "pair_g31.csv": "6034253a07e74f1403cdb86ae3c07cb181ce72564d607eaa7936a4a29f8c2688",
+    "pair_g32.csv": "34f1db91ff57792dcdc52f2ba2cf0122cf7a291af0ee18f93671109a53dbb6a7",
+    "pair_g33.csv": "0a49fae68de6203df0341a1d3fff9391227a0444b51057edeb09e1f827233852",
+    "report.json": "cd390b3186046f1a403b35017fbe74760532d11ca072d8dbba6839ea090a467b",
+    "report_file.json": "3b4583b1ded5badd7a87cdb1522d11423f55acd350979ddaf57e2663454fc103",
+}
+
+
+def test_pipeline_files_match_recorded_digests(tmp_path):
+    from hawkes_rkhs import cli
+
+    d = str(tmp_path)
+    for argv in (
+        ["simulate", "--scenario", "mutually-exciting", "--t-end", "200", "--seed", "1",
+         "--out", f"{d}/ev.csv"],
+        ["fit", "--events", f"{d}/ev.csv", "--features", "8", "--seed", "2",
+         "--out", f"{d}/model.json"],
+        ["evaluate", "--model", f"{d}/model.json", "--scenario", "mutually-exciting",
+         "--out", f"{d}/report.json", "--curves-out", f"{d}/pair"],
+        ["evaluate", "--model", f"{d}/model.json", "--truth-curves", f"{d}/ev_curves.csv",
+         "--out", f"{d}/report_file.json"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+    assert {p.name: _sha256(p) for p in tmp_path.iterdir()} == PIPELINE_DIGESTS

@@ -193,14 +193,15 @@ def test_window_table_invariants():
 
 def test_basis_json_round_trip():
     basis = build_basis(KernelSpec(beta=0.7), 16, 99)
-    doc = json.loads(basis.to_json())
+    text = json.dumps(basis.to_dict())
+    doc = json.loads(text)
     assert set(doc) == {"family", "beta", "M", "seed", "omega", "theta"}
     assert doc["family"] == "gaussian"
-    clone = FeatureBasis.from_json(basis.to_json())
+    clone = FeatureBasis.from_dict(json.loads(text))
     assert np.array_equal(clone.omega, basis.omega)
     assert np.array_equal(clone.theta, basis.theta)
     assert clone.beta == basis.beta and clone.seed == basis.seed
-    assert clone.to_json() == basis.to_json()
+    assert json.dumps(clone.to_dict()) == text
 
 
 def test_basis_rejects_unknown_family():
