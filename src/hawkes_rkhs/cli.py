@@ -126,7 +126,10 @@ def _seed_or_none(value):
     if value is not None:
         return int(value)
     env = os.environ.get(SEED_ENV)
-    return int(env) if env else None
+    try:
+        return int(env) if env else None
+    except ValueError:
+        raise UsageError(f"{SEED_ENV}={env} is not an integer seed") from None
 
 
 def _writable(*paths) -> None:
@@ -147,8 +150,13 @@ def _scenario(name):
     return SCENARIOS[name]
 
 
-def _float_list(text) -> tuple:
-    return tuple(float(v) for v in str(text).split(",") if v.strip())
+def _number_list(opts, key, kind=float) -> tuple:
+    """Option ``key`` as comma-separated numbers; UsageError naming it if not."""
+    try:
+        return tuple(kind(v) for v in str(opts[key]).split(",") if v.strip())
+    except ValueError:
+        raise UsageError(f"--{key.replace('_', '-')} {opts[key]} is not a list of "
+                         f"{'integers' if kind is int else 'numbers'}") from None
 
 
 def run_simulate(opts) -> int:
@@ -158,7 +166,7 @@ def run_simulate(opts) -> int:
         raise UsageError(f"simulate requires --seed (or {SEED_ENV})")
     if opts["t_end"] is None or opts["out"] is None:
         raise UsageError("simulate requires --t-end and --out")
-    curves_path = opts["curves_out"] or _derived_path(opts["out"], "_curves.csv")
+    curves_path = opts["curves_out"] or os.path.splitext(opts["out"])[0] + "_curves.csv"
     _writable(opts["out"], curves_path)
     result = simulate(spec, float(opts["t_end"]), seed)
     write_events_csv(opts["out"], result.events,
@@ -169,11 +177,6 @@ def run_simulate(opts) -> int:
     print(f"events -> {opts['out']}")
     print(f"truth curves -> {curves_path}")
     return 0
-
-
-def _derived_path(base, suffix: str) -> str:
-    stem, dot, _ = str(base).rpartition(".")
-    return (stem if dot else str(base)) + suffix
 
 
 def run_fit(opts) -> int:
@@ -209,7 +212,7 @@ def run_grid_search(opts) -> int:
     workers = int(opts["workers"]) if opts["workers"] else (os.cpu_count() or 1)
     _writable(opts["out"])
     events, _ = read_events_csv(opts["events"], T=opts["horizon"])
-    grid = GridSpec(_float_list(opts["gammas"]), _float_list(opts["betas"]),
+    grid = GridSpec(_number_list(opts, "gammas"), _number_list(opts, "betas"),
                     float(opts["split"]))
     best, cells = grid_search(events, grid, int(opts["features"]),
                               float(opts["window"]), seed, workers=workers)
@@ -308,12 +311,12 @@ def run_reproduce(opts) -> int:
 def run_bench(opts) -> int:
     spec = _scenario(opts["scenario"])()
     seed = _seed_or_none(opts["seed"]) or 0
-    horizons = _float_list(opts["horizons"])
+    horizons = _number_list(opts, "horizons")
+    m_values = _number_list(opts, "fact_features", int) if opts["fact_features"] else ()
     rows, slopes = bench_scaling(spec, horizons, int(opts["features"]),
                                  reps=int(opts["reps"]), seed=seed)
     doc = {"scaling": rows, "slopes": slopes}
     if opts["fact_features"]:  # both tables are measured before either prints
-        m_values = [int(v) for v in _float_list(opts["fact_features"])]
         events = simulate(spec, horizons[0], seed).events
         fact_rows, fact_slopes = bench_factorization(events, m_values,
                                                      reps=int(opts["reps"]))

@@ -185,9 +185,8 @@ def fit_scenario_draw(scenario: ScenarioSpec, T: float, seed: int, grid: GridSpe
     return report, model, result.events
 
 
-def bench_scaling(scenario: ScenarioSpec, horizons, M: int, reps: int = 1,
-                  seed: int = 0, gamma: float = 1.0, beta: float = 1.0):
-    """Wall time of each fit phase versus horizon.
+def bench_scaling(scenario: ScenarioSpec, horizons, M: int, reps: int = 1, seed: int = 0):
+    """Wall time of each fit phase versus horizon, fitting at gamma = beta = 1.
 
     Returns (rows, slopes): one row per horizon with event count and phase
     times (min over ``reps``), plus the fitted log-log slope of the Gram
@@ -198,11 +197,11 @@ def bench_scaling(scenario: ScenarioSpec, horizons, M: int, reps: int = 1,
         raise ValueError(f"a slope needs at least two horizons, got {len(horizons)}")
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ValueError("horizons must be increasing")
-    basis = build_basis(KernelSpec(beta=beta), M, seed)
+    basis = build_basis(KernelSpec(beta=1.0), M, seed)
     rows = []
     for T in horizons:
         events = simulate(scenario, T, seed).events
-        config = FitConfig(gamma=gamma, A=scenario.A, basis=basis)
+        config = FitConfig(gamma=1.0, A=scenario.A, basis=basis)
         stats = None
         for _ in range(max(1, reps)):
             model = fit(events, config)
@@ -221,13 +220,12 @@ def bench_scaling(scenario: ScenarioSpec, horizons, M: int, reps: int = 1,
     return rows, {"xi_build_vs_events": slope}
 
 
-def bench_factorization(events: EventSequence, m_values, reps: int = 3,
-                        gamma: float = 1.0, beta: float = 1.0, seed: int = 0):
+def bench_factorization(events: EventSequence, m_values, reps: int = 3):
     """Cholesky factorization time versus feature count on a fixed event set.
 
-    Returns (rows, slopes) with the log-log slope of factorization time
-    against M, which needs two M values or more; the expected exponent is 3
-    (cubic solve cost).
+    The system is gamma = 1 over a beta = 1, seed-0 basis.  Returns (rows,
+    slopes) with the log-log slope of factorization time against M, which
+    needs two M values or more; the expected exponent is 3 (cubic solve cost).
     """
     from scipy.linalg import cho_factor
 
@@ -235,9 +233,9 @@ def bench_factorization(events: EventSequence, m_values, reps: int = 3,
         raise ValueError(f"a slope needs at least two feature counts, got {len(m_values)}")
     rows = []
     for M in m_values:
-        basis = build_basis(KernelSpec(beta=beta), int(M), seed)
+        basis = build_basis(KernelSpec(beta=1.0), int(M), 0)
         xi, _ = build_xi(events, basis, min(5.0, events.T))
-        Z = xi + np.eye(xi.shape[0]) / gamma
+        Z = xi + np.eye(xi.shape[0])
         best = np.inf
         for _ in range(max(1, reps)):
             t0 = time.perf_counter()

@@ -121,12 +121,24 @@ def write_events_csv(path, events: EventSequence, meta: dict | None = None) -> N
                 zip(events.times.tolist(), events.marks.tolist()))
 
 
-def read_events_csv(path, T: float | None = None, U: int | None = None):
+def meta_value(path, meta: dict, key: str, kind, default=None):
+    """``kind(meta[key])``, or ``default`` when the file has no ``# key=``
+    line; a malformed value raises ValueError naming the file and the key."""
+    if key not in meta:
+        return default
+    try:
+        return kind(meta[key])
+    except ValueError:
+        raise ValueError(f"{path}: '# {key}=' is not a valid {kind.__name__}: "
+                         f"{meta[key]!r}") from None
+
+
+def read_events_csv(path, T: float | None = None):
     """Parse an events file; returns (EventSequence, metadata dict).
 
-    The horizon and dimension count come from the ``T``/``U`` arguments when
-    given, else from the file metadata.  Malformed rows raise ValueError
-    naming the offending line number.
+    The horizon comes from ``T`` when given, else from the file metadata, and
+    the dimension count from the metadata, else the largest mark.  Malformed
+    rows raise ValueError naming the offending line number.
     """
     meta, (lineno, header), rows = read_table(path)
     if header is None:
@@ -153,14 +165,14 @@ def read_events_csv(path, T: float | None = None, U: int | None = None):
         times.append(t)
         marks.append(m)
     if T is None:
-        if "T" not in meta:
+        T = meta_value(path, meta, "T", float)
+        if T is None:
             raise ValueError(
                 f"{path}: no horizon: pass one explicitly or add a '# T=...' comment")
-        T = float(meta["T"])
-    if U is None:
-        U = int(meta["U"]) if "U" in meta else (max(marks) if marks else 1)
+    U = meta_value(path, meta, "U", int, max(marks) if marks else 1)
     events = EventSequence(np.asarray(times), np.asarray(marks, dtype=int), T, U)
     return events, meta
 
 
-__all__ = ["EventSequence", "write_table", "read_table", "write_events_csv", "read_events_csv"]
+__all__ = ["EventSequence", "write_table", "read_table", "meta_value", "write_events_csv",
+           "read_events_csv"]

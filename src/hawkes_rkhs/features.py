@@ -3,9 +3,9 @@
 A basis of M features phi_m(s) = sqrt(2/M) cos(omega_m s + theta_m) is built
 from M/2 frequencies sampled from the spectral density of the kernel, each
 frequency duplicated with a -pi/2 phase shift so the features come in
-(cos, sin) pairs and phi(s)^T phi(s') approximates k(s, s').  Every integral
-of the feature map needed downstream (window integrals of phi, outer-product
-integrals of shifted copies) has a closed form collected here.
+(cos, sin) pairs and phi(s)^T phi(s') approximates k(s, s').  Window integrals
+of phi and one pair's outer-product integral have closed forms here; the Gram
+sums the latter over all pairs in a lag-sum form, in ``estimator.build_xi``.
 """
 
 from __future__ import annotations

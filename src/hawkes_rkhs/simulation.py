@@ -11,12 +11,12 @@ monotone, so the bound passes through it).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .events import EventSequence, read_table, write_table
+from .events import EventSequence, meta_value, read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -41,33 +41,26 @@ class SoftplusLink:
 
 @dataclass(frozen=True)
 class TriggerKernel:
-    """A triggering kernel g(s) together with a thinning envelope.
+    """A triggering kernel g(s) and its thinning envelope, from one formula.
 
-    ``fn`` and ``envelope`` each take a 1-d float array of lags (the
-    simulator passes one mark's live history at a time), act elementwise and
-    return an array of the same shape.  ``envelope(s)`` must be nonincreasing,
-    nonnegative, and dominate g on [s, inf): envelope(s) >= g(u) for all u >= s.
-    The simulator calls ``values(s)`` -> (g(s), envelope(s)), which defaults to
-    ``(fn(s), envelope(s))``; the built-in kernels share one formula for both.
+    ``values`` maps a 1-d float array of lags (the simulator passes one mark's
+    live history at a time) elementwise to ``(g(s), envelope(s))``, two arrays
+    of its shape.  The envelope must be nonincreasing, nonnegative, and
+    dominate g on [s, inf): envelope(s) >= g(u) for all u >= s.
     """
 
-    fn: Callable[[np.ndarray], np.ndarray]
-    envelope: Callable[[np.ndarray], np.ndarray]
+    values: Callable[[np.ndarray], tuple]
     label: str = ""
-    values: Callable | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.values is None:
-            object.__setattr__(self, "values", lambda s: (self.fn(s), self.envelope(s)))
+    def fn(self, s) -> np.ndarray:
+        return self.values(s)[0]
 
-
-def _kernel(values, label: str) -> TriggerKernel:
-    """A kernel whose g and envelope share one formula, ``values(s) -> (g, env)``."""
-    return TriggerKernel(lambda s: values(s)[0], lambda s: values(s)[1], label, values)
+    def envelope(self, s) -> np.ndarray:
+        return self.values(s)[1]
 
 
 # g = 0; the simulator does not evaluate it
-_ZERO = _kernel(lambda s: (z := np.zeros_like(np.asarray(s, dtype=float)), z), "0")
+_ZERO = TriggerKernel(lambda s: (z := np.zeros_like(np.asarray(s, dtype=float)), z), "0")
 
 
 def zero_kernel() -> TriggerKernel:
@@ -76,14 +69,14 @@ def zero_kernel() -> TriggerKernel:
 
 def exp_decay(c: float, rate: float) -> TriggerKernel:
     """g(s) = c exp(-rate s); decreasing, so it is its own envelope."""
-    return _kernel(lambda s: (g := c * np.exp(-rate * np.asarray(s, dtype=float)), g),
-                   f"{c}*exp(-{rate}s)")
+    return TriggerKernel(lambda s: (g := c * np.exp(-rate * np.asarray(s, dtype=float)), g),
+                         f"{c}*exp(-{rate}s)")
 
 
 def pow_two_decay(c: float, rate: float) -> TriggerKernel:
     """g(s) = c 2^(-rate s)."""
-    return _kernel(lambda s: (g := c * np.exp2(-rate * np.asarray(s, dtype=float)), g),
-                   f"{c}*2^(-{rate}s)")
+    return TriggerKernel(lambda s: (g := c * np.exp2(-rate * np.asarray(s, dtype=float)), g),
+                         f"{c}*2^(-{rate}s)")
 
 
 def gaussian_bump(c: float, center: float, sharpness: float) -> TriggerKernel:
@@ -94,7 +87,7 @@ def gaussian_bump(c: float, center: float, sharpness: float) -> TriggerKernel:
         g = c * np.exp(-sharpness * (s - center) ** 2)
         return g, np.where(s <= center, c, g)
 
-    return _kernel(values, f"{c}*exp(-{sharpness}(s-{center})^2)")
+    return TriggerKernel(values, f"{c}*exp(-{sharpness}(s-{center})^2)")
 
 
 def cosine_gated_decay(c: float) -> TriggerKernel:
@@ -105,7 +98,7 @@ def cosine_gated_decay(c: float) -> TriggerKernel:
         decay = np.exp(-s)
         return c * (1.0 + np.cos(np.pi * s)) * decay, 2.0 * c * decay
 
-    return _kernel(values, f"{c}*(1+cos(pi s))*exp(-s)")
+    return TriggerKernel(values, f"{c}*(1+cos(pi s))*exp(-s)")
 
 
 def refractory_pulse(decay: float) -> TriggerKernel:
@@ -119,7 +112,7 @@ def refractory_pulse(decay: float) -> TriggerKernel:
         ramp, tail = s <= 0.5, np.exp(-decay * (s - 0.5))
         return np.where(ramp, 8.0 * s * s - 1.0, tail), np.where(ramp, 1.0, tail)
 
-    return _kernel(values, f"(8s^2-1)[s<=.5]+exp(-{decay}(s-.5))[s>.5]")
+    return TriggerKernel(values, f"(8s^2-1)[s<=.5]+exp(-{decay}(s-.5))[s>.5]")
 
 
 @dataclass(frozen=True)
@@ -150,31 +143,24 @@ class ScenarioSpec:
         if not support >= self.A:
             raise ValueError("support_lag must be at least A")
         grid = np.linspace(0.0, support, 2001)
-        for row in kernels:
-            for k in row:
-                g, e = (np.asarray(v, dtype=float) for v in k.values(grid))
-                if not np.all(np.isfinite(e)) or not np.all(np.isfinite(g)):
-                    raise ValueError(f"kernel {k.label or k.fn} is unbounded on [0, {support}]")
-                if isinstance(self.link, IdentityLink) and g.min() < -1e-12:
-                    raise ValueError(
-                        f"identity-link scenario requires nonnegative kernels; "
-                        f"{k.label or k.fn} dips to {g.min():.3e}")
+        for k in sum(kernels, ()):
+            g, e = (np.asarray(v, dtype=float) for v in k.values(grid))
+            if not np.all(np.isfinite(e)) or not np.all(np.isfinite(g)):
+                raise ValueError(f"kernel {k.label or k.values} is unbounded on [0, {support}]")
+            if isinstance(self.link, IdentityLink) and g.min() < -1e-12:
+                raise ValueError(f"identity-link scenario requires nonnegative kernels; "
+                                 f"{k.label or k.values} dips to {g.min():.3e}")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "kernels", kernels)
         object.__setattr__(self, "support_lag", float(support))
 
-    def kernel_values(self, i: int, j: int, s) -> np.ndarray:
-        """True g_ij on an array of lags (1-based dimensions)."""
-        return np.asarray(self.kernels[i - 1][j - 1].fn(s), dtype=float)
-
 
 @dataclass(frozen=True)
 class SimResult:
-    """Events plus per-event accepted intensity and the seed that produced them."""
+    """Events plus per-event accepted intensity and the number of proposals."""
 
     events: EventSequence
     intensities: np.ndarray
-    seed: int
     n_proposals: int
 
 
@@ -302,7 +288,7 @@ def simulate(spec: ScenarioSpec, T: float, seed: int,
 
     events = EventSequence(np.asarray(times), np.asarray(marks, dtype=int), T, spec.U)
     return SimResult(events=events, intensities=np.asarray(accepted_intensity),
-                     seed=seed, n_proposals=n_proposals)
+                     n_proposals=n_proposals)
 
 
 def true_curves(spec: ScenarioSpec, s) -> np.ndarray:
@@ -335,7 +321,7 @@ def read_curves_csv(path):
     if header is None or not rows:
         raise ValueError(f"{path}: no curve data")
     n_pairs = len(header) - 1
-    U = int(meta.get("U", round(math.sqrt(n_pairs))))
+    U = meta_value(path, meta, "U", int, round(math.sqrt(n_pairs)))
     if U * U != n_pairs:
         raise ValueError(f"{path}: expected U^2 kernel columns, got {n_pairs}")
     data = np.empty((len(rows), len(header)))

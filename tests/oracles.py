@@ -259,4 +259,4 @@ def simulate_loop(spec: ScenarioSpec, T: float, seed: int,
 
     events = EventSequence(np.asarray(times), np.asarray(marks, dtype=int), T, spec.U)
     return SimResult(events=events, intensities=np.asarray(accepted_intensity),
-                     seed=seed, n_proposals=n_proposals)
+                     n_proposals=n_proposals)

@@ -51,6 +51,28 @@ def test_simulate_writes_events_and_curves(sim_files):
     assert any(line.startswith("s,g_11") for line in header[:4])
 
 
+@pytest.mark.parametrize("out,curves", [
+    ("events.csv", "events_curves.csv"),
+    ("./events", "events_curves.csv"),
+    ("out.d/events", "out.d/events_curves.csv"),
+    ("runs/v1.2/ev", "runs/v1.2/ev_curves.csv"),
+])
+def test_simulate_default_curves_path_replaces_the_file_extension(out, curves, tmp_path,
+                                                                  monkeypatch):
+    # only the file name's extension becomes _curves.csv; a dot in a directory
+    # name or a leading ./ leaves the curves file beside the events file
+    from hawkes_rkhs import cli
+
+    monkeypatch.chdir(tmp_path)
+    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "--scenario", "refractory", "--t-end", "10",
+                         "--seed", "1", "--out", out]) == 0
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                     if p.is_file())
+    assert written == sorted([os.path.normpath(out), curves])
+
+
 def test_simulate_idempotent_byte_identical(sim_files, tmp_path):
     root, events, curves = sim_files
     again = tmp_path / "again.csv"
@@ -368,6 +390,9 @@ CLI_ERRORS = {
     "simulate-no-seed": (
         ["simulate", "--scenario", "refractory", "--t-end", "10", "--out", "{d}/x.csv"], 2,
         "simulate requires --seed (or HAWKES_RKHS_SEED)"),
+    "simulate-bad-seed-variable": (
+        ["simulate", "--scenario", "refractory", "--t-end", "10", "--out", "{d}/x.csv"], 2,
+        "HAWKES_RKHS_SEED=x is not an integer seed", {"HAWKES_RKHS_SEED": "x"}),
     "simulate-no-out": (
         ["simulate", "--scenario", "refractory", "--t-end", "10", "--seed", "1"], 2,
         "simulate requires --t-end and --out"),
@@ -383,6 +408,12 @@ CLI_ERRORS = {
                        "{d}/dup.csv: duplicate event time at line 5"),
     "fit-missing-events": (["fit", "--events", "{d}/none.csv", "--out", "{d}/m.json"], 1,
                            "[Errno 2] No such file or directory: '{d}/none.csv'"),
+    "fit-bad-horizon-metadata": (
+        ["fit", "--events", "{d}/bad_t.csv", "--out", "{d}/m.json"], 1,
+        "{d}/bad_t.csv: '# T=' is not a valid float: 'abc'"),
+    "fit-bad-dimension-metadata": (
+        ["fit", "--events", "{d}/bad_u.csv", "--out", "{d}/m.json"], 1,
+        "{d}/bad_u.csv: '# U=' is not a valid int: 'x'"),
     "fit-failed": (["fit", "--events", "{d}/events.csv", "--window", "20", "--out",
                     "{d}/m.json"], 1,
                    "fit failed on {d}/events.csv: support window A=20.0 exceeds the "
@@ -397,6 +428,9 @@ CLI_ERRORS = {
     "grid-search-empty-validation": (
         ["grid-search", "--events", "{d}/events.csv", "--out", "{d}/g.json"], 1,
         "validation window empty: no events after t=8"),
+    "grid-search-bad-gammas": (
+        ["grid-search", "--events", "{d}/events.csv", "--gammas", "abc", "--out",
+         "{d}/g.json"], 2, "--gammas abc is not a list of numbers"),
     "grid-search-bad-grid": (
         ["grid-search", "--events", "{d}/events.csv", "--gammas", "-1", "--out",
          "{d}/g.json"], 1, "grid values must be positive and finite, got -1.0"),
@@ -429,6 +463,9 @@ CLI_ERRORS = {
     "evaluate-curves-no-rows": (
         ["evaluate", "--model", "{d}/model.json", "--truth-curves", "{d}/bare_curves.csv",
          "--out", "{d}/r.json"], 1, "{d}/bare_curves.csv: no curve data"),
+    "evaluate-curves-bad-dimension": (
+        ["evaluate", "--model", "{d}/model.json", "--truth-curves", "{d}/bad_u_curves.csv",
+         "--out", "{d}/r.json"], 1, "{d}/bad_u_curves.csv: '# U=' is not a valid int: 'x'"),
     "evaluate-missing-curves": (
         ["evaluate", "--model", "{d}/model.json", "--truth-curves", "{d}/none.csv",
          "--out", "{d}/r.json"], 1, "[Errno 2] No such file or directory: '{d}/none.csv'"),
@@ -447,6 +484,11 @@ CLI_ERRORS = {
     "bench-one-fact-feature": (
         ["bench", "--horizons", "50,100", "--features", "8", "--fact-features", "16"], 1,
         "a slope needs at least two feature counts, got 1"),
+    "bench-bad-horizons": (["bench", "--horizons", "50,x"], 2,
+                           "--horizons 50,x is not a list of numbers"),
+    "bench-fractional-fact-features": (
+        ["bench", "--horizons", "50,100", "--features", "8", "--fact-features", "16.5,32"], 2,
+        "--fact-features 16.5,32 is not a list of integers"),
     "unknown-config-key": (["fit", "--config", "{d}/run.toml"], 1,
                            "{d}/run.toml: unknown config key(s): featurs"),
 }
@@ -460,10 +502,13 @@ def error_inputs(tmp_path_factory):
     (d / "events.csv").write_text("# T=10\n# U=1\ntime,mark\n0.5,1\n2.5,1\n")
     (d / "dup.csv").write_text("# T=10\n# U=1\ntime,mark\n0.5,1\n0.5,1\n")
     (d / "empty.csv").write_text("# T=10\n# U=1\ntime,mark\n")
+    (d / "bad_t.csv").write_text("# T=abc\n# U=1\ntime,mark\n0.5,1\n")
+    (d / "bad_u.csv").write_text("# T=10\n# U=x\ntime,mark\n0.5,1\n")
     (d / "keyless.json").write_text("{}\n")
     (d / "nan_curves.csv").write_text("# A=1\n# U=1\ns,g_11\n0,0.5\n0.5,x\n")
     (d / "short_curves.csv").write_text("# A=1\n# U=1\ns,g_11\n0,0.5\n0.5\n")
     (d / "bare_curves.csv").write_text("# A=1\n# U=1\ns,g_11\n")
+    (d / "bad_u_curves.csv").write_text("# A=1\n# U=x\ns,g_11\n0,0.5\n")
     (d / "run.toml").write_text("featurs = 16\n")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["fit", "--events", str(d / "events.csv"), "--features", "2",
@@ -476,7 +521,9 @@ def test_cli_error_exit_code_and_message(case, error_inputs, capsys, monkeypatch
     from hawkes_rkhs import cli
 
     monkeypatch.delenv("HAWKES_RKHS_SEED", raising=False)
-    argv, code, message = CLI_ERRORS[case]
+    argv, code, message, *env = CLI_ERRORS[case]
+    for name, value in (env[0] if env else {}).items():
+        monkeypatch.setenv(name, value)
     d = str(error_inputs)
     capsys.readouterr()
     assert cli.main([arg.format(d=d) for arg in argv]) == code

@@ -133,10 +133,10 @@ def representable_scenario(model, A):
     for i in range(model.U):
         row = []
         for j in range(model.U):
-            fn = (lambda s, i=i, j=j:
-                  np.asarray(g_curve(model, i + 1, j + 1, np.asarray(s, dtype=float))))
-            row.append(TriggerKernel(fn, lambda s: np.full_like(
-                np.asarray(s, dtype=float), 10.0), "fitted"))
+            values = (lambda s, i=i, j=j: (
+                np.asarray(g_curve(model, i + 1, j + 1, np.asarray(s, dtype=float))),
+                np.full_like(np.asarray(s, dtype=float), 10.0)))
+            row.append(TriggerKernel(values, "fitted"))
         kernels.append(tuple(row))
     # skip nonnegativity checks by using a softplus link container
     from hawkes_rkhs.simulation import SoftplusLink

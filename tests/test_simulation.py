@@ -40,23 +40,23 @@ def test_mutually_exciting_kernel_values():
     spec = mutually_exciting_scenario()
     assert spec.U == 3 and spec.A == 5.0
     assert_allclose(spec.mu, 0.01)
-    assert spec.kernel_values(1, 1, 0.0) == pytest.approx(0.5)
-    assert spec.kernel_values(1, 2, 1.0) == pytest.approx(0.5)   # bump peak
-    assert spec.kernel_values(2, 1, 0.0) == pytest.approx(0.5)   # 2^(-1)
-    assert spec.kernel_values(2, 2, 0.0) == pytest.approx(0.3)
-    assert spec.kernel_values(3, 2, 1.0) == pytest.approx(0.0, abs=1e-15)
-    assert spec.kernel_values(3, 2, 0.0) == pytest.approx(0.5)
+    assert spec.kernels[0][0].fn(0.0) == pytest.approx(0.5)
+    assert spec.kernels[0][1].fn(1.0) == pytest.approx(0.5)   # bump peak
+    assert spec.kernels[1][0].fn(0.0) == pytest.approx(0.5)   # 2^(-1)
+    assert spec.kernels[1][1].fn(0.0) == pytest.approx(0.3)
+    assert spec.kernels[2][1].fn(1.0) == pytest.approx(0.0, abs=1e-15)
+    assert spec.kernels[2][1].fn(0.0) == pytest.approx(0.5)
     assert isinstance(spec.link, IdentityLink)
 
 
 def test_refractory_kernel_values():
     spec = refractory_scenario()
-    assert spec.kernel_values(1, 1, 0.0) == pytest.approx(-1.0)
-    assert spec.kernel_values(1, 1, 0.5) == pytest.approx(1.0)
-    assert spec.kernel_values(1, 1, 0.5 + 1e-9) == pytest.approx(1.0, rel=1e-6)
-    assert spec.kernel_values(2, 2, 1.5) == pytest.approx(np.exp(-1.0))
-    assert_allclose(spec.kernel_values(3, 1, np.linspace(0, 5, 11)), 0.0)
-    assert_allclose(spec.kernel_values(3, 2, np.linspace(0, 5, 11)), 0.0)
+    assert spec.kernels[0][0].fn(0.0) == pytest.approx(-1.0)
+    assert spec.kernels[0][0].fn(0.5) == pytest.approx(1.0)
+    assert spec.kernels[0][0].fn(0.5 + 1e-9) == pytest.approx(1.0, rel=1e-6)
+    assert spec.kernels[1][1].fn(1.5) == pytest.approx(np.exp(-1.0))
+    assert_allclose(spec.kernels[2][0].fn(np.linspace(0, 5, 11)), 0.0)
+    assert_allclose(spec.kernels[2][1].fn(np.linspace(0, 5, 11)), 0.0)
     assert isinstance(spec.link, SoftplusLink) and spec.link.w == 100.0
 
 
@@ -94,7 +94,7 @@ def test_unbounded_envelope_rejected():
         with np.errstate(divide="ignore"):
             return 1.0 / np.asarray(s, dtype=float)
 
-    bad = TriggerKernel(inv, inv, "1/s")
+    bad = TriggerKernel(lambda s: (inv(s), inv(s)), "1/s")
     with pytest.raises(ValueError, match="unbounded"):
         ScenarioSpec(U=1, mu=(0.1,), kernels=((bad,),), link=IdentityLink(), A=5.0)
 
@@ -146,16 +146,16 @@ def truncated_spec():
 
 
 def raw_callable_spec():
-    # kernels given only as (fn, envelope) callables, with envelopes strictly
+    # custom kernels, one (g, envelope) callable each with the envelope strictly
     # above g, next to a built-in kernel and a zero kernel in the same mark
     def lags(s):
         return np.asarray(s, dtype=float)
 
     wobble = TriggerKernel(
-        lambda s: 0.3 * np.exp(-lags(s)) * (1.0 + 0.5 * np.sin(3.0 * lags(s))),
-        lambda s: 0.5 * np.exp(-lags(s)), "wobble")
-    rise = TriggerKernel(lambda s: 0.2 * lags(s) * np.exp(-lags(s)),
-                         lambda s: np.full_like(lags(s), 0.1), "rise")
+        lambda s: (0.3 * np.exp(-lags(s)) * (1.0 + 0.5 * np.sin(3.0 * lags(s))),
+                   0.5 * np.exp(-lags(s))), "wobble")
+    rise = TriggerKernel(lambda s: (0.2 * lags(s) * np.exp(-lags(s)),
+                                    np.full_like(lags(s), 0.1)), "rise")
     kernels = ((wobble, rise), (exp_decay(0.2, 2.0), zero_kernel()))
     return ScenarioSpec(U=2, mu=(0.3, 0.2), kernels=kernels,
                         link=IdentityLink(), A=5.0, support_lag=10.0)
