@@ -107,24 +107,38 @@ COMMANDS = {
 
 def _resolve(args) -> dict:
     """Effective options of the chosen subcommand: flag value, else
-    config-file value, else default.  A config key that no subcommand
-    declares is an error; keys of other subcommands are allowed, so one
-    file can drive a whole pipeline."""
+    config-file value as the option's type, else default.  A config key that
+    no subcommand declares is an error; keys of other subcommands are allowed,
+    so one file can drive a whole pipeline."""
     config = load_config(args.config) if args.config else {}
     known = {key for _, options in COMMANDS.values() for key in options}
     unknown = sorted(set(config) - known)
     if unknown:
         raise ValueError(f"{args.config}: unknown config key(s): {', '.join(unknown)}")
     out = {}
-    for key, (_, fallback, *_) in COMMANDS[args.command][1].items():
-        value = getattr(args, key)
-        out[key] = config.get(key, fallback) if value is None else value
+    for key, (kind, fallback, *_) in COMMANDS[args.command][1].items():
+        out[key] = getattr(args, key)
+        if out[key] is None:
+            out[key] = (_config_value(args.config, key, kind, config[key]) if key in config
+                        else fallback)
     return out
+
+
+def _config_value(path, key, kind, value):
+    """Config ``value`` of option ``key`` as the option's type, else UsageError
+    naming the file and the key; a bool is no number, and an int no fraction."""
+    try:
+        if kind is not str and (isinstance(value, bool) or (
+                kind is int and isinstance(value, float) and not value.is_integer())):
+            raise ValueError
+        return kind(value)
+    except ValueError:
+        raise UsageError(f"{path}: {key} = {value!r} is not a valid {kind.__name__}") from None
 
 
 def _seed_or_none(value):
     if value is not None:
-        return int(value)
+        return value
     env = os.environ.get(SEED_ENV)
     try:
         return int(env) if env else None
@@ -159,6 +173,18 @@ def _number_list(opts, key, kind=float) -> tuple:
                          f"{'integers' if kind is int else 'numbers'}") from None
 
 
+def _fit_inputs(opts, command):
+    """Seed and events (over --horizon if given) of fit and grid-search; UsageError
+    for a missing --events or --out or a --horizon not positive and finite."""
+    if opts["events"] is None or opts["out"] is None:
+        raise UsageError(f"{command} requires --events and --out")
+    seed = _seed_or_none(opts["seed"]) or 0
+    if opts["horizon"] is not None and not 0.0 < opts["horizon"] < np.inf:
+        raise UsageError(f"--horizon {opts['horizon']} is not a positive finite number")
+    _writable(opts["out"])
+    return seed, read_events_csv(opts["events"], T=opts["horizon"])[0]
+
+
 def run_simulate(opts) -> int:
     spec = _scenario(opts["scenario"])()
     seed = _seed_or_none(opts["seed"])
@@ -168,7 +194,7 @@ def run_simulate(opts) -> int:
         raise UsageError("simulate requires --t-end and --out")
     curves_path = opts["curves_out"] or os.path.splitext(opts["out"])[0] + "_curves.csv"
     _writable(opts["out"], curves_path)
-    result = simulate(spec, float(opts["t_end"]), seed)
+    result = simulate(spec, opts["t_end"], seed)
     write_events_csv(opts["out"], result.events,
                      {"scenario": opts["scenario"], "seed": seed})
     write_curves_csv(curves_path, spec)
@@ -180,13 +206,9 @@ def run_simulate(opts) -> int:
 
 
 def run_fit(opts) -> int:
-    if opts["events"] is None or opts["out"] is None:
-        raise UsageError("fit requires --events and --out")
-    seed = _seed_or_none(opts["seed"]) or 0
-    _writable(opts["out"])
-    events, _ = read_events_csv(opts["events"], T=opts["horizon"])
-    basis = build_basis(KernelSpec(beta=float(opts["beta"])), int(opts["features"]), seed)
-    config = FitConfig(gamma=float(opts["gamma"]), A=float(opts["window"]), basis=basis)
+    seed, events = _fit_inputs(opts, "fit")
+    basis = build_basis(KernelSpec(beta=opts["beta"]), opts["features"], seed)
+    config = FitConfig(gamma=opts["gamma"], A=opts["window"], basis=basis)
     try:
         model = fit(events, config)
     except (FitError, ValueError) as exc:  # LinAlgError is a ValueError
@@ -206,21 +228,15 @@ def run_fit(opts) -> int:
 
 
 def run_grid_search(opts) -> int:
-    if opts["events"] is None or opts["out"] is None:
-        raise UsageError("grid-search requires --events and --out")
-    seed = _seed_or_none(opts["seed"]) or 0
-    workers = int(opts["workers"]) if opts["workers"] else (os.cpu_count() or 1)
-    _writable(opts["out"])
-    events, _ = read_events_csv(opts["events"], T=opts["horizon"])
-    grid = GridSpec(_number_list(opts, "gammas"), _number_list(opts, "betas"),
-                    float(opts["split"]))
-    best, cells = grid_search(events, grid, int(opts["features"]),
-                              float(opts["window"]), seed, workers=workers)
+    seed, events = _fit_inputs(opts, "grid-search")
+    workers = opts["workers"] or os.cpu_count() or 1
+    grid = GridSpec(_number_list(opts, "gammas"), _number_list(opts, "betas"), opts["split"])
+    best, cells = grid_search(events, grid, opts["features"], opts["window"], seed, workers=workers)
     doc = {
         "chosen": best.to_dict(),
         "cells": [cell.to_dict() for cell in cells],
         "seed": seed,
-        "split": float(opts["split"]),
+        "split": opts["split"],
     }
     _write_json(opts["out"], doc)
     for cell in cells:
@@ -284,14 +300,14 @@ def run_reproduce(opts) -> int:
     if not seeds:
         raise UsageError(f"--seeds {text} is not a seed range: expected N or N-M with N <= M")
     factory = SCENARIOS[opts["scenario"]]
-    spec = factory() if opts["baseline"] is None else factory(float(opts["baseline"]))
-    t_end = float(opts["t_end"])
+    spec = factory() if opts["baseline"] is None else factory(opts["baseline"])
+    t_end = opts["t_end"]
     grid = GridSpec((0.1, 0.5, 1.0), (0.5, 1.0, 1.5))
     d2, counts, refit = [], [], []
     for seed in seeds:
         t0 = time.perf_counter()
         report, model, events = fit_scenario_draw(
-            spec, t_end, seed, grid, M=int(opts["features"]), workers=int(opts["workers"]))
+            spec, t_end, seed, grid, M=opts["features"], workers=opts["workers"])
         wall = time.perf_counter() - t0
         d2.append(report.delta_sq)
         counts.append(len(events))
@@ -313,13 +329,11 @@ def run_bench(opts) -> int:
     seed = _seed_or_none(opts["seed"]) or 0
     horizons = _number_list(opts, "horizons")
     m_values = _number_list(opts, "fact_features", int) if opts["fact_features"] else ()
-    rows, slopes = bench_scaling(spec, horizons, int(opts["features"]),
-                                 reps=int(opts["reps"]), seed=seed)
+    rows, slopes = bench_scaling(spec, horizons, opts["features"], reps=opts["reps"], seed=seed)
     doc = {"scaling": rows, "slopes": slopes}
     if opts["fact_features"]:  # both tables are measured before either prints
         events = simulate(spec, horizons[0], seed).events
-        fact_rows, fact_slopes = bench_factorization(events, m_values,
-                                                     reps=int(opts["reps"]))
+        fact_rows, fact_slopes = bench_factorization(events, m_values, reps=opts["reps"])
         doc["factorization"] = fact_rows
         doc["slopes"].update(fact_slopes)
     print(f"{'T':>8} {'events':>8} {'xi_build_s':>11} {'solve_s':>9} {'total_s':>9}")

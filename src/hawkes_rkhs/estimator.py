@@ -91,9 +91,11 @@ def _pairs_lag_in_window(starts: np.ndarray, a: int):
     return idx_n, idx_np
 
 
-# terms kept of the near-resonant Taylor series: with |y| < 1 the first term
-# dropped is below 1/21! ~ 2e-20 of the sum's scale
-_SERIES_TERMS = 20
+# the switch to the near-resonant series and its term count J, one pair: an
+# entry with |y| >= _CUTOFF takes the closed form, whose 1/y loses ~eps/_CUTOFF
+# ~ 2e-15 to cancellation, and one below it J terms, the first dropped under
+# _CUTOFF^J/(J+1)! ~ 2.5e-18 of the sum's scale
+_CUTOFF, _SERIES_TERMS = 0.1, 10
 # elements per array of a chunk of pair entries (1 MB): entries x distinct
 # frequencies x (re, im) in the lag pass, entries x M in the edge terms
 _CHUNK = 1 << 17
@@ -104,21 +106,22 @@ _RANGE = 1 << 22
 def _resonance(basis: FeatureBasis, A: float):
     """Split the (m, k) entries of a Gram block by y = (omega_m +- omega_k) A.
 
-    Returns R+ + R- and R+ - R-, where R+-[m, k] = 1 / (omega_m +- omega_k)
-    except where |y| < 1, there 0, and for each sign the (m, k, y) of those
-    near-resonant entries: they take the Taylor series in y instead.  The
-    criterion is dimensionless, so it does not depend on the time unit.
+    Returns R+ + R-, R+-[m, k] = 1 / (M (omega_m +- omega_k)) but 0 where
+    |y| < _CUTOFF, and for each sign the (m, k, y) of those near-resonant
+    entries, which take the Taylor series in y.  R+ - R- is the transpose of
+    R+ + R- to the bit.  The criterion is dimensionless, so it does not
+    depend on the time unit.
     """
-    omega = basis.omega
-    recips, series = [], []
+    r_sum, series = np.zeros((basis.M, basis.M)), []
     for sign in (1.0, -1.0):
-        x = omega[:, None] + sign * omega[None, :]
-        near = np.abs(x) * A < 1.0
-        recips.append(np.divide(1.0, x, out=np.zeros_like(x), where=~near))
+        x = np.add.outer(basis.omega, sign * basis.omega)
+        near = np.abs(x) * A < _CUTOFF
         m, k = np.nonzero(near)
         series.append((m, k, x[m, k] * A))
-    r_plus, r_minus = recips
-    return r_plus + r_minus, r_plus - r_minus, series
+        x *= basis.M
+        x[near] = np.inf
+        r_sum += np.divide(1.0, x, out=x)
+    return r_sum, series
 
 
 def _lag_sums(phasors: np.ndarray, first: np.ndarray, second: np.ndarray,
@@ -152,13 +155,53 @@ def _lag_sums(phasors: np.ndarray, first: np.ndarray, second: np.ndarray,
     return out.view(complex)
 
 
-def _add_series(X: np.ndarray, H: np.ndarray, turn: np.ndarray, series, A: float):
-    """Add the series of ``build_xi`` to its near-resonant entries of X, by Horner's rule."""
-    for (m, k, y), moments in zip(series, (H, np.conj(H))):
-        acc = moments[-1, k]
-        for order in range(H.shape[0] - 2, -1, -1):
-            acc = moments[order, k] + 1j * y * acc
-        X[m, k] += A * (turn[m] * acc).real
+def _finish_gram(lags, cuts, basis: FeatureBasis, A: float, U: int, inverse: np.ndarray):
+    """Gram and event sums of ``build_xi`` from its per-block lag sums (over
+    the distinct frequencies, which ``inverse`` maps to the basis) and cut
+    entries, in its low-rank form: X_b for each block b = (i, j), then the
+    series of all blocks' near-resonant entries at once by Horner's rule, then
+    block (i, j) of the Gram X_ij + X_ji^T, formed in place in the (U, M, U, M)
+    layout and copied to its mirror, so the Gram is symmetric to the last bit.
+    """
+    M, J = basis.M, _SERIES_TERMS
+    turn = np.exp(1j * basis.theta)
+    F = np.exp(1j * (basis.omega * A + basis.theta))
+    r_sum, series = _resonance(basis, A)
+    r_diff = np.ascontiguousarray(r_sum.T)
+    out = np.empty((U, M, U, M))
+    S, S_t = np.empty((2, M, M))
+    moments = np.empty((U * U, J, M), dtype=complex)
+    event_sums = np.empty((U * U, M))
+    step = max(1, _CHUNK // M)
+    for b in range(U * U):
+        sums_in, sums = lags[[b, U * U + b]][:, :, inverse]
+        sums += sums_in
+        event_sums[b] = basis.scale * (turn * sums[J + 1]).real
+        moments[b] = turn * sums[1:J + 1] / np.cumprod(np.arange(1.0, J + 1.0))[:, None]
+        E, G = F * np.conj(sums_in[0]), turn * sums[0]
+        np.matmul(np.array([E.imag, -turn.imag]).T, np.array([F.real, G.real]), out=S)
+        np.matmul(np.array([E.real, -turn.real]).T, np.array([F.imag, G.imag]), out=S_t)
+        du, dv, w = np.concatenate(cuts[b], axis=1)
+        for start in range(0, w.size, step):
+            part = slice(start, start + step)
+            alpha = np.multiply.outer(du[part], basis.omega) + basis.theta
+            beta = np.multiply.outer(dv[part], basis.omega) + basis.theta
+            S += (w[part, None] * np.sin(alpha)).T @ np.cos(beta)
+            S_t += (w[part, None] * np.cos(alpha)).T @ np.sin(beta)
+        X = np.multiply(S, r_sum, out=out[b // U, :, b % U])
+        X += np.multiply(S_t, r_diff, out=S_t)
+    blocks = np.arange(U * U)[:, None]
+    for (m, k, y), H in zip(series, (moments, np.conj(moments))):
+        acc = H[:, -1, k]
+        for order in range(J - 2, -1, -1):
+            acc = H[:, order, k] + 1j * y * acc
+        out[blocks // U, m, blocks % U, k] += (A / M) * (turn[m] * acc).real
+    # X_ij + X_ji^T in place (numpy copies an overlapping operand first), then mirrored
+    for i in range(U):
+        for j in range(i, U):
+            out[i, :, j] += out[j, :, i].T
+            out[j, :, i] = out[i, :, j].T
+    return out.reshape(U * M, U * M), event_sums.reshape(U, U * M)
 
 
 def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
@@ -173,21 +216,23 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
     which enters together with its transpose.  With lag D = t_n - t_n' that is
     J(L_hi) - J(L_lo), J(L) = int_0^L phi(u) phi(u + D)^T du, L_hi = b - t_n,
     L_lo = a - t_n.  The end u = L of J, at time c = t_n + L, is
-    (1/M) [sin(alpha_m + beta_k) R+ + sin(alpha_m - beta_k) R-] with alpha =
+    sin(alpha_m + beta_k) R+ + sin(alpha_m - beta_k) R- with alpha =
     omega (c - t_n) + theta, beta = omega (c - t_n') + theta and R+- =
-    1 / (omega_m +- omega_k).  Summed over the pairs of a block, u = 0 gives
-    Im(e^{i theta_m} G_k) and Im(e^{i theta_m} conj G_k) with G_k = sum_p
-    exp(i(omega_k D_p + theta_k)); c = t_n' + A gives Im(E_m F_k) and
-    Im(E_m conj F_k) with E_m = sum_p exp(i(omega_m (A - D_p) + theta_m)) (conj
-    G turned by F) and F_k = exp(i(omega_k A + theta_k)); a window edge c in
-    {lo, hi} gives sin(alpha) cos(beta)^T (R+ + R-) + cos(alpha) sin(beta)^T
-    (R+ - R-), two real GEMMs over the pairs cut there.  Entries with |y| < 1,
-    y = (omega_m +- omega_k) A, take the series A Re[e^{i theta_m} sum_j
-    (iy)^j / (j+1)! H_k^(j)] (conj H for -) for J(L) as a whole, with H_k^(j) =
-    sum_p (L_p/A)^(j+1) exp(i(omega_k D_p + theta_k)).  So every pair enters the
-    lag sums at L_hi, and a pair cut at lo again at L_lo with its weight
-    negated: their u = 0 terms cancel.  The event sums are the lag sums over
-    the pairs with lo <= t_n < hi.
+    1 / (M (omega_m +- omega_k)); that is the row (a, c) = (e^{i alpha},
+    e^{i beta}) of Im(a_m) Re(c_k) (R+ + R-) + Re(a_m) Im(c_k) (R+ - R-).  Over
+    the pairs of a block, u = 0 sums to the row (-e^{i theta}, G) with G_k =
+    sum_p exp(i(omega_k D_p + theta_k)), c = t_n' + A to (E, F) with E_m =
+    sum_p exp(i(omega_m (A - D_p) + theta_m)) and F_k = exp(i(omega_k A +
+    theta_k)), and a window edge c in {lo, hi} gives a row (w e^{i alpha},
+    e^{i beta}) per pair of weight w cut there.  So a block X_b is (R+ + R-) o
+    sum_r Im(a_r) Re(c_r)^T + (R+ - R-) o sum_r Re(a_r) Im(c_r)^T over its rows
+    r: two GEMMs and two Hadamard products.  Entries with |y| < _CUTOFF, y =
+    (omega_m +- omega_k) A, take instead the series (A/M) Re[e^{i theta_m}
+    sum_{j<J} (iy)^j / (j+1)! H_k^(j)] (conj H for -) for J(L) as a whole,
+    J = _SERIES_TERMS, with H_k^(j) = sum_p (L_p/A)^(j+1) exp(i(omega_k D_p +
+    theta_k)).  So every pair enters the lag sums at L_hi, and a pair cut at lo
+    again at L_lo with its weight negated: their u = 0 terms cancel.  The event
+    sums are the lag sums over the pairs with lo <= t_n < hi.
 
     The lag exponentials come from per-event phasors: time is cut into
     segments whose length is a power of two of at least 2A, and
@@ -202,7 +247,7 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
     starts after lo - A; one more A covers rounding), walked in ranges of
     consecutive events of about ``_RANGE`` reals each: 2M per phasor row and
     about 16 per pair entry.  Lag sums and cut entries gather per block, and
-    the M^2 terms are formed once per block after the last range.  A build
+    ``_finish_gram`` forms the M^2 terms after the last range.  A build
     costs O(N_w M) exponentials, O(P_w M) multiply-adds for the P_w pairs of
     those events, O(P_cut M) sines and cosines and O(P_cut M^2) GEMM work for
     the P_cut pairs cut by the window, and O(U^2 M^2) arithmetic, in
@@ -270,39 +315,7 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
             if k >= U * U:
                 cuts[k - U * U].append(np.stack([edge[r] - t_n[r], edge[r] - t_np[r], weight[r]]))
 
-    turn = np.exp(1j * basis.theta)
-    F = np.exp(1j * (basis.omega * A + basis.theta))
-    inv_fact = 1.0 / np.cumprod(np.arange(1.0, J + 1.0))
-    r_sum, r_diff, series = _resonance(basis, A)
-
-    out = np.zeros((U * M, U * M))
-    event_sums = np.zeros((U, U, M))
-    outer = np.multiply.outer
-    step = max(1, _CHUNK // M)
-    for i in range(U):
-        for j in range(U):
-            sums_in, sums = lags[[i * U + j, U * U + i * U + j]][:, :, inverse]
-            sums += sums_in
-            event_sums[i, j] = basis.scale * (turn * sums[J + 1]).real
-            G = turn * sums[0]
-            E = F * np.conj(sums_in[0])
-            X = (outer(E.imag, F.real) - outer(turn.imag, G.real)) * r_sum
-            X += (outer(E.real, F.imag) - outer(turn.real, G.imag)) * r_diff
-            du, dv, w = np.concatenate(cuts[i * U + j], axis=1)
-            for start in range(0, w.size, step):
-                part = slice(start, start + step)
-                alpha = outer(du[part], basis.omega) + basis.theta
-                beta = outer(dv[part], basis.omega) + basis.theta
-                wp = w[part, None]
-                X += ((wp * np.sin(alpha)).T @ np.cos(beta)) * r_sum
-                X += ((wp * np.cos(alpha)).T @ np.sin(beta)) * r_diff
-            _add_series(X, turn * sums[1:J + 1] * inv_fact[:, None], turn, series, A)
-            X /= M
-            # each entry of out and its mirror sum the same two terms, so out
-            # is symmetric to the last bit
-            out[i * M:(i + 1) * M, j * M:(j + 1) * M] += X
-            out[j * M:(j + 1) * M, i * M:(i + 1) * M] += X.T
-    return out, event_sums.reshape(U, U * M)
+    return _finish_gram(lags, cuts, basis, A, U, inverse)
 
 
 def _check_fittable(has_events: bool, A: float, length: float):
@@ -314,11 +327,15 @@ def _check_fittable(has_events: bool, A: float, length: float):
 
 
 def _solve_spd(Z: np.ndarray, rhs: np.ndarray, gamma: float):
-    """Cholesky solve of Z x = rhs with a condition estimate; raises FitError
-    naming gamma when Z is not numerically positive definite."""
+    """Cholesky solve of Z x = rhs with a condition estimate, factoring the
+    symmetric Z in place; raises FitError naming gamma when Z is not finite or
+    not numerically positive definite."""
     anorm = np.abs(Z).sum(axis=0).max()
+    if not np.isfinite(anorm):
+        raise FitError(f"(1/gamma) I + Xi is not finite (gamma={gamma}, 1-norm={anorm})")
     try:
-        factor = cho_factor(Z, lower=True)
+        # Z.T is Z in the Fortran order that LAPACK factors without a copy
+        factor = cho_factor(Z.T, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise FitError(
             f"(1/gamma) I + Xi is not positive definite (gamma={gamma}, "
@@ -368,7 +385,8 @@ class Design:
         condition estimate)."""
         if not gamma > 0:
             raise ValueError(f"gamma must be positive, got {gamma}")
-        Z = self.xi + np.eye(self.xi.shape[0]) / gamma
+        Z = self.xi.copy()
+        Z.flat[::Z.shape[0] + 1] += 1.0 / gamma
         return _solve_spd(Z, rhs, gamma)
 
     def solve(self, gamma: float):
@@ -389,9 +407,7 @@ class Design:
         rhs = np.column_stack([self.window_vec, self.event_sums.T])
         solved, _, cond = self.solve_system(gamma, rhs)
         stats = {"solve_s": time.perf_counter() - t0, "condition_estimate": cond}
-
-        b0 = solved[:, 0]
-        b_dims = solved[:, 1:]
+        b0, b_dims = solved[:, 0], solved[:, 1:]
         denom = self.length - self.window_vec @ b0
         stats["mu_denominator"] = denom
         if denom <= 0:

@@ -55,31 +55,15 @@ class EvalReport:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        doc: dict = {}
-        if self.gamma is not None:
-            doc["gamma"] = self.gamma
-        if self.beta is not None:
-            doc["beta"] = self.beta
-        if self.ls_loss is not None:
-            doc["ls_loss"] = self.ls_loss
-        if self.delta_sq is not None:
-            doc["delta_sq"] = self.delta_sq
-        if self.per_pair is not None:
-            doc["per_pair"] = self.per_pair.tolist()
-        if self.error is not None:
-            doc["error"] = self.error
-        return doc
+        """The scores that are set; ``per_pair`` as nested lists."""
+        return {key: value.tolist() if isinstance(value, np.ndarray) else value
+                for key, value in vars(self).items() if value is not None}
 
 
 def ls_contrast(mu: np.ndarray, coeff: np.ndarray, basis, events: EventSequence,
                 t0: float, t1: float, A: float) -> float:
-    """Least-squares contrast of (mu, coeff) over the window [t0, t1]:
-
-        sum_i [ int_t0^t1 lambda_i(t)^2 dt - 2 sum_{events of i in window} lambda_i(t_n) ]
-
-    The window holds the events with t0 <= t_n < t1; intensities always see
-    the full history, so events before t0 still excite inside the window.
-    """
+    """Least-squares contrast of (mu, coeff) over the window [t0, t1], as
+    ``Design.contrast`` defines it: intensities see the full history."""
     return Design(events, basis, A, t0, t1).contrast(mu, coeff)
 
 
@@ -202,18 +186,10 @@ def bench_scaling(scenario: ScenarioSpec, horizons, M: int, reps: int = 1, seed:
     for T in horizons:
         events = simulate(scenario, T, seed).events
         config = FitConfig(gamma=1.0, A=scenario.A, basis=basis)
-        stats = None
-        for _ in range(max(1, reps)):
-            model = fit(events, config)
-            if stats is None or model.stats["total_s"] < stats["total_s"]:
-                stats = model.stats
-        rows.append({
-            "T": T,
-            "n_events": len(events),
-            "xi_build_s": stats["xi_build_s"],
-            "solve_s": stats["solve_s"],
-            "total_s": stats["total_s"],
-        })
+        stats = min((fit(events, config).stats for _ in range(max(1, reps))),
+                    key=lambda st: st["total_s"])
+        rows.append({"T": T, "n_events": len(events),
+                     **{key: stats[key] for key in ("xi_build_s", "solve_s", "total_s")}})
     counts = np.array([r["n_events"] for r in rows], dtype=float)
     builds = np.array([r["xi_build_s"] for r in rows])
     slope = float(np.polyfit(np.log(counts), np.log(builds), 1)[0])

@@ -169,6 +169,8 @@ def read_events_csv(path, T: float | None = None):
         if T is None:
             raise ValueError(
                 f"{path}: no horizon: pass one explicitly or add a '# T=...' comment")
+        if not 0.0 < T < np.inf:
+            raise ValueError(f"{path}: '# T=' is not a positive finite horizon: {meta['T']!r}")
     U = meta_value(path, meta, "U", int, max(marks) if marks else 1)
     events = EventSequence(np.asarray(times), np.asarray(marks, dtype=int), T, U)
     return events, meta

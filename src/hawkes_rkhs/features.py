@@ -32,11 +32,6 @@ class KernelSpec:
         d = np.asarray(s, dtype=float) - np.asarray(s_prime, dtype=float)
         return np.exp(-((self.beta * d) ** 2))
 
-    @property
-    def frequency_scale(self) -> float:
-        """Standard deviation of the spectral (frequency) distribution."""
-        return np.sqrt(2.0) * self.beta
-
 
 @dataclass(frozen=True)
 class FeatureBasis:
@@ -117,20 +112,17 @@ def build_basis(spec: KernelSpec, M: int, seed: int) -> FeatureBasis:
     rng = np.random.default_rng(seed)
     u = (np.arange(1, n + 1) - rng.random()) / n
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    half = ndtri(u) * spec.frequency_scale
+    half = ndtri(u) * (np.sqrt(2.0) * spec.beta)  # the spectral density's std
     omega = np.concatenate([half, half])
     theta = np.concatenate([np.zeros(n), np.full(n, -0.5 * np.pi)])
     return FeatureBasis(omega=omega, theta=theta, beta=spec.beta, seed=seed)
-
-
-_SERIES_CUTOFF = 1e-4
 
 
 def sinc_u(x):
     """Unnormalized sinc, sin(x)/x, with a 4-term Taylor series below
     |x| = 1e-4 so the x -> 0 limit is exact."""
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _SERIES_CUTOFF
+    small = np.abs(x) < 1e-4
     safe = np.where(small, 1.0, x)
     direct = np.sin(safe) / safe
     x2 = x * x

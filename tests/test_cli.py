@@ -491,6 +491,27 @@ CLI_ERRORS = {
         "--fact-features 16.5,32 is not a list of integers"),
     "unknown-config-key": (["fit", "--config", "{d}/run.toml"], 1,
                            "{d}/run.toml: unknown config key(s): featurs"),
+    "config-fractional-seed": (
+        ["fit", "--events", "{d}/events.csv", "--config", "{d}/frac_seed.toml", "--out",
+         "{d}/m.json"], 2, "{d}/frac_seed.toml: seed = 1.5 is not a valid int"),
+    "config-text-seed": (
+        ["fit", "--events", "{d}/events.csv", "--config", "{d}/text_seed.toml", "--out",
+         "{d}/m.json"], 2, "{d}/text_seed.toml: seed = 'x' is not a valid int"),
+    "config-text-window": (
+        ["fit", "--events", "{d}/events.csv", "--config", "{d}/text_window.toml", "--out",
+         "{d}/m.json"], 2, "{d}/text_window.toml: window = 'wide' is not a valid float"),
+    "fit-nan-horizon-metadata": (
+        ["fit", "--events", "{d}/nan_t.csv", "--out", "{d}/m.json"], 1,
+        "{d}/nan_t.csv: '# T=' is not a positive finite horizon: 'nan'"),
+    "fit-negative-horizon-metadata": (
+        ["fit", "--events", "{d}/negative_t.csv", "--out", "{d}/m.json"], 1,
+        "{d}/negative_t.csv: '# T=' is not a positive finite horizon: '-1'"),
+    "fit-negative-horizon": (
+        ["fit", "--events", "{d}/events.csv", "--horizon", "-1", "--out", "{d}/m.json"], 2,
+        "--horizon -1.0 is not a positive finite number"),
+    "grid-search-nan-horizon": (
+        ["grid-search", "--events", "{d}/events.csv", "--horizon", "nan", "--out",
+         "{d}/g.json"], 2, "--horizon nan is not a positive finite number"),
 }
 
 
@@ -510,6 +531,11 @@ def error_inputs(tmp_path_factory):
     (d / "bare_curves.csv").write_text("# A=1\n# U=1\ns,g_11\n")
     (d / "bad_u_curves.csv").write_text("# A=1\n# U=x\ns,g_11\n0,0.5\n")
     (d / "run.toml").write_text("featurs = 16\n")
+    (d / "frac_seed.toml").write_text("seed = 1.5\n")
+    (d / "text_seed.toml").write_text('seed = "x"\n')
+    (d / "text_window.toml").write_text("window = wide\n")
+    (d / "nan_t.csv").write_text("# T=nan\n# U=1\ntime,mark\n0.5,1\n")
+    (d / "negative_t.csv").write_text("# T=-1\n# U=1\ntime,mark\n0.5,1\n")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["fit", "--events", str(d / "events.csv"), "--features", "2",
                          "--window", "1", "--out", str(d / "model.json")]) == 0

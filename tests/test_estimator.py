@@ -211,32 +211,55 @@ def test_xi_windowed_agrees_with_per_pair_closed_form():
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
-def test_xi_near_resonant_entries_agree_with_per_pair_closed_form():
+def test_xi_near_resonant_entries_agree_with_per_pair_closed_form(monkeypatch):
     # a hand-built basis: an exact resonance (repeated and zero frequencies)
-    # and (m, k) entries with |omega_m -+ omega_k| A at 0.99 and 1.01, on both
-    # sides of the switch to the Taylor series; phases need not be 0 or -pi/2
-    from hawkes_rkhs.estimator import _resonance
+    # and (m, k) entries with |omega_m -+ omega_k| A at 0.099 and 0.101, on
+    # both sides of the switch to the Taylor series at 0.1, and at 0.99 and
+    # 1.01, which take the closed form; phases need not be 0 or -pi/2
+    import hawkes_rkhs.estimator as est
     from hawkes_rkhs.features import FeatureBasis
     A = 4.0
-    omega = np.array([0.5, 0.5, 0.5 + 0.99 / A, 0.5 + 1.01 / A,
+    assert est._CUTOFF == 0.1
+    omega = np.array([0.5, 0.5, 0.5 + 0.099 / A, 0.5 + 0.101 / A,
+                      -0.5 + 0.099 / A, -0.5 + 0.101 / A, 0.5 + 0.99 / A, 0.5 + 1.01 / A,
                       -0.5 + 0.99 / A, -0.5 + 1.01 / A, 0.0, 2.0])
-    theta = np.array([0.0, -0.5 * np.pi, 0.3, -0.5 * np.pi, 1.1, 0.0, 0.7, -0.2])
+    theta = np.array([0.0, -0.5 * np.pi, 0.3, -0.5 * np.pi, 1.1, 0.0, 0.7, -0.2,
+                      -1.3, 0.4, 0.7, -0.2])
     basis = FeatureBasis(omega=omega, theta=theta)
-    (m_plus, k_plus, y_plus), (m_minus, k_minus, y_minus) = _resonance(basis, A)[2]
-    assert {(0, 4), (6, 6)} <= set(zip(m_plus, k_plus))  # y+ = 0.99 and 0
-    assert (0, 5) not in set(zip(m_plus, k_plus))         # y+ = 1.01
-    assert {(0, 1), (2, 0)} <= set(zip(m_minus, k_minus))  # y- = 0 and 0.99
-    assert (3, 0) not in set(zip(m_minus, k_minus))        # y- = 1.01
-    assert np.abs(y_plus).max() < 1.0 and np.abs(y_minus).max() < 1.0
+    resonance, splits = est._resonance, []
+
+    def recorded(*args):
+        splits.append(resonance(*args))
+        return splits[-1]
+
+    monkeypatch.setattr(est, "_resonance", recorded)
     rng = np.random.default_rng(37)
     times = np.unique(rng.uniform(0.0, 11.5, 25))
     ev = EventSequence(times, rng.integers(1, 3, times.size), 12.0, 2)
     assert cut_pair_counts(ev, A, 3.0, 9.0)[0] > 0       # pairs cut at lo
     assert cut_pair_counts(ev, A, 5.0, 8.0)[2] > 0       # and at both ends
     for lo, hi in ((0.0, ev.T), (3.0, 9.0), (5.0, 8.0)):
+        splits.clear()
         got, _ = build_xi(ev, basis, A, lo, hi)
+        # the build took the series on exactly the entries with |y| < 0.1
+        (m_plus, k_plus, y_plus), (m_minus, k_minus, y_minus) = splits[-1][1]
+        plus, minus = set(zip(m_plus, k_plus)), set(zip(m_minus, k_minus))
+        assert {(0, 4), (10, 10)} <= plus                 # y+ = 0.099 and 0
+        assert not {(0, 5), (0, 8), (0, 9)} & plus        # y+ = 0.101, 0.99, 1.01
+        assert {(0, 1), (2, 0)} <= minus                  # y- = 0 and 0.099
+        assert not {(3, 0), (6, 0), (7, 0)} & minus       # y- = 0.101, 0.99, 1.01
+        assert np.abs(y_plus).max() < 0.1 and np.abs(y_minus).max() < 0.1
         ref = per_pair_xi(ev, basis, A, lo, hi)
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def test_series_cutoff_and_term_count_bound_both_errors():
+    # at |y| < _CUTOFF the first series term dropped is below _CUTOFF^J/(J+1)!;
+    # at |y| >= _CUTOFF the closed form's 1/y loses at most ~eps/_CUTOFF
+    from math import factorial
+    from hawkes_rkhs.estimator import _CUTOFF, _SERIES_TERMS
+    assert _CUTOFF ** _SERIES_TERMS / factorial(_SERIES_TERMS + 1) <= 1e-16
+    assert np.finfo(float).eps / _CUTOFF <= 1e-14
 
 
 def test_event_sums_match_per_event_loop():
@@ -298,7 +321,7 @@ def test_gram_does_not_depend_on_time_origin():
 def test_gram_ranges_match_one_range_build(monkeypatch):
     # budgets that cut the walk into ranges of 1-3 events against one range
     # for the whole sequence, on windows that cut pairs at lo and at hi; the
-    # M^2 terms are formed once per block, whatever the number of ranges
+    # M^2 terms are finished once per build, whatever the number of ranges
     import hawkes_rkhs.estimator as est
     rng = np.random.default_rng(59)
     A, lo, hi = 4.0, 2.5, 7.5
@@ -313,18 +336,18 @@ def test_gram_ranges_match_one_range_build(monkeypatch):
     want = [build_xi(ev, basis, A, *window) for window in windows]
 
     sizes, finished = [], []
-    pairs, add_series = est._pairs_lag_in_window, est._add_series
+    pairs, finish = est._pairs_lag_in_window, est._finish_gram
 
     def counted_pairs(starts, a):
         sizes.append(starts.size)
         return pairs(starts, a)
 
-    def counted_series(*args):
+    def counted_finish(*args):
         finished.append(1)
-        return add_series(*args)
+        return finish(*args)
 
     monkeypatch.setattr(est, "_pairs_lag_in_window", counted_pairs)
-    monkeypatch.setattr(est, "_add_series", counted_series)
+    monkeypatch.setattr(est, "_finish_gram", counted_finish)
     for budget in (1, 80):
         monkeypatch.setattr(est, "_RANGE", budget)
         for window, ref in zip(windows, want):
@@ -332,7 +355,7 @@ def test_gram_ranges_match_one_range_build(monkeypatch):
             finished.clear()
             got = build_xi(ev, basis, A, *window)
             assert len(sizes) > 3 and max(sizes) <= 3
-            assert len(finished) == ev.U ** 2
+            assert len(finished) == 1
             assert np.array_equal(got[0], got[0].T)
             for g, w in zip(got, ref):
                 assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
@@ -377,8 +400,8 @@ def test_fit_does_not_depend_on_time_unit(log_c):
             want = g_curve(ref, i, j, s)
             assert_allclose(c * g_curve(got, i, j, c * s), want, rtol=1e-9,
                             atol=1e-9 * np.abs(want).max())
-    for near, scaled_near in zip(_resonance(basis, A)[2],
-                                 _resonance(scaled_basis, A * c)[2]):
+    for near, scaled_near in zip(_resonance(basis, A)[1],
+                                 _resonance(scaled_basis, A * c)[1]):
         assert np.array_equal(near[0], scaled_near[0])
         assert np.array_equal(near[1], scaled_near[1])
 
@@ -560,6 +583,17 @@ def test_solver_rejects_non_spd():
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
     with pytest.raises(FitError, match="positive definite"):
         _solve_spd(bad, np.ones(2), gamma=1.0)
+
+
+@pytest.mark.parametrize("entries", [(np.nan,), (np.inf,), (np.nan, np.inf)])
+def test_solver_rejects_non_finite_systems(entries):
+    # LAPACK is called without scipy's finiteness check, so the 1-norm does it
+    from hawkes_rkhs.estimator import _solve_spd
+    Z = np.eye(3) + 0.1
+    for k, value in enumerate(entries):
+        Z[k, 2] = Z[2, k] = value
+    with pytest.raises(FitError, match=r"not finite \(gamma=0\.5, 1-norm="):
+        _solve_spd(Z, np.ones(3), gamma=0.5)
 
 
 # --- g_curve / intensity --------------------------------------------------------
