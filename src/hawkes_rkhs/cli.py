@@ -173,16 +173,22 @@ def _number_list(opts, key, kind=float) -> tuple:
                          f"{'integers' if kind is int else 'numbers'}") from None
 
 
+def _horizon(opts, key):
+    """Option ``key``, a horizon; UsageError naming it if set but not positive and finite."""
+    if opts[key] is not None and not 0.0 < opts[key] < np.inf:
+        raise UsageError(f"--{key.replace('_', '-')} {opts[key]} is not a positive finite number")
+    return opts[key]
+
+
 def _fit_inputs(opts, command):
     """Seed and events (over --horizon if given) of fit and grid-search; UsageError
     for a missing --events or --out or a --horizon not positive and finite."""
     if opts["events"] is None or opts["out"] is None:
         raise UsageError(f"{command} requires --events and --out")
     seed = _seed_or_none(opts["seed"]) or 0
-    if opts["horizon"] is not None and not 0.0 < opts["horizon"] < np.inf:
-        raise UsageError(f"--horizon {opts['horizon']} is not a positive finite number")
+    T = _horizon(opts, "horizon")
     _writable(opts["out"])
-    return seed, read_events_csv(opts["events"], T=opts["horizon"])[0]
+    return seed, read_events_csv(opts["events"], T=T)[0]
 
 
 def run_simulate(opts) -> int:
@@ -192,6 +198,7 @@ def run_simulate(opts) -> int:
         raise UsageError(f"simulate requires --seed (or {SEED_ENV})")
     if opts["t_end"] is None or opts["out"] is None:
         raise UsageError("simulate requires --t-end and --out")
+    _horizon(opts, "t_end")
     curves_path = opts["curves_out"] or os.path.splitext(opts["out"])[0] + "_curves.csv"
     _writable(opts["out"], curves_path)
     result = simulate(spec, opts["t_end"], seed)
@@ -301,7 +308,7 @@ def run_reproduce(opts) -> int:
         raise UsageError(f"--seeds {text} is not a seed range: expected N or N-M with N <= M")
     factory = SCENARIOS[opts["scenario"]]
     spec = factory() if opts["baseline"] is None else factory(opts["baseline"])
-    t_end = opts["t_end"]
+    t_end = _horizon(opts, "t_end")
     grid = GridSpec((0.1, 0.5, 1.0), (0.5, 1.0, 1.5))
     d2, counts, refit = [], [], []
     for seed in seeds:

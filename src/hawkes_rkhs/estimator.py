@@ -125,28 +125,26 @@ def _resonance(basis: FeatureBasis, A: float):
 
 
 def _lag_sums(phasors: np.ndarray, first: np.ndarray, second: np.ndarray,
-              ell: np.ndarray, weight: np.ndarray, summed: np.ndarray) -> np.ndarray:
+              ell: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Weighted sums of the pair phasors phasors[first_p] conj(phasors[second_p])
-    over pairs p, shape (J + 2, F).
+    over pairs p, shape (J + 1, F).
 
-    Row 0 weighs pair p by weight_p, row j in 1..J by weight_p ell_p^j, and
-    the last row by summed_p.  Each chunk gathers its phasors, at most
-    ``_CHUNK`` reals per array, and takes all rows from one real GEMM on
-    their interleaved real and imaginary parts.
+    Row j in 0..J weighs pair p by weight_p ell_p^j.  Each chunk gathers its
+    phasors, at most ``_CHUNK`` reals per array, and takes all rows from one
+    real GEMM on their interleaved real and imaginary parts.
     """
     J = _SERIES_TERMS
-    out = np.zeros((J + 2, 2 * phasors.shape[1]))
+    out = np.zeros((J + 1, 2 * phasors.shape[1]))
     step = max(1, _CHUNK // out.shape[1])
     gathered = np.empty((2, min(step, first.size), phasors.shape[1]), dtype=complex)
     for start in range(0, first.size, step):
         part = slice(start, start + step)
-        W = np.empty((J + 2, first[part].size))
+        W = np.empty((J + 1, first[part].size))
         W[0] = weight[part]
         W[1] = ell[part]
         for j in range(2, J + 1):
             np.multiply(W[j - 1], W[1], out=W[j])
-        W[1:J + 1] *= W[0]
-        W[J + 1] = summed[part]
+        W[1:] *= W[0]
         Z, Q = gathered[:, :W.shape[1]]
         np.take(phasors, first[part], axis=0, out=Z, mode="clip")
         np.take(phasors, second[part], axis=0, out=Q, mode="clip")
@@ -155,13 +153,14 @@ def _lag_sums(phasors: np.ndarray, first: np.ndarray, second: np.ndarray,
     return out.view(complex)
 
 
-def _finish_gram(lags, cuts, basis: FeatureBasis, A: float, U: int, inverse: np.ndarray):
+def _finish_gram(lags, cuts, halves, basis: FeatureBasis, A: float, U: int, inverse):
     """Gram and event sums of ``build_xi`` from its per-block lag sums (over
     the distinct frequencies, which ``inverse`` maps to the basis) and cut
-    entries, in its low-rank form: X_b for each block b = (i, j), then the
-    series of all blocks' near-resonant entries at once by Horner's rule, then
-    block (i, j) of the Gram X_ij + X_ji^T, formed in place in the (U, M, U, M)
-    layout and copied to its mirror, so the Gram is symmetric to the last bit.
+    entries.  Block b's event sums are its u = 0 lag sum less halves[b], the
+    weight of its self pairs; the Gram takes the low-rank form: X_b for each
+    block b = (i, j), the series of all blocks' near-resonant entries at once
+    by Horner's rule, then block (i, j) X_ij + X_ji^T, formed in place in the
+    (U, M, U, M) layout and copied to its mirror, so it is exactly symmetric.
     """
     M, J = basis.M, _SERIES_TERMS
     turn = np.exp(1j * basis.theta)
@@ -176,8 +175,8 @@ def _finish_gram(lags, cuts, basis: FeatureBasis, A: float, U: int, inverse: np.
     for b in range(U * U):
         sums_in, sums = lags[[b, U * U + b]][:, :, inverse]
         sums += sums_in
-        event_sums[b] = basis.scale * (turn * sums[J + 1]).real
-        moments[b] = turn * sums[1:J + 1] / np.cumprod(np.arange(1.0, J + 1.0))[:, None]
+        event_sums[b] = basis.scale * (turn * (sums[0] - halves[b])).real
+        moments[b] = turn * sums[1:] / np.cumprod(np.arange(1.0, J + 1.0))[:, None]
         E, G = F * np.conj(sums_in[0]), turn * sums[0]
         np.matmul(np.array([E.imag, -turn.imag]).T, np.array([F.real, G.real]), out=S)
         np.matmul(np.array([E.real, -turn.real]).T, np.array([F.imag, G.imag]), out=S_t)
@@ -230,9 +229,10 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
     (omega_m +- omega_k) A, take instead the series (A/M) Re[e^{i theta_m}
     sum_{j<J} (iy)^j / (j+1)! H_k^(j)] (conj H for -) for J(L) as a whole,
     J = _SERIES_TERMS, with H_k^(j) = sum_p (L_p/A)^(j+1) exp(i(omega_k D_p +
-    theta_k)).  So every pair enters the lag sums at L_hi, and a pair cut at lo
-    again at L_lo with its weight negated: their u = 0 terms cancel.  The event
-    sums are the lag sums over the pairs with lo <= t_n < hi.
+    theta_k)).  So every pair with lo <= t_n < hi enters the lag sums at L_hi,
+    and an early one, t_n < lo < min(t_n' + A, hi), at L_hi and again at L_lo
+    with its weight negated: their u = 0 terms cancel, and the event sums are
+    the u = 0 row less the self pairs.
 
     The lag exponentials come from per-event phasors: time is cut into
     segments whose length is a power of two of at least 2A, and
@@ -265,29 +265,27 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
     # segments of a power-of-two length >= 2A: t / span, its floor and the
     # offset t - seg span are exact, and a lag <= A crosses at most one boundary
     span = 2.0 ** np.ceil(np.log2(2.0 * A))
-    first, last = np.searchsorted(times, [lo - 2.0 * A, hi])
+    first, inside, last = np.searchsorted(times, [lo - 2.0 * A, lo, hi])
     starts = _support_start(times, times[first:last], A)
     # reals held by the events before each; a range ends where this passes a multiple of _RANGE
     cost = np.cumsum(np.concatenate([[0], 2 * M + 16 * (np.arange(first, last) + 1 - starts)]))
     ends = np.unique(np.r_[np.searchsorted(cost, np.arange(0, cost[-1], _RANGE)), last - first])
     # per block: lag sums of uncut entries, then of cut ones, kept as (c - t_n, c - t_n', w)
-    lags = np.zeros((2 * U * U, J + 2, freq.size), dtype=complex)
+    lags = np.zeros((2 * U * U, J + 1, freq.size), dtype=complex)
     cuts = [[np.empty((3, 0))] for _ in range(U * U)]
     for a, b in zip(ends[:-1], ends[1:]):
         base = starts[a]  # partners are monotone: the range's first reaches furthest
         n, n2 = _pairs_lag_in_window(starts[a:b], first + a)
         t_n, t_np = times[n], times[n2]
-        overlap = np.maximum(t_n, lo) < np.minimum(t_np + A, hi)
-        summed = (t_n >= lo) & (t_n < hi) & (n != n2)
+        early = (t_n < lo) & (np.minimum(t_np + A, hi) > lo)
         block = (marks[n] - 1) * U + marks[n2] - 1
-        cut = overlap & (t_np + A > hi)
-        # one entry per pair that meets the window, at L_hi, and a ``lower`` one
-        # per pair cut at lo, at L_lo; sorted by block, the entries whose upper
+        # one entry per pair with lo <= t_n or early, at L_hi, and a ``lower``
+        # one per early pair, at L_lo; sorted by block, the entries whose upper
         # end is a window edge (hi, or lo for a lower one) after all the others
-        again = np.flatnonzero(overlap & (t_n < lo))
-        rows = np.concatenate([np.flatnonzero(overlap | summed), again])
+        again = np.flatnonzero(early)
+        rows = np.concatenate([np.flatnonzero(early | (t_n >= lo)), again])
         lower = np.arange(rows.size) >= rows.size - again.size
-        key = block[rows] + U * U * (lower | cut[rows])
+        key = block[rows] + U * U * (lower | (t_np[rows] + A > hi))
         by_block = np.argsort(key.astype(np.min_scalar_type(2 * U * U)), kind="stable")
         bounds = np.searchsorted(key[by_block], np.arange(2 * U * U + 1))
         rows, lower, tail = rows[by_block], lower[by_block], bounds[U * U]
@@ -297,8 +295,7 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
         ell = np.concatenate([A - (t_n[:tail] - t_np[:tail]), edge[tail:] - t_n[tail:]]) / A
         # a same-event pair enters its diagonal block once, and every block is
         # added together with its transpose
-        weight = np.where(n == n2, 0.5, 1.0) * np.where(lower, -1.0, overlap[rows])
-        summed = summed[rows] & ~lower
+        weight = np.where(n == n2, 0.5, 1.0) * np.where(lower, -1.0, 1.0)
         # rows :R against each event's own segment origin, rows R: the next one
         local = times[base:first + b]
         seg = np.floor(local / span)
@@ -311,11 +308,13 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
         second = n2 + local.size * (seg[n2] < seg[n])
         for k in range(2 * U * U):
             r = slice(*bounds[k:k + 2])
-            lags[k] += _lag_sums(phasors, n[r], second[r], ell[r], weight[r], summed[r])
+            lags[k] += _lag_sums(phasors, n[r], second[r], ell[r], weight[r])
             if k >= U * U:
                 cuts[k - U * U].append(np.stack([edge[r] - t_n[r], edge[r] - t_np[r], weight[r]]))
 
-    return _finish_gram(lags, cuts, basis, A, U, inverse)
+    # a self pair, lag 0, enters block (i, i) at weight 1/2 for each mark-i event in [lo, hi)
+    halves = np.diag(np.bincount(marks[inside:last] - 1, minlength=U) / 2.0).ravel()
+    return _finish_gram(lags, cuts, halves, basis, A, U, inverse)
 
 
 def _check_fittable(has_events: bool, A: float, length: float):

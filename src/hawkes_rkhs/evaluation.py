@@ -130,10 +130,10 @@ def grid_search(events: EventSequence, grid: GridSpec, M: int, A: float,
     Each (gamma, beta) cell fits on the events in [0, split * T] with horizon
     split * T, and scores the least-squares contrast on [split * T, T] with
     full history.  Both designs are built once per beta and shared by its
-    gammas; ``workers`` > 1 spreads the betas over processes.  Returns
-    (best, cells) with cells ordered gamma-major; ties prefer larger gamma,
-    then larger beta.  Cells whose fit fails numerically carry an error
-    message and are skipped in the argmin.
+    gammas; ``workers`` > 1 spreads the betas over processes, one per beta at
+    most.  Returns (best, cells) with cells ordered gamma-major; ties prefer
+    larger gamma, then larger beta.  Cells whose fit fails numerically carry
+    an error message and are skipped in the argmin.
     """
     t_split = grid.split_fraction * events.T
     if len(events) == 0 or events.times.max() <= t_split:
@@ -141,6 +141,7 @@ def grid_search(events: EventSequence, grid: GridSpec, M: int, A: float,
             f"validation window empty: no events after t={t_split:.6g}")
     jobs = [(events, grid.gamma_grid, beta, M, A, seed, t_split)
             for beta in grid.beta_grid]
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_beta = list(pool.map(_search_beta, *zip(*jobs)))

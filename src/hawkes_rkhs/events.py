@@ -39,8 +39,8 @@ class EventSequence:
         marks = np.asarray(self.marks, dtype=int).copy()
         if times.ndim != 1 or marks.shape != times.shape:
             raise ValueError("times and marks must be 1-d arrays of equal length")
-        if not self.T > 0:
-            raise ValueError(f"horizon T must be positive, got {self.T}")
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"horizon T must be positive and finite, got {self.T}")
         if self.U < 1:
             raise ValueError(f"dimension count U must be >= 1, got {self.U}")
         if times.size:

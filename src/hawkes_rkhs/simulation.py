@@ -213,8 +213,8 @@ def simulate(spec: ScenarioSpec, T: float, seed: int,
     Aborts with a diagnostic when more than ``max_events`` events accumulate
     (runaway supercritical process).
     """
-    if not T > 0:
-        raise ValueError(f"horizon T must be positive, got {T}")
+    if not 0 < T < np.inf:
+        raise ValueError(f"horizon T must be positive and finite, got {T}")
 
     rng = np.random.default_rng(seed)
     identity = isinstance(spec.link, IdentityLink)

@@ -396,6 +396,12 @@ CLI_ERRORS = {
     "simulate-no-out": (
         ["simulate", "--scenario", "refractory", "--t-end", "10", "--seed", "1"], 2,
         "simulate requires --t-end and --out"),
+    "simulate-nan-horizon": (
+        ["simulate", "--scenario", "refractory", "--t-end", "nan", "--seed", "1",
+         "--out", "{d}/x.csv"], 2, "--t-end nan is not a positive finite number"),
+    "simulate-negative-horizon": (
+        ["simulate", "--scenario", "refractory", "--t-end", "-1", "--seed", "1",
+         "--out", "{d}/x.csv"], 2, "--t-end -1.0 is not a positive finite number"),
     "simulate-unwritable": (
         ["simulate", "--scenario", "refractory", "--t-end", "10", "--seed", "1",
          "--out", "{d}/x.csv", "--curves-out", "{d}/missing/c.csv"], 1,
@@ -475,6 +481,9 @@ CLI_ERRORS = {
     "reproduce-baseline": (
         ["reproduce", "--scenario", "mutually-exciting", "--baseline", "0.1"], 2,
         "--baseline applies to the refractory scenario only"),
+    "reproduce-negative-horizon": (
+        ["reproduce", "--scenario", "refractory", "--t-end", "-1"], 2,
+        "--t-end -1.0 is not a positive finite number"),
     "reproduce-bad-seeds": (
         ["reproduce", "--scenario", "refractory", "--seeds", "5-3"], 2,
         "--seeds 5-3 is not a seed range: expected N or N-M with N <= M"),
@@ -584,23 +593,25 @@ def test_refractory_draw_files_match_benchmark_digests(tmp_path):
 
 
 # SHA-256 of every file a small simulate -> fit -> evaluate run writes, as the
-# code wrote them before the CSV writers shared one function; the model and
-# report digests assume IEEE float64 arithmetic with numpy's own BLAS
+# code wrote them before the CSV writers shared one function; the fitted files
+# were re-recorded when the event sums moved onto the Gram's u = 0 lag row (a
+# change of at most 2.5e-14 relative), and assume IEEE float64 arithmetic with
+# numpy's own BLAS
 PIPELINE_DIGESTS = {
     "ev.csv": "63800c39de7543d6aa3b73786d9059f72b3abcf5a05f011070f6cb44b7aad672",
     "ev_curves.csv": "d2a4b642f571d9ddea76fc1e261d13d90b39627ae6e1ff76503d4e197e32b2c2",
-    "model.json": "e968f78fadea3072a4375bc3e075ad09abc2451226f30eec2d09efa600965897",
-    "pair_g11.csv": "04f349ae49f4aecf1864528e44d5c07a8748f22a37c3c037c5d90fb6dfb59d2d",
-    "pair_g12.csv": "2d559f0f098107c32e68a0b7055868b65fdb551b79d1ca23cec7bacb2d49ac31",
-    "pair_g13.csv": "61cc59ddf4144faade3751a935e30e7beccc19f91a957b5ac1874df221eaf27a",
-    "pair_g21.csv": "0a944239af2662ca7c444003df53b75391e55f1a1d2459c3bf3463e93ae9e3ad",
-    "pair_g22.csv": "157134611869e149297863d8d95157d275e72bbe1e0e567b49788672417775c4",
-    "pair_g23.csv": "e24ab65af3433363809b81c5fbc57d2f4b64ca4bb2e80ea75e670e0b1e834040",
-    "pair_g31.csv": "6034253a07e74f1403cdb86ae3c07cb181ce72564d607eaa7936a4a29f8c2688",
-    "pair_g32.csv": "34f1db91ff57792dcdc52f2ba2cf0122cf7a291af0ee18f93671109a53dbb6a7",
-    "pair_g33.csv": "0a49fae68de6203df0341a1d3fff9391227a0444b51057edeb09e1f827233852",
-    "report.json": "cd390b3186046f1a403b35017fbe74760532d11ca072d8dbba6839ea090a467b",
-    "report_file.json": "3b4583b1ded5badd7a87cdb1522d11423f55acd350979ddaf57e2663454fc103",
+    "model.json": "bff282222406bdde21676f973fdcdb04d2342e0b2df0c668426b49412f0e020c",
+    "pair_g11.csv": "06521d41ff992c517b29a422abaaecd620b21ce46cf70c24d51950f4d686d920",
+    "pair_g12.csv": "07feed89675e4885d352802222faaaccc5f27a4bc56af83c7db30c5ec3418c73",
+    "pair_g13.csv": "686d8c00430b93a661e1bc24530a3f39c49174f1c33c32b6fc93a83c4cb91f1d",
+    "pair_g21.csv": "ec4121998b06494151f8414ae2646d45c9d3239aed384d2901e415669f3b327c",
+    "pair_g22.csv": "49f36397bd9dcf32ab69377cf686355cb2bcf696640b7f8e4630efd2cab0515f",
+    "pair_g23.csv": "ef6bc7889a70ca744f37e0fbf82d9d58bb7928c24013d0f29b8ceb5481688d02",
+    "pair_g31.csv": "913540a01976fbaeff416e0223f1c12e69d81df7175fc5204edb72f632cb55fe",
+    "pair_g32.csv": "3c5c0a8771f3ad1b70aa2a58e8ae44e4c97b18080c3921087edfb0b65ea63bf5",
+    "pair_g33.csv": "2a17cc29122f603c5e025a2591ac4b8ae992a7cb53439a6a56e32814ec9bbdec",
+    "report.json": "53550906489c82537590879438dfee06f0edae105ceead6ea64a10b2182b56b4",
+    "report_file.json": "d629a376116d5878f7062dc1ca39630ef9fecc9282a1618c37f56eb68f2e9c89",
 }
 
 

@@ -48,6 +48,9 @@ def test_event_sequence_rejects_bad_input():
         EventSequence(np.array([1.0]), np.array([3]), 10.0, 2)
     with pytest.raises(ValueError, match="negative"):
         EventSequence(np.array([-1.0, 2.0]), np.array([1, 1]), 10.0, 1)
+    for T in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            EventSequence(np.array([1.0]), np.array([1]), T, 1)
 
 
 def test_event_sequence_counts_partition():
@@ -425,6 +428,21 @@ def test_design_split_additivity(seed, split):
         assert_allclose(left + right, want, rtol=0,
                         atol=1e-10 * max(1.0, np.abs(want).max()))
     assert whole.length == ev.T and whole.counts.sum() == len(ev)
+
+
+@pytest.mark.parametrize("at_event", [True, False])
+def test_design_over_an_empty_window_is_zero(at_event):
+    # lo = hi at an event time or between events, with pairs whose support
+    # [t_n', t_n' + A] spans the point: no pair meets a window of length 0
+    ev, basis = small_instance(seed=29, U=2, n=20, T=12.0)
+    A = 3.0
+    k = len(ev) // 2
+    s = ev.times[k] if at_event else 0.5 * (ev.times[k] + ev.times[k + 1])
+    assert np.any((ev.times < s) & (ev.times + A > s))
+    design = Design(ev, basis, A, s, s)
+    assert design.length == 0.0
+    for part in design_parts(design):
+        assert not np.any(part)
 
 
 def test_design_prefix_matches_restricted_events():

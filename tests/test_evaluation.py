@@ -269,6 +269,31 @@ def test_grid_search_deterministic_and_parallel_identical():
         assert a.ls_loss == b.ls_loss
 
 
+def test_grid_search_pool_has_one_worker_per_beta_at_most(monkeypatch):
+    # a recording stand-in for the pool, so that no process starts
+    pools = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", Pool)
+    events = sim_events(seed=9)
+    grid_search(events, GridSpec((1.0,), (0.5, 1.0, 1.5)), M=8, A=5.0, seed=1, workers=8)
+    assert pools == [3]
+    grid_search(events, GridSpec((1.0,), (1.0,)), M=8, A=5.0, seed=1, workers=8)
+    assert pools == [3]
+
+
 def test_grid_search_empty_validation_window():
     # all events land before the split point
     times = np.array([1.0, 2.0, 3.0])

@@ -112,8 +112,10 @@ def test_simulation_reproducible():
 
 
 def test_simulation_rejects_bad_horizon():
-    with pytest.raises(ValueError):
-        simulate(poisson_spec(), 0.0, 1)
+    # max_events bounds the draw should an infinite horizon be accepted
+    for T in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            simulate(poisson_spec(), T, 1, max_events=10)
 
 
 def test_accepted_intensities_positive():
