@@ -106,21 +106,28 @@ _RANGE = 1 << 22
 def _resonance(basis: FeatureBasis, A: float):
     """Split the (m, k) entries of a Gram block by y = (omega_m +- omega_k) A.
 
-    Returns R+ + R-, R+-[m, k] = 1 / (M (omega_m +- omega_k)) but 0 where
+    Returns R = R+ + R-, R+-[m, k] = 1 / (M (omega_m +- omega_k)) but 0 where
     |y| < _CUTOFF, and for each sign the (m, k, y) of those near-resonant
-    entries, which take the Taylor series in y.  R+ - R- is the transpose of
-    R+ + R- to the bit.  The criterion is dimensionless, so it does not
-    depend on the time unit.
+    entries in row-major order, found in windows of the sorted frequencies;
+    they take the Taylor series in y.  R+ - R- is R^T.  The criterion is
+    dimensionless, so it does not depend on the time unit.
     """
-    r_sum, series = np.zeros((basis.M, basis.M)), []
+    omega, M, order = basis.omega, basis.M, np.argsort(basis.omega)
+    r_sum = np.empty((M, M))
+    with np.errstate(divide="ignore", invalid="ignore"):  # R as one fraction; near entries below
+        for i in range(0, M, 64):  # blocks of rows, whose temporaries stay in cache
+            rows = omega[i:i + 64, None]
+            np.divide((2.0 / M) * rows, (rows + omega) * (rows - omega), out=r_sum[i:i + 64])
+    series, reach = [], 2.0 * _CUTOFF / A  # a window past every near entry
     for sign in (1.0, -1.0):
-        x = np.add.outer(basis.omega, sign * basis.omega)
-        near = np.abs(x) * A < _CUTOFF
-        m, k = np.nonzero(near)
-        series.append((m, k, x[m, k] * A))
-        x *= basis.M
-        x[near] = np.inf
-        r_sum += np.divide(1.0, x, out=x)
+        lo, hi = np.searchsorted(omega[order], -sign * omega + [[-reach], [reach]])
+        m = np.repeat(np.arange(M), hi - lo)
+        k = order[np.arange(m.size) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)]
+        near = np.abs(omega[m] + sign * omega[k]) * A < _CUTOFF
+        m, k = np.divmod(np.sort(m[near] * M + k[near]), M)
+        series.append((m, k, (omega[m] + sign * omega[k]) * A))
+        x = omega[m] - sign * omega[k]  # the other sign's term stays, or 0 where it is near too
+        r_sum[m, k] = np.divide(1.0, M * x, out=np.zeros_like(x), where=np.abs(x) * A >= _CUTOFF)
     return r_sum, series
 
 
@@ -157,49 +164,63 @@ def _finish_gram(lags, cuts, halves, basis: FeatureBasis, A: float, U: int, inve
     """Gram and event sums of ``build_xi`` from its per-block lag sums (over
     the distinct frequencies, which ``inverse`` maps to the basis) and cut
     entries.  Block b's event sums are its u = 0 lag sum less halves[b], the
-    weight of its self pairs; the Gram takes the low-rank form: X_b for each
-    block b = (i, j), the series of all blocks' near-resonant entries at once
-    by Horner's rule, then block (i, j) X_ij + X_ji^T, formed in place in the
-    (U, M, U, M) layout and copied to its mirror, so it is exactly symmetric.
+    weight of its self pairs.  With X_b = R o S_b + R^T o S~_b + series_b as in
+    ``build_xi``, Gram block i <= j is R o P + R^T o Q plus series, P = S_ij +
+    S~_ji^T and Q = S~_ij + S_ji^T each from one GEMM over the rows of X_ij and,
+    a and c swapped, of X_ji.  On the diagonal Q = P^T and the block is Y + Y^T,
+    Y = R o P + series; the rest are mirrored, so the Gram is exactly symmetric.
     """
     M, J = basis.M, _SERIES_TERMS
     turn = np.exp(1j * basis.theta)
     F = np.exp(1j * (basis.omega * A + basis.theta))
     r_sum, series = _resonance(basis, A)
-    r_diff = np.ascontiguousarray(r_sum.T)
-    out = np.empty((U, M, U, M))
-    S, S_t = np.empty((2, M, M))
     moments = np.empty((U * U, J, M), dtype=complex)
     event_sums = np.empty((U * U, M))
-    step = max(1, _CHUNK // M)
+    ends = np.empty((U * U, 2, 2, M), dtype=complex)  # a and c rows of u = 0 and c = t_n' + A
     for b in range(U * U):
         sums_in, sums = lags[[b, U * U + b]][:, :, inverse]
         sums += sums_in
         event_sums[b] = basis.scale * (turn * (sums[0] - halves[b])).real
         moments[b] = turn * sums[1:] / np.cumprod(np.arange(1.0, J + 1.0))[:, None]
-        E, G = F * np.conj(sums_in[0]), turn * sums[0]
-        np.matmul(np.array([E.imag, -turn.imag]).T, np.array([F.real, G.real]), out=S)
-        np.matmul(np.array([E.real, -turn.real]).T, np.array([F.imag, G.imag]), out=S_t)
-        du, dv, w = np.concatenate(cuts[b], axis=1)
-        for start in range(0, w.size, step):
-            part = slice(start, start + step)
-            alpha = np.multiply.outer(du[part], basis.omega) + basis.theta
-            beta = np.multiply.outer(dv[part], basis.omega) + basis.theta
-            S += (w[part, None] * np.sin(alpha)).T @ np.cos(beta)
-            S_t += (w[part, None] * np.cos(alpha)).T @ np.sin(beta)
-        X = np.multiply(S, r_sum, out=out[b // U, :, b % U])
-        X += np.multiply(S_t, r_diff, out=S_t)
-    blocks = np.arange(U * U)[:, None]
-    for (m, k, y), H in zip(series, (moments, np.conj(moments))):
-        acc = H[:, -1, k]
-        for order in range(J - 2, -1, -1):
-            acc = H[:, order, k] + 1j * y * acc
-        out[blocks // U, m, blocks % U, k] += (A / M) * (turn[m] * acc).real
-    # X_ij + X_ji^T in place (numpy copies an overlapping operand first), then mirrored
+        ends[b] = [[F * np.conj(sums_in[0]), -turn], [F, turn * sums[0]]]
+    near = []
+    for (m, k, y), conj in zip(series, (np.asarray, np.conj)):
+        H, iy, acc = conj(moments[:, :, k]), 1j * y, 0.0
+        for order in range(J - 1, -1, -1):
+            acc = iy * acc + H[:, order]
+        near.append((m, k, (A / M) * (turn[m] * acc).real))
+    r_t = np.ascontiguousarray(r_sum.T)
+    out, (P, Q) = np.empty((U, M, U, M)), np.empty((2, M, M))
+    step = max(1, _CHUNK // M)
     for i in range(U):
         for j in range(i, U):
-            out[i, :, j] += out[j, :, i].T
-            out[j, :, i] = out[i, :, j].T
+            ij, ji = i * U + j, j * U + i
+            # the rows of X_ij, then those of X_ji with a and c swapped (du and dv for a cut row)
+            a, c = np.concatenate([ends[ij], ends[ji, ::-1]], axis=1)
+            du, dv, w = np.concatenate(cuts[ij] + [cut[[1, 0, 2]] for cut in cuts[ji]], axis=1)
+            # (left, right) rows of P, then of Q; the end rows join the first chunk of cut rows
+            for start in range(0, max(w.size, 1), step):
+                part = slice(start, start + step)
+                alpha, beta = (np.outer(d[part], basis.omega) + basis.theta for d in (du, dv))
+                sides = [w[part, None] * np.sin(alpha), np.cos(beta),
+                         w[part, None] * np.cos(alpha), np.sin(beta)]
+                if start == 0:
+                    sides = list(map(np.concatenate, zip((a.imag, c.real, a.real, c.imag), sides)))
+                for target, left, right in ((P, *sides[:2]), (Q, *sides[2:]))[:1 + (i < j)]:
+                    product = np.matmul(left.T, right, out=None if start else target)
+                    if start:
+                        target += product
+            Y = np.multiply(r_sum, P, out=P if i == j else out[i, :, j])
+            if i < j:
+                Y += np.multiply(r_t, Q, out=Q)
+            for m, k, value in near:
+                Y[m, k] += value[ij]
+                if i < j:
+                    Y[k, m] += value[ji]
+            for t in range(0, M, 64):  # by tiles: rows of M x M blocks share cache sets
+                out[j, :, i][:, t:t + 64] = Y[t:t + 64].T
+            if i == j:
+                out[i, :, i] += Y
     return out.reshape(U * M, U * M), event_sums.reshape(U, U * M)
 
 
@@ -225,7 +246,7 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
     theta_k)), and a window edge c in {lo, hi} gives a row (w e^{i alpha},
     e^{i beta}) per pair of weight w cut there.  So a block X_b is (R+ + R-) o
     sum_r Im(a_r) Re(c_r)^T + (R+ - R-) o sum_r Re(a_r) Im(c_r)^T over its rows
-    r: two GEMMs and two Hadamard products.  Entries with |y| < _CUTOFF, y =
+    r, with S_b and S~_b its two sums.  Entries with |y| < _CUTOFF, y =
     (omega_m +- omega_k) A, take instead the series (A/M) Re[e^{i theta_m}
     sum_{j<J} (iy)^j / (j+1)! H_k^(j)] (conj H for -) for J(L) as a whole,
     J = _SERIES_TERMS, with H_k^(j) = sum_p (L_p/A)^(j+1) exp(i(omega_k D_p +
@@ -329,11 +350,11 @@ def _solve_spd(Z: np.ndarray, rhs: np.ndarray, gamma: float):
     """Cholesky solve of Z x = rhs with a condition estimate, factoring the
     symmetric Z in place; raises FitError naming gamma when Z is not finite or
     not numerically positive definite."""
-    anorm = np.abs(Z).sum(axis=0).max()
+    # Z.T: Z in the Fortran order LAPACK reads without a copy; NaN and inf carry into the norm
+    anorm = _lapack.dlange("1", Z.T)
     if not np.isfinite(anorm):
         raise FitError(f"(1/gamma) I + Xi is not finite (gamma={gamma}, 1-norm={anorm})")
     try:
-        # Z.T is Z in the Fortran order that LAPACK factors without a copy
         factor = cho_factor(Z.T, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise FitError(
@@ -341,7 +362,7 @@ def _solve_spd(Z: np.ndarray, rhs: np.ndarray, gamma: float):
             f"1-norm={anorm:.3e}); the system is numerically singular") from exc
     rcond, _ = _lapack.dpocon(factor[0], anorm, uplo="L")
     cond = np.inf if rcond == 0 else 1.0 / rcond
-    return cho_solve(factor, rhs), factor, cond
+    return cho_solve(factor, np.asarray_chkfinite(rhs), check_finite=False), factor, cond
 
 
 class Design:
@@ -537,8 +558,8 @@ class EquivalentKernel:
 
     def coefficients(self, s_prime: float) -> np.ndarray:
         """Solution vector ((1/gamma) I + Xi)^{-1} phi_tilde(s')."""
-        return cho_solve(
-            self._factor, phi_tilde(self.events, self.basis, self.A, s_prime))
+        rhs = np.asarray_chkfinite(phi_tilde(self.events, self.basis, self.A, s_prime))
+        return cho_solve(self._factor, rhs, check_finite=False)
 
     def h(self, j: int, s, s_prime: float) -> np.ndarray:
         """h_j(s, s') at a lag s or on an array of lags, for one fixed s'."""

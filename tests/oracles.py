@@ -15,12 +15,27 @@ from hawkes_rkhs.features import FeatureBasis
 from hawkes_rkhs.simulation import IdentityLink, ScenarioSpec, SimResult
 
 
+# on an interval shorter than this, quad's error estimate is rounding noise
+# (at 4.78e-16 it warns of "extremely bad integrand behavior"), while a fixed
+# Gauss-Legendre rule is exact to rounding for an integrand that cannot vary
+_TINY = 1e-9
+
+
+def _integrate(f, lo: float, hi: float) -> float:
+    """int_lo^hi f: adaptive quadrature, or an 8-point Gauss-Legendre rule
+    on an interval shorter than _TINY; f takes an array of times."""
+    if abs(hi - lo) < _TINY:
+        x, w = np.polynomial.legendre.leggauss(8)
+        return 0.5 * (hi - lo) * float(w @ f(0.5 * (hi - lo) * x + 0.5 * (hi + lo)))
+    val, _ = quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)
+    return val
+
+
 def quad_phi_component(basis: FeatureBasis, m: int, lo: float, hi: float,
                        shift: float = 0.0) -> float:
     """Adaptive quadrature of int_lo^hi phi_m(t - shift) dt."""
     f = lambda t: basis.scale * np.cos(basis.omega[m] * (t - shift) + basis.theta[m])
-    val, _ = quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)
-    return val
+    return _integrate(f, lo, hi)
 
 
 def quad_phi_vector(basis: FeatureBasis, lo: float, hi: float,
@@ -39,7 +54,7 @@ def quad_phi_outer(basis: FeatureBasis, t_n: float, t_np: float,
         for n in range(M):
             f = lambda t: amp * np.cos(basis.omega[m] * (t - t_n) + basis.theta[m]) \
                 * np.cos(basis.omega[n] * (t - t_np) + basis.theta[n])
-            out[m, n], _ = quad(f, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)
+            out[m, n] = _integrate(f, a, b)
     return out
 
 

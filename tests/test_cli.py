@@ -595,23 +595,24 @@ def test_refractory_draw_files_match_benchmark_digests(tmp_path):
 # SHA-256 of every file a small simulate -> fit -> evaluate run writes, as the
 # code wrote them before the CSV writers shared one function; the fitted files
 # were re-recorded when the event sums moved onto the Gram's u = 0 lag row (a
-# change of at most 2.5e-14 relative), and assume IEEE float64 arithmetic with
-# numpy's own BLAS
+# change of at most 2.5e-14 relative) and when each Gram block pair came to be
+# formed once (at most 9.3e-16 of a file's largest value), and assume IEEE
+# float64 arithmetic with numpy's own BLAS
 PIPELINE_DIGESTS = {
     "ev.csv": "63800c39de7543d6aa3b73786d9059f72b3abcf5a05f011070f6cb44b7aad672",
     "ev_curves.csv": "d2a4b642f571d9ddea76fc1e261d13d90b39627ae6e1ff76503d4e197e32b2c2",
-    "model.json": "bff282222406bdde21676f973fdcdb04d2342e0b2df0c668426b49412f0e020c",
-    "pair_g11.csv": "06521d41ff992c517b29a422abaaecd620b21ce46cf70c24d51950f4d686d920",
-    "pair_g12.csv": "07feed89675e4885d352802222faaaccc5f27a4bc56af83c7db30c5ec3418c73",
-    "pair_g13.csv": "686d8c00430b93a661e1bc24530a3f39c49174f1c33c32b6fc93a83c4cb91f1d",
-    "pair_g21.csv": "ec4121998b06494151f8414ae2646d45c9d3239aed384d2901e415669f3b327c",
-    "pair_g22.csv": "49f36397bd9dcf32ab69377cf686355cb2bcf696640b7f8e4630efd2cab0515f",
-    "pair_g23.csv": "ef6bc7889a70ca744f37e0fbf82d9d58bb7928c24013d0f29b8ceb5481688d02",
-    "pair_g31.csv": "913540a01976fbaeff416e0223f1c12e69d81df7175fc5204edb72f632cb55fe",
-    "pair_g32.csv": "3c5c0a8771f3ad1b70aa2a58e8ae44e4c97b18080c3921087edfb0b65ea63bf5",
-    "pair_g33.csv": "2a17cc29122f603c5e025a2591ac4b8ae992a7cb53439a6a56e32814ec9bbdec",
-    "report.json": "53550906489c82537590879438dfee06f0edae105ceead6ea64a10b2182b56b4",
-    "report_file.json": "d629a376116d5878f7062dc1ca39630ef9fecc9282a1618c37f56eb68f2e9c89",
+    "model.json": "db4b2cca6ad6c39b9ea35575023e23ee4edb7f4470691cc4bffe8b57c0002536",
+    "pair_g11.csv": "928a43b8a6cde5283982bc4903d641349518640ac2dedb8c51732ef84f46d8ad",
+    "pair_g12.csv": "987f5e1ec568c73a5c90485f8860ba22a752cf9b5c559c7e339540f05ba69354",
+    "pair_g13.csv": "2145ed53fd630aad2117475628f68fce30fb8daa061386c96ac6bfab2a1da3f8",
+    "pair_g21.csv": "2c9b6af7b0e238029d073d211c5a3bcb7f4436e030bb0084858834ad2b39edd1",
+    "pair_g22.csv": "d5ff6e54e68c019eb1bf5b50f0f545278417653a18e65562aa2efdbe9d4f32be",
+    "pair_g23.csv": "06164bafe2952a1aed4faed655134c31fd489a85ce295ab019159e63294d877e",
+    "pair_g31.csv": "ae653a94545acdd7c2e2e720bacd985e026c1370b42ff444b13af547f4476868",
+    "pair_g32.csv": "716766d3845ab4b858ccd25c8d2b58b3caf67628fd1fdbae9f8ef23d918a1dde",
+    "pair_g33.csv": "86f4359a33d782f852fc4a97d1d5a1172a20b705f5685dbf9b844417d60fcafd",
+    "report.json": "9661526a389cfd0024be9622120a9d3f99166a71140806a28362bcca4e96d952",
+    "report_file.json": "ab3d8c41566259aaee214b305a7f2aaf44b7637df90a2a667b34e8d5732ca918",
 }
 
 

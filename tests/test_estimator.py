@@ -214,21 +214,25 @@ def test_xi_windowed_agrees_with_per_pair_closed_form():
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
-def test_xi_near_resonant_entries_agree_with_per_pair_closed_form(monkeypatch):
-    # a hand-built basis: an exact resonance (repeated and zero frequencies)
-    # and (m, k) entries with |omega_m -+ omega_k| A at 0.099 and 0.101, on
-    # both sides of the switch to the Taylor series at 0.1, and at 0.99 and
-    # 1.01, which take the closed form; phases need not be 0 or -pi/2
-    import hawkes_rkhs.estimator as est
+def near_resonant_basis(A):
+    """A hand-built basis: an exact resonance (repeated and zero frequencies)
+    and (m, k) entries with |omega_m -+ omega_k| A at 0.099 and 0.101, on
+    both sides of the switch to the Taylor series at 0.1, and at 0.99 and
+    1.01, which take the closed form; phases need not be 0 or -pi/2."""
     from hawkes_rkhs.features import FeatureBasis
-    A = 4.0
-    assert est._CUTOFF == 0.1
     omega = np.array([0.5, 0.5, 0.5 + 0.099 / A, 0.5 + 0.101 / A,
                       -0.5 + 0.099 / A, -0.5 + 0.101 / A, 0.5 + 0.99 / A, 0.5 + 1.01 / A,
                       -0.5 + 0.99 / A, -0.5 + 1.01 / A, 0.0, 2.0])
     theta = np.array([0.0, -0.5 * np.pi, 0.3, -0.5 * np.pi, 1.1, 0.0, 0.7, -0.2,
                       -1.3, 0.4, 0.7, -0.2])
-    basis = FeatureBasis(omega=omega, theta=theta)
+    return FeatureBasis(omega=omega, theta=theta)
+
+
+def test_xi_near_resonant_entries_agree_with_per_pair_closed_form(monkeypatch):
+    import hawkes_rkhs.estimator as est
+    A = 4.0
+    assert est._CUTOFF == 0.1
+    basis = near_resonant_basis(A)
     resonance, splits = est._resonance, []
 
     def recorded(*args):
@@ -254,6 +258,59 @@ def test_xi_near_resonant_entries_agree_with_per_pair_closed_form(monkeypatch):
         assert np.abs(y_plus).max() < 0.1 and np.abs(y_minus).max() < 0.1
         ref = per_pair_xi(ev, basis, A, lo, hi)
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def test_gram_blocks_are_symmetric_and_agree_with_per_pair_closed_form(monkeypatch):
+    # U = 3 and U = 1 Grams on windows that cut pairs at both ends: each block
+    # pair i <= j is formed once and mirrored, so an i/j swap would show in
+    # blocks (1, 3) and (2, 3); chunks of 2 cut rows also split every block
+    # pair's cut rows over several GEMMs
+    import hawkes_rkhs.estimator as est
+    rng = np.random.default_rng(71)
+    A, chunk = 4.0, est._CHUNK
+    times = np.unique(np.concatenate([rng.uniform(1.5, 2.5, 8), rng.uniform(6.5, 7.5, 8),
+                                      rng.uniform(0.0, 10.0, 8)]))
+    for U in (3, 1):
+        marks = np.resize(np.arange(1, U + 1), times.size)
+        rng.shuffle(marks)
+        ev = EventSequence(times, marks, 10.0, U)
+        for lo, hi in ((2.5, 7.5), (2.0, 5.0)):
+            assert min(cut_pair_counts(ev, A, lo, hi)[:2]) > 0
+            for basis in (build_basis(KernelSpec(beta=1.0), 64, 5), near_resonant_basis(A)):
+                ref = per_pair_xi(ev, basis, A, lo, hi)
+                for size in (chunk, 2 * basis.M):
+                    monkeypatch.setattr(est, "_CHUNK", size)
+                    got, _ = build_xi(ev, basis, A, lo, hi)
+                    assert np.array_equal(got, got.T)
+                    assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def test_resonance_split_matches_the_full_mask():
+    # random bases with repeated, zero and exactly opposite frequencies: the
+    # near entries found in windows of the sorted frequencies are those of the
+    # full |y| < _CUTOFF mask, in np.nonzero order, and R is the sum of the two
+    # reciprocals exactly on them and within 4e-16 of its largest entry off them
+    import hawkes_rkhs.estimator as est
+    from hawkes_rkhs.features import FeatureBasis
+    rng = np.random.default_rng(73)
+    for M, A in ((16, 0.5), (64, 4.0), (64, 40.0), (100, 4.0)):
+        base = rng.normal(size=M // 4)
+        omega = rng.choice(np.concatenate([base, -base, [0.0], rng.normal(size=M // 4)]), M)
+        basis = FeatureBasis(omega=omega, theta=rng.uniform(-np.pi, np.pi, M))
+        R, series = est._resonance(basis, A)
+        want, off = np.zeros((M, M)), np.ones((M, M), dtype=bool)
+        for sign, (m, k, y) in zip((1.0, -1.0), series):
+            x = np.add.outer(omega, sign * omega)
+            near = np.abs(x) * A < est._CUTOFF
+            assert np.count_nonzero(near & ~np.eye(M, dtype=bool)) > 0
+            for got, ref in zip((m, k, y), (*np.nonzero(near), x[near] * A)):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            off &= ~near
+            x *= M
+            x[near] = np.inf
+            want += 1.0 / x
+        assert np.array_equal(R[~off], want[~off])
+        assert np.abs(R - want)[off].max() <= 4e-16 * np.abs(want).max()
 
 
 def test_series_cutoff_and_term_count_bound_both_errors():

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
 from hawkes_rkhs.features import (
@@ -168,6 +168,7 @@ def test_outer_integral_same_shift_psd(t_n, a, length, seed):
 
 @given(st.floats(0.3, 2.0), st.floats(0.0, 3.0), st.floats(0.0, 3.0),
        st.floats(0.0, 3.0), st.floats(0.0, 3.0), st.integers(0, 10**6))
+@example(beta=1.0, t_n=0.0, t_np=1.0, a=1.0, length=4.78e-16, seed=0)  # a near-empty interval
 def test_closed_forms_match_quadrature_randomized(beta, t_n, t_np, a, length, seed):
     basis = build_basis(KernelSpec(beta=beta), 4, seed)
     got = integral_phi_outer(basis, t_n, t_np, a, a + length)
