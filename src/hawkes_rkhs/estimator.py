@@ -96,8 +96,8 @@ def _pairs_lag_in_window(starts: np.ndarray, a: int):
 # ~ 2e-15 to cancellation, and one below it J terms, the first dropped under
 # _CUTOFF^J/(J+1)! ~ 2.5e-18 of the sum's scale
 _CUTOFF, _SERIES_TERMS = 0.1, 10
-# elements per array of a chunk of pair entries (1 MB): entries x distinct
-# frequencies x (re, im) in the lag pass, entries x M in the edge terms
+# elements per array of a chunk of pair entries in ``_lag_sums`` (1 MB):
+# entries x distinct frequencies x (re, im)
 _CHUNK = 1 << 17
 # reals a range of events may hold in ``build_xi`` (32 MB), whatever the event count
 _RANGE = 1 << 22
@@ -160,15 +160,16 @@ def _lag_sums(phasors: np.ndarray, first: np.ndarray, second: np.ndarray,
     return out.view(complex)
 
 
-def _finish_gram(lags, cuts, halves, basis: FeatureBasis, A: float, U: int, inverse):
-    """Gram and event sums of ``build_xi`` from its per-block lag sums (over
-    the distinct frequencies, which ``inverse`` maps to the basis) and cut
-    entries.  Block b's event sums are its u = 0 lag sum less halves[b], the
-    weight of its self pairs.  With X_b = R o S_b + R^T o S~_b + series_b as in
-    ``build_xi``, Gram block i <= j is R o P + R^T o Q plus series, P = S_ij +
-    S~_ji^T and Q = S~_ij + S_ji^T each from one GEMM over the rows of X_ij and,
-    a and c swapped, of X_ji.  On the diagonal Q = P^T and the block is Y + Y^T,
-    Y = R o P + series; the rest are mirrored, so the Gram is exactly symmetric.
+def _finish_gram(uncut, sums, edge_rows, halves, basis: FeatureBasis, A: float, U: int):
+    """Gram and event sums of ``build_xi`` from its per-block lag sums over
+    the pairs that end at t_n' + A (uncut) and over all pairs (sums), and its
+    edge rows (a, c).  Block b's event sums are its u = 0 lag sum less
+    halves[b], the weight of its self pairs.  With X_b = R o S_b + R^T o S~_b
+    + series_b as in ``build_xi``, Gram block i <= j is R o P + R^T o Q plus
+    series, P = S_ij + S~_ji^T and Q = S~_ij + S_ji^T each from one GEMM over
+    the rows of X_ij (u = 0, c = t_n' + A, then the edges') and, a and c
+    swapped, of X_ji.  On the diagonal Q = P^T and the block is Y + Y^T, Y =
+    R o P + series; the rest are mirrored, so the Gram is exactly symmetric.
     """
     M, J = basis.M, _SERIES_TERMS
     turn = np.exp(1j * basis.theta)
@@ -176,13 +177,14 @@ def _finish_gram(lags, cuts, halves, basis: FeatureBasis, A: float, U: int, inve
     r_sum, series = _resonance(basis, A)
     moments = np.empty((U * U, J, M), dtype=complex)
     event_sums = np.empty((U * U, M))
-    ends = np.empty((U * U, 2, 2, M), dtype=complex)  # a and c rows of u = 0 and c = t_n' + A
+    sides = []  # per block, (Im a, Re c, Re a, Im c) over its rows, each contiguous
     for b in range(U * U):
-        sums_in, sums = lags[[b, U * U + b]][:, :, inverse]
-        sums += sums_in
-        event_sums[b] = basis.scale * (turn * (sums[0] - halves[b])).real
-        moments[b] = turn * sums[1:] / np.cumprod(np.arange(1.0, J + 1.0))[:, None]
-        ends[b] = [[F * np.conj(sums_in[0]), -turn], [F, turn * sums[0]]]
+        event_sums[b] = basis.scale * (turn * (sums[b, 0] - halves[b])).real
+        moments[b] = turn * sums[b, 1:] / np.cumprod(np.arange(1.0, J + 1.0))[:, None]
+        # c = t_n' + A takes the uncut pairs alone, u = 0 every pair
+        ends = [[F * np.conj(uncut[b, 0]), -turn], [F, turn * sums[b, 0]]]
+        a, c = np.concatenate([ends, *edge_rows[b]], axis=1)
+        sides.append(np.stack([a.imag, c.real, a.real, c.imag]))
     near = []
     for (m, k, y), conj in zip(series, (np.asarray, np.conj)):
         H, iy, acc = conj(moments[:, :, k]), 1j * y, 0.0
@@ -191,28 +193,15 @@ def _finish_gram(lags, cuts, halves, basis: FeatureBasis, A: float, U: int, inve
         near.append((m, k, (A / M) * (turn[m] * acc).real))
     r_t = np.ascontiguousarray(r_sum.T)
     out, (P, Q) = np.empty((U, M, U, M)), np.empty((2, M, M))
-    step = max(1, _CHUNK // M)
     for i in range(U):
         for j in range(i, U):
             ij, ji = i * U + j, j * U + i
-            # the rows of X_ij, then those of X_ji with a and c swapped (du and dv for a cut row)
-            a, c = np.concatenate([ends[ij], ends[ji, ::-1]], axis=1)
-            du, dv, w = np.concatenate(cuts[ij] + [cut[[1, 0, 2]] for cut in cuts[ji]], axis=1)
-            # (left, right) rows of P, then of Q; the end rows join the first chunk of cut rows
-            for start in range(0, max(w.size, 1), step):
-                part = slice(start, start + step)
-                alpha, beta = (np.outer(d[part], basis.omega) + basis.theta for d in (du, dv))
-                sides = [w[part, None] * np.sin(alpha), np.cos(beta),
-                         w[part, None] * np.cos(alpha), np.sin(beta)]
-                if start == 0:
-                    sides = list(map(np.concatenate, zip((a.imag, c.real, a.real, c.imag), sides)))
-                for target, left, right in ((P, *sides[:2]), (Q, *sides[2:]))[:1 + (i < j)]:
-                    product = np.matmul(left.T, right, out=None if start else target)
-                    if start:
-                        target += product
-            Y = np.multiply(r_sum, P, out=P if i == j else out[i, :, j])
+            # the rows of X_ij, then those of X_ji: a and c swapped reverse its sides
+            left_p, right_p, left_q, right_q = np.concatenate([sides[ij], sides[ji][::-1]], axis=1)
+            Y = np.multiply(r_sum, np.matmul(left_p.T, right_p, out=P),
+                            out=P if i == j else out[i, :, j])
             if i < j:
-                Y += np.multiply(r_t, Q, out=Q)
+                Y += np.multiply(r_t, np.matmul(left_q.T, right_q, out=Q), out=Q)
             for m, k, value in near:
                 Y[m, k] += value[ij]
                 if i < j:
@@ -241,19 +230,26 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
     1 / (M (omega_m +- omega_k)); that is the row (a, c) = (e^{i alpha},
     e^{i beta}) of Im(a_m) Re(c_k) (R+ + R-) + Re(a_m) Im(c_k) (R+ - R-).  Over
     the pairs of a block, u = 0 sums to the row (-e^{i theta}, G) with G_k =
-    sum_p exp(i(omega_k D_p + theta_k)), c = t_n' + A to (E, F) with E_m =
+    sum_p exp(i(omega_k D_p + theta_k)), and c = t_n' + A to (E, F) with E_m =
     sum_p exp(i(omega_m (A - D_p) + theta_m)) and F_k = exp(i(omega_k A +
-    theta_k)), and a window edge c in {lo, hi} gives a row (w e^{i alpha},
-    e^{i beta}) per pair of weight w cut there.  So a block X_b is (R+ + R-) o
-    sum_r Im(a_r) Re(c_r)^T + (R+ - R-) o sum_r Re(a_r) Im(c_r)^T over its rows
-    r, with S_b and S~_b its two sums.  Entries with |y| < _CUTOFF, y =
-    (omega_m +- omega_k) A, take instead the series (A/M) Re[e^{i theta_m}
-    sum_{j<J} (iy)^j / (j+1)! H_k^(j)] (conj H for -) for J(L) as a whole,
-    J = _SERIES_TERMS, with H_k^(j) = sum_p (L_p/A)^(j+1) exp(i(omega_k D_p +
-    theta_k)).  So every pair with lo <= t_n < hi enters the lag sums at L_hi,
-    and an early one, t_n < lo < min(t_n' + A, hi), at L_hi and again at L_lo
-    with its weight negated: their u = 0 terms cancel, and the event sums are
-    the u = 0 row less the self pairs.
+    theta_k)).  At a window edge c in {lo, hi}, with b_n = exp(i omega (c -
+    t_n)), a pair cut there has the row (e^{i theta} b_n, sign e^{i theta}
+    b_n'), sign +1 at hi and -1 at lo.  As rounding is monotone and the edges
+    are floats, the pairs n' <= n of edge events are exactly those cut at hi
+    (events with t + A > hi, none when lo = hi) and the early ones (t < lo <
+    min(t + A, hi)).  Block (i, j) thus takes a row (e^{i theta} b_n, e^{i
+    theta} S_n[j]) per mark-i edge event n, S_n[j] the running sum of sign
+    b_n' over the mark-j edge events n' <= n, n' = n at weight 1/2.  A block
+    X_b is (R+ + R-) o sum_r Im(a_r) Re(c_r)^T + (R+ - R-) o sum_r Re(a_r)
+    Im(c_r)^T over its rows r, with S_b and S~_b its two sums.  Entries with
+    |y| < _CUTOFF, y = (omega_m +- omega_k) A, take instead the series (A/M)
+    Re[e^{i theta_m} sum_{j<J} (iy)^j / (j+1)! H_k^(j)] (conj H for -) for
+    J(L) as a whole, J = _SERIES_TERMS, with H_k^(j) = sum_p (L_p/A)^(j+1)
+    exp(i(omega_k D_p + theta_k)), at an edge sum_n ((c - t_n)/A)^(j+1)
+    conj(b_n) S_n[j].  The pair pass takes the pairs that end at t_n' + A <=
+    hi, at L = A - D; the edges add those cut at hi and every early pair
+    again, with its weight negated: their u = 0 terms cancel, and the event
+    sums are the u = 0 row less the self pairs.
 
     The lag exponentials come from per-event phasors: time is cut into
     segments whose length is a power of two of at least 2A, and
@@ -267,12 +263,12 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
     Only the N_w events in [lo - 2A, hi) take part (a pair that meets the window
     starts after lo - A; one more A covers rounding), walked in ranges of
     consecutive events of about ``_RANGE`` reals each: 2M per phasor row and
-    about 16 per pair entry.  Lag sums and cut entries gather per block, and
-    ``_finish_gram`` forms the M^2 terms after the last range.  A build
+    about 16 per pair entry.  Lag sums gather per block, and ``_finish_gram``
+    forms the M^2 terms after the last range, with the edge rows.  A build
     costs O(N_w M) exponentials, O(P_w M) multiply-adds for the P_w pairs of
-    those events, O(P_cut M) sines and cosines and O(P_cut M^2) GEMM work for
-    the P_cut pairs cut by the window, and O(U^2 M^2) arithmetic, in
-    O(_RANGE + N_w + P_cut + U^2 M^2) memory whatever N is.
+    those events, O(E U M) exponentials and O(U E M^2) GEMM work for the E
+    events within A of an edge, and O(U^2 M^2) arithmetic, in
+    O(_RANGE + N_w + E U M + U^2 M^2) memory whatever N is.
     """
     if not A > 0:
         raise ValueError(f"support window A must be positive, got {A}")
@@ -291,32 +287,22 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
     # reals held by the events before each; a range ends where this passes a multiple of _RANGE
     cost = np.cumsum(np.concatenate([[0], 2 * M + 16 * (np.arange(first, last) + 1 - starts)]))
     ends = np.unique(np.r_[np.searchsorted(cost, np.arange(0, cost[-1], _RANGE)), last - first])
-    # per block: lag sums of uncut entries, then of cut ones, kept as (c - t_n, c - t_n', w)
-    lags = np.zeros((2 * U * U, J + 1, freq.size), dtype=complex)
-    cuts = [[np.empty((3, 0))] for _ in range(U * U)]
+    lags = np.zeros((U * U, J + 1, freq.size), dtype=complex)
     for a, b in zip(ends[:-1], ends[1:]):
         base = starts[a]  # partners are monotone: the range's first reaches furthest
         n, n2 = _pairs_lag_in_window(starts[a:b], first + a)
         t_n, t_np = times[n], times[n2]
-        early = (t_n < lo) & (np.minimum(t_np + A, hi) > lo)
+        # the pairs that end at t_n' + A <= hi, sorted by block; the edge terms add the rest
+        keep = np.flatnonzero(((t_n >= lo) | (t_np + A > lo)) & (t_np + A <= hi))
         block = (marks[n] - 1) * U + marks[n2] - 1
-        # one entry per pair with lo <= t_n or early, at L_hi, and a ``lower``
-        # one per early pair, at L_lo; sorted by block, the entries whose upper
-        # end is a window edge (hi, or lo for a lower one) after all the others
-        again = np.flatnonzero(early)
-        rows = np.concatenate([np.flatnonzero(early | (t_n >= lo)), again])
-        lower = np.arange(rows.size) >= rows.size - again.size
-        key = block[rows] + U * U * (lower | (t_np[rows] + A > hi))
-        by_block = np.argsort(key.astype(np.min_scalar_type(2 * U * U)), kind="stable")
-        bounds = np.searchsorted(key[by_block], np.arange(2 * U * U + 1))
-        rows, lower, tail = rows[by_block], lower[by_block], bounds[U * U]
+        rows = keep[np.argsort(block[keep].astype(np.min_scalar_type(U * U)), kind="stable")]
+        bounds = np.searchsorted(block[rows], np.arange(U * U + 1))
         n, n2, t_n, t_np = n[rows] - base, n2[rows] - base, t_n[rows], t_np[rows]
-        edge = np.where(lower, lo, hi)
         # L = A - D, not t_n' + A - t_n, keeps the series exact in the time origin
-        ell = np.concatenate([A - (t_n[:tail] - t_np[:tail]), edge[tail:] - t_n[tail:]]) / A
+        ell = (A - (t_n - t_np)) / A
         # a same-event pair enters its diagonal block once, and every block is
         # added together with its transpose
-        weight = np.where(n == n2, 0.5, 1.0) * np.where(lower, -1.0, 1.0)
+        weight = np.where(n == n2, 0.5, 1.0)
         # rows :R against each event's own segment origin, rows R: the next one
         local = times[base:first + b]
         seg = np.floor(local / span)
@@ -327,15 +313,29 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
         np.cos(own.real, out=own.real)
         np.multiply(own, np.exp(-1j * freq * span), out=phasors[local.size:])
         second = n2 + local.size * (seg[n2] < seg[n])
-        for k in range(2 * U * U):
+        for k in range(U * U):
             r = slice(*bounds[k:k + 2])
             lags[k] += _lag_sums(phasors, n[r], second[r], ell[r], weight[r])
-            if k >= U * U:
-                cuts[k - U * U].append(np.stack([edge[r] - t_n[r], edge[r] - t_np[r], weight[r]]))
 
+    t_w, mark_w = times[first:last], marks[first:last] - 1
+    edge_rows = [[] for _ in range(U * U)]
+    edge_sums = np.zeros((U * U, J + 1, M), dtype=complex)
+    for c, sign, at in ((hi, 1.0, (t_w + A > hi) & (lo < hi)),
+                        (lo, -1.0, (t_w < lo) & (np.minimum(t_w + A, hi) > lo))):
+        lag, mark = c - t_w[at], mark_w[at]
+        phases = np.exp(1j * (np.multiply.outer(lag, basis.omega) + basis.theta))  # e^{i alpha}
+        steps = (mark[:, None] == np.arange(U))[:, :, None] * (sign * phases)[:, None]
+        running = np.cumsum(steps, axis=0) - 0.5 * steps  # e^{i theta} S_n[j]
+        powers = np.vander(lag / A, J + 1, increasing=True).T
+        for i in np.unique(mark):  # none for an edge without events
+            sel = mark == i
+            for j in range(U):
+                edge_rows[i * U + j].append(np.stack([phases[sel], running[sel, j]]))
+                edge_sums[i * U + j] += powers[:, sel] @ (np.conj(phases[sel]) * running[sel, j])
     # a self pair, lag 0, enters block (i, i) at weight 1/2 for each mark-i event in [lo, hi)
     halves = np.diag(np.bincount(marks[inside:last] - 1, minlength=U) / 2.0).ravel()
-    return _finish_gram(lags, cuts, halves, basis, A, U, inverse)
+    lags = lags[:, :, inverse]
+    return _finish_gram(lags, lags + edge_sums, edge_rows, halves, basis, A, U)
 
 
 def _check_fittable(has_events: bool, A: float, length: float):

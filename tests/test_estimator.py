@@ -182,21 +182,26 @@ def per_pair_xi(ev, basis, A, lo, hi):
     return ref
 
 
+def cut_pairs(ev, A, lo, hi):
+    """Masks over the ordered pairs (n, n'): those with t_n' <= t_n that meet
+    [lo, hi], and of them those cut at lo (t_n < lo) and at hi (t_n' + A > hi)."""
+    later, earlier = ev.times[:, None], ev.times[None, :]
+    meets = (earlier <= later) & (np.maximum(later, lo) < np.minimum(earlier + A, hi))
+    return meets, meets & (later < lo), meets & (earlier + A > hi)
+
+
 def cut_pair_counts(ev, A, lo, hi):
     """Ordered pairs t_n' <= t_n that meet [lo, hi]: how many are cut at lo
     (t_n < lo), at hi (t_n' + A > hi), and at both ends at once."""
-    later, earlier = ev.times[:, None], ev.times[None, :]
-    meets = (earlier <= later) & (np.maximum(later, lo) < np.minimum(earlier + A, hi))
-    at_lo, at_hi = meets & (later < lo), meets & (earlier + A > hi)
+    _, at_lo, at_hi = cut_pairs(ev, A, lo, hi)
     return at_lo.sum(), at_hi.sum(), (at_lo & at_hi).sum()
 
 
-def test_xi_windowed_agrees_with_per_pair_closed_form():
-    # (lo, hi) cuts pairs at both ends, so cut pairs meet interior ones; bursts
-    # of events just below lo and hi cut many pairs at each end, and a window
-    # shorter than A cuts pairs at both ends at once
+def windowed_cases():
+    """Instances cut by (2.5, 7.5) at both ends, and a burst sequence whose
+    events lie mostly just below 2.5 and 7.5; returns (cases, burst)."""
     rng = np.random.default_rng(31)
-    A, lo, hi = 4.0, 2.5, 7.5
+    lo, hi = 2.5, 7.5
     cases = []
     for M in (8, 64):
         ev, basis = random_instance(rng, U=2, n_events=15, T=10.0, M=M, seed=4)
@@ -207,11 +212,41 @@ def test_xi_windowed_agrees_with_per_pair_closed_form():
     for M in (8, 64):
         basis = build_basis(KernelSpec(beta=1.0), M, 5)
         cases += [(burst, basis, lo, hi, (60, 60, 0)), (burst, basis, 2.0, 5.0, (20, 20, 20))]
+    return cases, burst
+
+
+def test_xi_windowed_agrees_with_per_pair_closed_form():
+    # (lo, hi) cuts pairs at both ends, so cut pairs meet interior ones; bursts
+    # of events just below lo and hi cut many pairs at each end, and a window
+    # shorter than A cuts pairs at both ends at once
+    A = 4.0
+    cases, _ = windowed_cases()
     for ev, basis, lo, hi, least in cases:
         assert np.all(np.array(cut_pair_counts(ev, A, lo, hi)) >= least)
         got, _ = build_xi(ev, basis, A, lo, hi)
         ref = per_pair_xi(ev, basis, A, lo, hi)
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def test_pair_pass_takes_no_pair_cut_at_the_window_end(monkeypatch):
+    # the lag pass sees each pair that meets the window and ends at t_n' + A
+    # inside it once, early pairs included; the pairs cut at hi, and the early
+    # pairs' second end at lo, come from the edge terms
+    import hawkes_rkhs.estimator as est
+    A, (_, burst) = 4.0, windowed_cases()
+    basis = build_basis(KernelSpec(beta=1.0), 8, 5)
+    lag_sums, entries = est._lag_sums, []
+
+    def counted(phasors, first, *args):
+        entries.append(first.size)
+        return lag_sums(phasors, first, *args)
+
+    monkeypatch.setattr(est, "_lag_sums", counted)
+    for lo, hi in ((2.5, 7.5), (2.0, 5.0), (0.0, burst.T)):
+        meets, _, at_hi = cut_pairs(burst, A, lo, hi)
+        entries.clear()
+        build_xi(burst, basis, A, lo, hi)
+        assert sum(entries) == meets.sum() - at_hi.sum()
 
 
 def near_resonant_basis(A):
@@ -263,8 +298,8 @@ def test_xi_near_resonant_entries_agree_with_per_pair_closed_form(monkeypatch):
 def test_gram_blocks_are_symmetric_and_agree_with_per_pair_closed_form(monkeypatch):
     # U = 3 and U = 1 Grams on windows that cut pairs at both ends: each block
     # pair i <= j is formed once and mirrored, so an i/j swap would show in
-    # blocks (1, 3) and (2, 3); chunks of 2 cut rows also split every block
-    # pair's cut rows over several GEMMs
+    # blocks (1, 3) and (2, 3); chunks of size 2M, one pair entry each, also
+    # split every block's lag pass over several GEMMs
     import hawkes_rkhs.estimator as est
     rng = np.random.default_rng(71)
     A, chunk = 4.0, est._CHUNK
@@ -345,17 +380,21 @@ def test_event_sums_match_per_event_loop():
 @pytest.mark.parametrize("A", [0.1, 0.3, 1.1, 7.3])
 def test_gram_at_phase_segment_edges(A):
     # events at k A and one ulp either side: lags of exactly A and A +- 1 ulp,
-    # where a pair counts only if its computed lag is at most A
+    # where a pair counts only if its computed lag is at most A; windows with
+    # edges at k A and on events put t + A at an edge and one ulp either side,
+    # for edge sets at exact ties, and the last two are shorter than A and empty
     k = np.arange(1, 9) * A
     times = np.unique(np.concatenate([k, np.nextafter(k, 0.0), np.nextafter(k, np.inf)]))
     rng = np.random.default_rng(43)
     ev = EventSequence(times, rng.integers(1, 3, times.size), 9.5 * A, 2)
     basis = build_basis(KernelSpec(beta=1.0), 8, 7)
-    xi, event_sums = build_xi(ev, basis, A)
-    ref = per_pair_xi(ev, basis, A, 0.0, ev.T)
-    assert np.abs(xi - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
-    want = event_sums_loop(ev, basis, A, 0.0, ev.T)
-    assert np.abs(event_sums - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    for lo, hi in ((0.0, ev.T), (3 * A, 7 * A), (times[8], times[20]), (4 * A, 4.5 * A),
+                   (5 * A, 5 * A)):
+        xi, event_sums = build_xi(ev, basis, A, lo, hi)
+        ref = per_pair_xi(ev, basis, A, lo, hi)
+        assert np.abs(xi - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        want = event_sums_loop(ev, basis, A, lo, hi)
+        assert np.abs(event_sums - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
     for t in times:
         assert_allclose(phi_tilde(ev, basis, A, t), phi_tilde_loop(ev, basis, A, t),
                         rtol=0, atol=1e-12)
@@ -425,7 +464,7 @@ def test_build_xi_memory_does_not_grow_with_the_event_count(monkeypatch):
     # 4x the events at the same rate: with a budget of a few ranges per build,
     # the traced peak of a build grows far less than the event count
     import tracemalloc
-    monkeypatch.setattr("hawkes_rkhs.estimator._RANGE", 1 << 17, raising=False)
+    monkeypatch.setattr("hawkes_rkhs.estimator._RANGE", 1 << 17)
     rng = np.random.default_rng(67)
     basis = build_basis(KernelSpec(beta=1.0), 8, 1)
     peaks = []
