@@ -173,8 +173,8 @@ def _number_list(opts, key, kind=float) -> tuple:
                          f"{'integers' if kind is int else 'numbers'}") from None
 
 
-def _horizon(opts, key):
-    """Option ``key``, a horizon; UsageError naming it if set but not positive and finite."""
+def _positive(opts, key):
+    """Option ``key``; UsageError naming it if set but not positive and finite."""
     if opts[key] is not None and not 0.0 < opts[key] < np.inf:
         raise UsageError(f"--{key.replace('_', '-')} {opts[key]} is not a positive finite number")
     return opts[key]
@@ -186,7 +186,7 @@ def _fit_inputs(opts, command):
     if opts["events"] is None or opts["out"] is None:
         raise UsageError(f"{command} requires --events and --out")
     seed = _seed_or_none(opts["seed"]) or 0
-    T = _horizon(opts, "horizon")
+    T = _positive(opts, "horizon")
     _writable(opts["out"])
     return seed, read_events_csv(opts["events"], T=T)[0]
 
@@ -198,7 +198,7 @@ def run_simulate(opts) -> int:
         raise UsageError(f"simulate requires --seed (or {SEED_ENV})")
     if opts["t_end"] is None or opts["out"] is None:
         raise UsageError("simulate requires --t-end and --out")
-    _horizon(opts, "t_end")
+    _positive(opts, "t_end")
     curves_path = opts["curves_out"] or os.path.splitext(opts["out"])[0] + "_curves.csv"
     _writable(opts["out"], curves_path)
     result = simulate(spec, opts["t_end"], seed)
@@ -235,8 +235,8 @@ def run_fit(opts) -> int:
 
 
 def run_grid_search(opts) -> int:
+    workers = _positive(opts, "workers") or os.cpu_count() or 1
     seed, events = _fit_inputs(opts, "grid-search")
-    workers = opts["workers"] or os.cpu_count() or 1
     grid = GridSpec(_number_list(opts, "gammas"), _number_list(opts, "betas"), opts["split"])
     best, cells = grid_search(events, grid, opts["features"], opts["window"], seed, workers=workers)
     doc = {
@@ -308,13 +308,13 @@ def run_reproduce(opts) -> int:
         raise UsageError(f"--seeds {text} is not a seed range: expected N or N-M with N <= M")
     factory = SCENARIOS[opts["scenario"]]
     spec = factory() if opts["baseline"] is None else factory(opts["baseline"])
-    t_end = _horizon(opts, "t_end")
+    t_end, workers = _positive(opts, "t_end"), _positive(opts, "workers")
     grid = GridSpec((0.1, 0.5, 1.0), (0.5, 1.0, 1.5))
     d2, counts, refit = [], [], []
     for seed in seeds:
         t0 = time.perf_counter()
         report, model, events = fit_scenario_draw(
-            spec, t_end, seed, grid, M=opts["features"], workers=opts["workers"])
+            spec, t_end, seed, grid, M=opts["features"], workers=workers)
         wall = time.perf_counter() - t0
         d2.append(report.delta_sq)
         counts.append(len(events))

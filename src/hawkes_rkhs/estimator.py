@@ -19,12 +19,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg import lapack as _lapack
 
 from .events import EventSequence
-from .features import (
-    FeatureBasis,
-    WindowIntegralTable,
-    feature_matrix,
-    integral_phi_range,
-)
+from .features import FeatureBasis, feature_matrix, integral_phi_range
 
 
 class FitError(RuntimeError):
@@ -215,10 +210,11 @@ def _finish_gram(uncut, sums, edge_rows, halves, basis: FeatureBasis, A: float, 
 
 def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
              lo: float = 0.0, hi: float | None = None):
-    """Gram integral Xi of phi_tilde over [lo, hi] (by default [0, T]), shape
-    (MU, MU), and the event sums of ``Design`` over lo <= t_n < hi, shape
-    (U, MU), from one pass.  Raises ValueError unless A > 0 and
-    0 <= lo <= hi <= T.
+    """Every statistic of ``Design`` over [lo, hi] (by default [0, T]) from one
+    pass, in its order: the Gram integral Xi of phi_tilde, shape (MU, MU), the
+    window vector int phi_tilde, shape (MU,), the event sums over lo <= t_n <
+    hi, shape (U, MU), and the per-mark counts of those events, shape (U,).
+    Raises ValueError unless A > 0 and 0 <= lo <= hi <= T.
 
     Pair (n, n'), t_n' <= t_n, adds int_a^b phi(t - t_n) phi(t - t_n')^T dt,
     a = max(t_n, lo), b = min(t_n' + A, hi), to its (mark_n, mark_n') block,
@@ -249,7 +245,10 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
     conj(b_n) S_n[j].  The pair pass takes the pairs that end at t_n' + A <=
     hi, at L = A - D; the edges add those cut at hi and every early pair
     again, with its weight negated: their u = 0 terms cancel, and the event
-    sums are the u = 0 row less the self pairs.
+    sums are the u = 0 row less the self pairs.  The same edge events give
+    the window vector: block i is counts_i int_0^A phi less sign int_{c -
+    t_n}^A phi for each mark-i edge event n, so every window decision reads
+    one comparison of t + A with an edge.
 
     The lag exponentials come from per-event phasors: time is cut into
     segments whose length is a power of two of at least 2A, and
@@ -318,24 +317,30 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
             lags[k] += _lag_sums(phasors, n[r], second[r], ell[r], weight[r])
 
     t_w, mark_w = times[first:last], marks[first:last] - 1
+    counts = np.bincount(marks[inside:last] - 1, minlength=U).astype(float)
+    # each event in [lo, hi) adds int_0^A phi; an edge takes off int_{c - t}^A phi per edge event
+    window_vec = np.multiply.outer(counts, integral_phi_range(basis, 0.0, A))
     edge_rows = [[] for _ in range(U * U)]
     edge_sums = np.zeros((U * U, J + 1, M), dtype=complex)
     for c, sign, at in ((hi, 1.0, (t_w + A > hi) & (lo < hi)),
                         (lo, -1.0, (t_w < lo) & (np.minimum(t_w + A, hi) > lo))):
         lag, mark = c - t_w[at], mark_w[at]
+        tails = integral_phi_range(basis, lag, A)
         phases = np.exp(1j * (np.multiply.outer(lag, basis.omega) + basis.theta))  # e^{i alpha}
         steps = (mark[:, None] == np.arange(U))[:, :, None] * (sign * phases)[:, None]
         running = np.cumsum(steps, axis=0) - 0.5 * steps  # e^{i theta} S_n[j]
         powers = np.vander(lag / A, J + 1, increasing=True).T
         for i in np.unique(mark):  # none for an edge without events
             sel = mark == i
+            window_vec[i] -= sign * tails[sel].sum(axis=0)
             for j in range(U):
                 edge_rows[i * U + j].append(np.stack([phases[sel], running[sel, j]]))
                 edge_sums[i * U + j] += powers[:, sel] @ (np.conj(phases[sel]) * running[sel, j])
-    # a self pair, lag 0, enters block (i, i) at weight 1/2 for each mark-i event in [lo, hi)
-    halves = np.diag(np.bincount(marks[inside:last] - 1, minlength=U) / 2.0).ravel()
     lags = lags[:, :, inverse]
-    return _finish_gram(lags, lags + edge_sums, edge_rows, halves, basis, A, U)
+    # a self pair, lag 0, enters block (i, i) at weight 1/2 for each mark-i event in [lo, hi)
+    xi, event_sums = _finish_gram(lags, lags + edge_sums, edge_rows,
+                                  np.diag(counts / 2.0).ravel(), basis, A, U)
+    return xi, window_vec.ravel(), event_sums, counts
 
 
 def _check_fittable(has_events: bool, A: float, length: float):
@@ -377,28 +382,20 @@ class Design:
       dimension i with lo <= t_n < hi, and ``counts[i]`` their number;
     - ``length``: hi - lo.
 
-    Every statistic is additive in the window: the designs over [0, s] and
-    [s, T] sum to the design over [0, T].  The ridge strength enters only
-    through ``solve_system``, so one design serves every gamma.
+    The first four come from one ``build_xi`` pass, which alone decides what
+    each window edge cuts.  Every statistic is additive in the window: the
+    designs over [0, s] and [s, T] sum to the design over [0, T].  The ridge
+    strength enters only through ``solve_system``, so one design serves
+    every gamma.
     """
 
     def __init__(self, events: EventSequence, basis: FeatureBasis, A: float,
                  lo: float = 0.0, hi: float | None = None):
         # first, so that build_xi checks A and the window
-        self.xi, self.event_sums = build_xi(events, basis, A, lo, hi)
-        hi = events.T if hi is None else hi
+        self.xi, self.window_vec, self.event_sums, self.counts = build_xi(
+            events, basis, A, lo, hi)
         self.A = A
-        self.length = hi - lo
-        # an event that the table would not clip (lo - t <= 0, hi - t >= A) adds int_0^A phi
-        reach = slice(*np.searchsorted(events.times, [lo - 2.0 * A, hi]))
-        times, marks = events.times[reach], events.marks[reach] - 1
-        full = (lo - times <= 0.0) & (hi - times >= A)
-        table = WindowIntegralTable(basis, times[~full], hi, A, lo=lo)
-        window_vec = np.multiply.outer(np.bincount(marks[full], minlength=events.U),
-                                       integral_phi_range(basis, 0.0, A))
-        np.add.at(window_vec, marks[~full], table.vectors)
-        self.window_vec = window_vec.ravel()
-        self.counts = np.bincount(marks[times >= lo], minlength=events.U).astype(float)
+        self.length = (events.T if hi is None else hi) - lo
 
     def solve_system(self, gamma: float, rhs: np.ndarray):
         """Solve ((1/gamma) I + Xi) x = rhs; returns (x, Cholesky factor,

@@ -76,8 +76,6 @@ def ise(truth: ScenarioSpec, model: FittedModel, n_nodes: int = 2001) -> EvalRep
     """
     if truth.U != model.U:
         raise ValueError(f"dimension mismatch: truth U={truth.U}, model U={model.U}")
-    if abs(model.config.A - truth.A) > 1e-12:
-        raise ValueError(f"window mismatch: scoring A={truth.A}, model A={model.config.A}")
     if n_nodes % 2 == 0:
         n_nodes += 1
     s = np.linspace(0.0, truth.A, n_nodes)
@@ -87,10 +85,13 @@ def ise(truth: ScenarioSpec, model: FittedModel, n_nodes: int = 2001) -> EvalRep
 def ise_on_grid(s: np.ndarray, truth_curves: np.ndarray, model: FittedModel) -> EvalReport:
     """Integrated squared error against tabulated truth curves on a given lag
     grid (Simpson on that grid); one feature matrix on the grid serves all
-    U^2 kernels."""
-    U, M = truth_curves.shape[0], model.basis.M
+    U^2 kernels.  The grid must run from 0 to the model's A, to a relative
+    1e-12, as the fitted kernels past A are extrapolation."""
+    U, M, A = truth_curves.shape[0], model.basis.M, model.config.A
     if U != model.U:
         raise ValueError(f"dimension mismatch: curves U={U}, model U={model.U}")
+    if s[0] != 0.0 or abs(s[-1] - A) > 1e-12 * A:
+        raise ValueError(f"window mismatch: lag grid [{s[0]}, {s[-1]}], model A={A}")
     fitted = model.coeff.reshape(U, U, M) @ feature_matrix(model.basis, s).T
     diff = truth_curves - fitted
     per_pair = simpson(diff * diff, x=s, axis=-1)
@@ -211,7 +212,7 @@ def bench_factorization(events: EventSequence, m_values, reps: int = 3):
     rows = []
     for M in m_values:
         basis = build_basis(KernelSpec(beta=1.0), int(M), 0)
-        xi, _ = build_xi(events, basis, min(5.0, events.T))
+        xi = build_xi(events, basis, min(5.0, events.T))[0]
         Z = xi + np.eye(xi.shape[0])
         best = np.inf
         for _ in range(max(1, reps)):

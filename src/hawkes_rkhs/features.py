@@ -184,7 +184,7 @@ class WindowIntegralTable:
     ``vectors[n]`` holds the integral of phi(t - t_n) over the part of
     [lo, hi] where event n is active, int_{L_lo}^{L_hi} phi(u) du with
     L_lo = clip(lo - t_n, 0, A) and L_hi = max(L_lo, clip(hi - t_n, 0, A)).
-    ``Design`` builds it only for events within A of lo or hi; the rest add 0 or int_0^A phi.
+    ``build_xi`` forms their sums from counts and edge events; tests compare the two.
     """
 
     def __init__(self, basis: FeatureBasis, times: np.ndarray, hi: float, A: float,

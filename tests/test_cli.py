@@ -440,6 +440,12 @@ CLI_ERRORS = {
     "grid-search-bad-grid": (
         ["grid-search", "--events", "{d}/events.csv", "--gammas", "-1", "--out",
          "{d}/g.json"], 1, "grid values must be positive and finite, got -1.0"),
+    "grid-search-zero-workers": (
+        ["grid-search", "--events", "{d}/events.csv", "--workers", "0", "--out",
+         "{d}/g.json"], 2, "--workers 0 is not a positive finite number"),
+    "grid-search-negative-workers": (
+        ["grid-search", "--events", "{d}/events.csv", "--workers", "-3", "--out",
+         "{d}/g.json"], 2, "--workers -3 is not a positive finite number"),
     "evaluate-no-out": (["evaluate", "--model", "{d}/model.json"], 2,
                         "evaluate requires --model and --out"),
     "evaluate-two-truths": (
@@ -475,6 +481,9 @@ CLI_ERRORS = {
     "evaluate-missing-curves": (
         ["evaluate", "--model", "{d}/model.json", "--truth-curves", "{d}/none.csv",
          "--out", "{d}/r.json"], 1, "[Errno 2] No such file or directory: '{d}/none.csv'"),
+    "evaluate-curves-window-mismatch": (
+        ["evaluate", "--model", "{d}/model.json", "--truth-curves", "{d}/wide_curves.csv",
+         "--out", "{d}/r.json"], 1, "window mismatch: lag grid [0.0, 2.0], model A=1.0"),
     "reproduce-unknown-scenario": (
         ["reproduce", "--scenario", "poisson"], 2,
         "reproduce needs --scenario, one of: mutually-exciting, refractory"),
@@ -487,6 +496,10 @@ CLI_ERRORS = {
     "reproduce-bad-seeds": (
         ["reproduce", "--scenario", "refractory", "--seeds", "5-3"], 2,
         "--seeds 5-3 is not a seed range: expected N or N-M with N <= M"),
+    "reproduce-negative-workers": (
+        ["reproduce", "--scenario", "refractory", "--t-end", "20", "--seeds", "1",
+         "--workers", "-2"], 2,
+        "--workers -2 is not a positive finite number"),
     "bench-unknown-scenario": (["bench", "--scenario", "nope"], 2,
                                "unknown scenario 'nope'; valid scenarios: "
                                "mutually-exciting, refractory"),
@@ -539,6 +552,7 @@ def error_inputs(tmp_path_factory):
     (d / "short_curves.csv").write_text("# A=1\n# U=1\ns,g_11\n0,0.5\n0.5\n")
     (d / "bare_curves.csv").write_text("# A=1\n# U=1\ns,g_11\n")
     (d / "bad_u_curves.csv").write_text("# A=1\n# U=x\ns,g_11\n0,0.5\n")
+    (d / "wide_curves.csv").write_text("# A=2\n# U=1\ns,g_11\n0,0.5\n1,0.25\n2,0\n")
     (d / "run.toml").write_text("featurs = 16\n")
     (d / "frac_seed.toml").write_text("seed = 1.5\n")
     (d / "text_seed.toml").write_text('seed = "x"\n')
@@ -572,6 +586,19 @@ def test_bench_rejects_a_single_horizon(capsys):
 
     assert cli.main(["bench", "--horizons", "250", "--features", "8"]) == 1
     assert capsys.readouterr().err == "error: a slope needs at least two horizons, got 1\n"
+
+
+def test_console_script_runs_cli_main():
+    # tier-1 runs the package with python -m; an installed hawkes-rkhs command
+    # runs the [project.scripts] target instead, which must resolve to cli.main
+    import importlib
+
+    from hawkes_rkhs import cli
+
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    module, _, attr = project["project"]["scripts"]["hawkes-rkhs"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main
 
 
 def _sha256(path) -> str:

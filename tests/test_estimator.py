@@ -16,7 +16,13 @@ from hawkes_rkhs.estimator import (
     phi_tilde,
 )
 from hawkes_rkhs.events import EventSequence
-from hawkes_rkhs.features import KernelSpec, WindowIntegralTable, build_basis, feature_matrix
+from hawkes_rkhs.features import (
+    KernelSpec,
+    WindowIntegralTable,
+    build_basis,
+    feature_matrix,
+    integral_phi_range,
+)
 from oracles import (
     event_sums_loop,
     intensity_loop,
@@ -108,21 +114,21 @@ def test_phi_tilde_window_edges():
 def test_xi_empty_events():
     basis = build_basis(KernelSpec(beta=1.0), 4, 0)
     ev = EventSequence(np.array([]), np.array([]), 10.0, 2)
-    xi, _ = build_xi(ev, basis, 5.0)
+    xi = build_xi(ev, basis, 5.0)[0]
     assert_allclose(xi, 0.0)
 
 
 def test_xi_single_event_matches_quadrature():
     basis = build_basis(KernelSpec(beta=1.0), 8, 7)
     ev = EventSequence(np.array([1.0]), np.array([1]), 10.0, 1)
-    xi, _ = build_xi(ev, basis, 5.0)
+    xi = build_xi(ev, basis, 5.0)[0]
     want = quad_phi_outer(basis, 1.0, 1.0, 1.0, 6.0)
     assert_allclose(xi, want, atol=1e-9)
 
 
 def test_xi_gram_identity_small():
     ev, basis = small_instance(seed=8, U=2, n=10)
-    xi, _ = build_xi(ev, basis, 3.0)
+    xi = build_xi(ev, basis, 3.0)[0]
     want = quad_gram_converged(ev, basis, 3.0)
     err = np.linalg.norm(xi - want) / np.linalg.norm(want)
     assert err < 1e-9
@@ -130,7 +136,7 @@ def test_xi_gram_identity_small():
 
 def test_xi_symmetry_and_psd():
     ev, basis = small_instance(seed=2, U=3, n=18, M=6)
-    xi, _ = build_xi(ev, basis, 4.0)
+    xi = build_xi(ev, basis, 4.0)[0]
     assert np.array_equal(xi, xi.T)
     assert np.linalg.eigvalsh(xi).min() >= -1e-10
     M = basis.M
@@ -146,7 +152,7 @@ def test_xi_agrees_with_per_pair_closed_form():
     for M in (8, 256):
         ev, basis = random_instance(rng, U=2, n_events=15, T=10.0, M=M, seed=9)
         A = 4.0
-        xi, _ = build_xi(ev, basis, A)
+        xi = build_xi(ev, basis, A)[0]
         ref = np.zeros_like(xi)
         for n in range(len(ev)):
             for n2 in range(len(ev)):
@@ -161,7 +167,7 @@ def test_xi_agrees_with_per_pair_closed_form():
 
 def test_xi_windowed_matches_quadrature():
     ev, basis = small_instance(seed=13, U=2, n=14, T=12.0)
-    got, _ = build_xi(ev, basis, 3.0, lo=4.0, hi=9.0)
+    got = build_xi(ev, basis, 3.0, lo=4.0, hi=9.0)[0]
     want = quad_gram(ev, basis, 3.0, lo=4.0, hi=9.0, order=60)
     assert_allclose(got, want, atol=1e-9 * max(1.0, np.abs(want).max()))
 
@@ -223,7 +229,7 @@ def test_xi_windowed_agrees_with_per_pair_closed_form():
     cases, _ = windowed_cases()
     for ev, basis, lo, hi, least in cases:
         assert np.all(np.array(cut_pair_counts(ev, A, lo, hi)) >= least)
-        got, _ = build_xi(ev, basis, A, lo, hi)
+        got = build_xi(ev, basis, A, lo, hi)[0]
         ref = per_pair_xi(ev, basis, A, lo, hi)
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
@@ -282,7 +288,7 @@ def test_xi_near_resonant_entries_agree_with_per_pair_closed_form(monkeypatch):
     assert cut_pair_counts(ev, A, 5.0, 8.0)[2] > 0       # and at both ends
     for lo, hi in ((0.0, ev.T), (3.0, 9.0), (5.0, 8.0)):
         splits.clear()
-        got, _ = build_xi(ev, basis, A, lo, hi)
+        got = build_xi(ev, basis, A, lo, hi)[0]
         # the build took the series on exactly the entries with |y| < 0.1
         (m_plus, k_plus, y_plus), (m_minus, k_minus, y_minus) = splits[-1][1]
         plus, minus = set(zip(m_plus, k_plus)), set(zip(m_minus, k_minus))
@@ -315,7 +321,7 @@ def test_gram_blocks_are_symmetric_and_agree_with_per_pair_closed_form(monkeypat
                 ref = per_pair_xi(ev, basis, A, lo, hi)
                 for size in (chunk, 2 * basis.M):
                     monkeypatch.setattr(est, "_CHUNK", size)
-                    got, _ = build_xi(ev, basis, A, lo, hi)
+                    got = build_xi(ev, basis, A, lo, hi)[0]
                     assert np.array_equal(got, got.T)
                     assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
@@ -390,7 +396,7 @@ def test_gram_at_phase_segment_edges(A):
     basis = build_basis(KernelSpec(beta=1.0), 8, 7)
     for lo, hi in ((0.0, ev.T), (3 * A, 7 * A), (times[8], times[20]), (4 * A, 4.5 * A),
                    (5 * A, 5 * A)):
-        xi, event_sums = build_xi(ev, basis, A, lo, hi)
+        xi, _, event_sums, _ = build_xi(ev, basis, A, lo, hi)
         ref = per_pair_xi(ev, basis, A, lo, hi)
         assert np.abs(xi - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
         want = event_sums_loop(ev, basis, A, lo, hi)
@@ -590,6 +596,18 @@ def test_window_vec_matches_per_event_table():
             want[mark - 1] += vector
         got = Design(ev, basis, A, lo, hi).window_vec
         assert np.abs(got - want.ravel()).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_window_vec_cuts_an_event_exactly_when_the_gram_does():
+    # hi = t + A as computed, so t + A > hi is false and the Gram takes the
+    # event's pairs uncut, while hi - t rounds to an ulp below A: the window
+    # vector must take all of int_0^A phi too, not int_0^{hi - t} phi
+    t, A = 12.817765328620334, 5.0
+    hi = t + A
+    assert not t + A > hi and hi - t < A
+    basis = build_basis(KernelSpec(beta=1.0), 16, 3)
+    design = Design(EventSequence(np.array([t]), np.array([1]), 20.0, 1), basis, A, 0.0, hi)
+    assert np.array_equal(design.window_vec, integral_phi_range(basis, 0.0, A))
 
 
 def test_design_ignores_events_that_cannot_reach_the_window():

@@ -212,6 +212,21 @@ def test_ise_on_grid_matches_per_pair_loop():
     assert report.delta_sq == pytest.approx(want.sum(), rel=1e-12)
 
 
+def test_ise_on_grid_window_check_is_relative():
+    # (0.1 * 3) * 1e6 is 3e5 and one ulp: the same window, which an absolute
+    # 1e-12 would reject in this unit; a grid that stops short of A or starts
+    # past 0 is refused
+    A = (0.1 * 3) * 1e6
+    assert A == np.nextafter(3e5, np.inf)
+    basis = build_basis(KernelSpec(beta=1.0), 8, 0)
+    model = FittedModel(mu_hat=np.zeros(1), coeff=np.zeros((1, 8)), basis=basis,
+                        config=FitConfig(gamma=1.0, A=A, basis=basis), T=1e6, U=1)
+    s = np.linspace(0.0, 3e5, 101)
+    assert ise_on_grid(s, np.zeros((1, 1, s.size)), model).delta_sq == 0.0
+    for grid in (0.6 * s, s + 1.0):
+        with pytest.raises(ValueError, match="window mismatch"):
+            ise_on_grid(grid, np.zeros((1, 1, s.size)), model)
+
 # --- grid search -----------------------------------------------------------------
 
 def dense_scenario():
