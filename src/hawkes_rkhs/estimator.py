@@ -126,65 +126,73 @@ def _resonance(basis: FeatureBasis, A: float):
     return r_sum, series
 
 
-def _lag_sums(phasors: np.ndarray, first: np.ndarray, second: np.ndarray,
-              ell: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Weighted sums of the pair phasors phasors[first_p] conj(phasors[second_p])
-    over pairs p, shape (J + 1, F).
+def _frequencies(basis: FeatureBasis, series):
+    """(freq, inverse, lead): the distinct frequencies, omega = freq[inverse],
+    first the ``lead`` ones whose lag rows 2..J a near entry with y != 0 reads."""
+    freq, inverse = np.unique(basis.omega, return_inverse=True)
+    live = np.isin(freq, basis.omega[np.concatenate([k[y != 0] for _, k, y in series])])
+    order = np.argsort(~live, kind="stable")
+    return freq[order], np.argsort(order)[inverse], np.count_nonzero(live)
 
-    Row j in 0..J weighs pair p by weight_p ell_p^j.  Each chunk gathers its
-    phasors, at most ``_CHUNK`` reals per array, and takes all rows from one
-    real GEMM on their interleaved real and imaginary parts.
-    """
-    J = _SERIES_TERMS
-    out = np.zeros((J + 1, 2 * phasors.shape[1]))
-    step = max(1, _CHUNK // out.shape[1])
+
+def _lag_sums(phasors, first, second, ell, weight, bounds, lead: int) -> np.ndarray:
+    """Weighted sums of the pair phasors phasors[first_p] conj(phasors[second_p])
+    over the pairs bounds[b] <= p < bounds[b + 1] of each block b, shape (B, J + 1, F):
+    row j weighs pair p by weight_p ell_p^j, rows 2..J only at the first ``lead``
+    frequencies (0 past them).  Each chunk gathers its phasors once, at most
+    ``_CHUNK`` reals per array, for real GEMMs on their interleaved parts."""
+    out = np.zeros((bounds.size - 1, _SERIES_TERMS + 1, 2 * phasors.shape[1]))
+    step = max(1, _CHUNK // out.shape[2])
     gathered = np.empty((2, min(step, first.size), phasors.shape[1]), dtype=complex)
     for start in range(0, first.size, step):
         part = slice(start, start + step)
-        W = np.empty((J + 1, first[part].size))
-        W[0] = weight[part]
-        W[1] = ell[part]
-        for j in range(2, J + 1):
+        W = np.empty((out.shape[1] if lead else 2, first[part].size))
+        W[0], W[1] = weight[part], ell[part]
+        for j in range(2, W.shape[0]):
             np.multiply(W[j - 1], W[1], out=W[j])
         W[1:] *= W[0]
         Z, Q = gathered[:, :W.shape[1]]
         np.take(phasors, first[part], axis=0, out=Z, mode="clip")
         np.take(phasors, second[part], axis=0, out=Q, mode="clip")
         Z *= np.conjugate(Q, out=Q)
-        out += W @ Z.view(float)
+        cuts = np.minimum(np.maximum(bounds - start, 0), W.shape[1])  # each block's slice of it
+        for b in np.flatnonzero(cuts[1:] > cuts[:-1]):
+            rows, Y = W[:, cuts[b]:cuts[b + 1]], Z[cuts[b]:cuts[b + 1]].view(float)
+            out[b, :2] += rows[:2] @ Y
+            if lead:
+                out[b, 2:, :2 * lead] += rows[2:] @ Y[:, :2 * lead]
     return out.view(complex)
 
 
-def _finish_gram(uncut, sums, edge_rows, halves, basis: FeatureBasis, A: float, U: int):
-    """Gram and event sums of ``build_xi`` from its per-block lag sums over
-    the pairs that end at t_n' + A (uncut) and over all pairs (sums), and its
-    edge rows (a, c).  Block b's event sums are its u = 0 lag sum less
-    halves[b], the weight of its self pairs.  With X_b = R o S_b + R^T o S~_b
-    + series_b as in ``build_xi``, Gram block i <= j is R o P + R^T o Q plus
-    series, P = S_ij + S~_ji^T and Q = S~_ij + S_ji^T each from one GEMM over
-    the rows of X_ij (u = 0, c = t_n' + A, then the edges') and, a and c
-    swapped, of X_ji.  On the diagonal Q = P^T and the block is Y + Y^T, Y =
-    R o P + series; the rest are mirrored, so the Gram is exactly symmetric.
+def _finish_gram(uncut, sums, edge_rows, halves, resonance, basis: FeatureBasis, A, U):
+    """Gram and event sums of ``build_xi`` from its per-block lag sums over the
+    pairs that end at t_n' + A (uncut) and over all pairs (sums), its edge rows
+    (a, c) and ``_resonance`` split.  Block b's event sums are its u = 0 lag sum
+    less halves[b], the weight of its self pairs.  With X_b = R o S_b + R^T o
+    S~_b + series_b as in ``build_xi``, Gram block i <= j is R o P + R^T o Q
+    plus series, P = S_ij + S~_ji^T and Q = S~_ij + S_ji^T each from one GEMM
+    over the rows of X_ij (u = 0, c = t_n' + A, then the edges') and, a and c
+    swapped, of X_ji.  On the diagonal Q = P^T and the block is Y + Y^T, with
+    Y = R o P + series; the rest are mirrored, so the Gram is exactly symmetric.
     """
-    M, J = basis.M, _SERIES_TERMS
+    (r_sum, series), M, J = resonance, basis.M, _SERIES_TERMS
     turn = np.exp(1j * basis.theta)
     F = np.exp(1j * (basis.omega * A + basis.theta))
-    r_sum, series = _resonance(basis, A)
-    moments = np.empty((U * U, J, M), dtype=complex)
-    event_sums = np.empty((U * U, M))
+    event_sums = basis.scale * (turn * (sums[:, 0] - halves[:, None])).real
+    moments = turn * sums[:, 1:] / np.cumprod(np.arange(1.0, J + 1.0))[:, None]
     sides = []  # per block, (Im a, Re c, Re a, Im c) over its rows, each contiguous
     for b in range(U * U):
-        event_sums[b] = basis.scale * (turn * (sums[b, 0] - halves[b])).real
-        moments[b] = turn * sums[b, 1:] / np.cumprod(np.arange(1.0, J + 1.0))[:, None]
         # c = t_n' + A takes the uncut pairs alone, u = 0 every pair
         ends = [[F * np.conj(uncut[b, 0]), -turn], [F, turn * sums[b, 0]]]
         a, c = np.concatenate([ends, *edge_rows[b]], axis=1)
         sides.append(np.stack([a.imag, c.real, a.real, c.imag]))
     near = []
     for (m, k, y), conj in zip(series, (np.asarray, np.conj)):
-        H, iy, acc = conj(moments[:, :, k]), 1j * y, 0.0
-        for order in range(J - 1, -1, -1):
-            acc = iy * acc + H[:, order]
+        live = np.flatnonzero(y)  # y = 0 reads moment 0 alone
+        acc, iy, tail = conj(moments[:, 0, k]), 1j * y[live], 0.0
+        for order in range(J - 1, 0, -1):  # Horner's rule
+            tail = iy * tail + conj(moments[:, order, k[live]])
+        acc[:, live] += iy * tail
         near.append((m, k, (A / M) * (turn[m] * acc).real))
     r_t = np.ascontiguousarray(r_sum.T)
     out, (P, Q) = np.empty((U, M, U, M)), np.empty((2, M, M))
@@ -262,10 +270,12 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
     Only the N_w events in [lo - 2A, hi) take part (a pair that meets the window
     starts after lo - A; one more A covers rounding), walked in ranges of
     consecutive events of about ``_RANGE`` reals each: 2M per phasor row and
-    about 16 per pair entry.  Lag sums gather per block, and ``_finish_gram``
-    forms the M^2 terms after the last range, with the edge rows.  A build
-    costs O(N_w M) exponentials, O(P_w M) multiply-adds for the P_w pairs of
-    those events, O(E U M) exponentials and O(U E M^2) GEMM work for the E
+    about 16 per pair entry, with one gather per ``_CHUNK`` for all blocks.  Lag
+    rows 0 and 1 cover all F distinct frequencies, rows 2..J only the F_s that
+    a near entry with y != 0 reads; ``_finish_gram`` forms the M^2 terms after
+    the last range, with the edge rows.  A build costs O(N_w M) exponentials,
+    O(P_w (2 F + (J - 1) F_s)) multiply-adds for the P_w pairs of those events,
+    O(E U M) exponentials and O(U E M^2) GEMM work for the E
     events within A of an edge, and O(U^2 M^2) arithmetic, in
     O(_RANGE + N_w + E U M + U^2 M^2) memory whatever N is.
     """
@@ -277,7 +287,8 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
         raise ValueError(f"window [{lo}, {hi}] must lie inside [0, {events.T}]")
     times, marks = events.times, events.marks
     M, U, J = basis.M, events.U, _SERIES_TERMS
-    freq, inverse = np.unique(basis.omega, return_inverse=True)
+    resonance = _resonance(basis, A)
+    freq, inverse, lead = _frequencies(basis, resonance[1])
     # segments of a power-of-two length >= 2A: t / span, its floor and the
     # offset t - seg span are exact, and a lag <= A crosses at most one boundary
     span = 2.0 ** np.ceil(np.log2(2.0 * A))
@@ -312,9 +323,7 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
         np.cos(own.real, out=own.real)
         np.multiply(own, np.exp(-1j * freq * span), out=phasors[local.size:])
         second = n2 + local.size * (seg[n2] < seg[n])
-        for k in range(U * U):
-            r = slice(*bounds[k:k + 2])
-            lags[k] += _lag_sums(phasors, n[r], second[r], ell[r], weight[r])
+        lags += _lag_sums(phasors, n, second, ell, weight, bounds, lead)
 
     t_w, mark_w = times[first:last], marks[first:last] - 1
     counts = np.bincount(marks[inside:last] - 1, minlength=U).astype(float)
@@ -324,13 +333,15 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
     edge_sums = np.zeros((U * U, J + 1, M), dtype=complex)
     for c, sign, at in ((hi, 1.0, (t_w + A > hi) & (lo < hi)),
                         (lo, -1.0, (t_w < lo) & (np.minimum(t_w + A, hi) > lo))):
+        if not at.any():
+            continue
         lag, mark = c - t_w[at], mark_w[at]
         tails = integral_phi_range(basis, lag, A)
         phases = np.exp(1j * (np.multiply.outer(lag, basis.omega) + basis.theta))  # e^{i alpha}
         steps = (mark[:, None] == np.arange(U))[:, :, None] * (sign * phases)[:, None]
         running = np.cumsum(steps, axis=0) - 0.5 * steps  # e^{i theta} S_n[j]
         powers = np.vander(lag / A, J + 1, increasing=True).T
-        for i in np.unique(mark):  # none for an edge without events
+        for i in np.unique(mark):
             sel = mark == i
             window_vec[i] -= sign * tails[sel].sum(axis=0)
             for j in range(U):
@@ -339,7 +350,7 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
     lags = lags[:, :, inverse]
     # a self pair, lag 0, enters block (i, i) at weight 1/2 for each mark-i event in [lo, hi)
     xi, event_sums = _finish_gram(lags, lags + edge_sums, edge_rows,
-                                  np.diag(counts / 2.0).ravel(), basis, A, U)
+                                  np.diag(counts / 2.0).ravel(), resonance, basis, A, U)
     return xi, window_vec.ravel(), event_sums, counts
 
 

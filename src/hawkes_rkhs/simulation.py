@@ -316,7 +316,8 @@ def write_curves_csv(path, spec: ScenarioSpec) -> None:
 
 def read_curves_csv(path):
     """Parse a kernel-curve file; returns (s grid, curves (U, U, n), U).
-    A short or non-numeric row raises ValueError naming its line."""
+    A short or non-numeric row raises ValueError naming its line, and a last
+    lag off the declared ``# A=`` by more than 1e-12 A one naming the file."""
     meta, (_, header), rows = read_table(path)
     if header is None or not rows:
         raise ValueError(f"{path}: no curve data")
@@ -332,6 +333,9 @@ def read_curves_csv(path):
             data[k] = [float(x) for x in fields]
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    A = meta_value(path, meta, "A", float, data[-1, 0])
+    if not abs(data[-1, 0] - A) <= 1e-12 * A:
+        raise ValueError(f"{path}: the lag grid ends at {data[-1, 0]}, not at '# A={A}'")
     return data[:, 0], data[:, 1:].T.reshape(U, U, len(rows)), U
 
 

@@ -484,6 +484,10 @@ CLI_ERRORS = {
     "evaluate-curves-window-mismatch": (
         ["evaluate", "--model", "{d}/model.json", "--truth-curves", "{d}/wide_curves.csv",
          "--out", "{d}/r.json"], 1, "window mismatch: lag grid [0.0, 2.0], model A=1.0"),
+    "evaluate-curves-declared-window": (
+        ["evaluate", "--model", "{d}/model.json", "--truth-curves", "{d}/short_grid_curves.csv",
+         "--out", "{d}/r.json"], 1,
+        "{d}/short_grid_curves.csv: the lag grid ends at 1.0, not at '# A=5.0'"),
     "reproduce-unknown-scenario": (
         ["reproduce", "--scenario", "poisson"], 2,
         "reproduce needs --scenario, one of: mutually-exciting, refractory"),
@@ -553,6 +557,8 @@ def error_inputs(tmp_path_factory):
     (d / "bare_curves.csv").write_text("# A=1\n# U=1\ns,g_11\n")
     (d / "bad_u_curves.csv").write_text("# A=1\n# U=x\ns,g_11\n0,0.5\n")
     (d / "wide_curves.csv").write_text("# A=2\n# U=1\ns,g_11\n0,0.5\n1,0.25\n2,0\n")
+    # declares A=5, but its grid ends at the model's A=1
+    (d / "short_grid_curves.csv").write_text("# A=5\n# U=1\ns,g_11\n0,0.5\n0.5,0.25\n1,0\n")
     (d / "run.toml").write_text("featurs = 16\n")
     (d / "frac_seed.toml").write_text("seed = 1.5\n")
     (d / "text_seed.toml").write_text('seed = "x"\n')

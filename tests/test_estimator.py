@@ -326,6 +326,36 @@ def test_gram_blocks_are_symmetric_and_agree_with_per_pair_closed_form(monkeypat
                     assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
+def test_lag_rows_2_to_J_only_where_a_near_entry_reads_them(monkeypatch):
+    # a build that takes lag rows 2..J at every frequency returns the same
+    # statistics: bitwise where every near entry has y = 0 (beta = 1, whose
+    # near entries pair a feature with itself or its cos/sin twin) and within
+    # 1e-14 where some frequencies carry them anyway
+    import hawkes_rkhs.estimator as est
+    rng = np.random.default_rng(79)
+    A = 5.0
+    times = np.unique(np.concatenate([rng.uniform(0.0, 40.0, 60), rng.uniform(17.0, 20.0, 10)]))
+    ev = EventSequence(times, rng.integers(1, 4, times.size), 40.0, 3)
+    frequencies = est._frequencies
+
+    def every(*args):
+        freq, inverse, _ = frequencies(*args)
+        return freq, inverse, freq.size
+
+    for basis, tol in ((build_basis(KernelSpec(beta=1.0), 100, 20), 0.0),
+                       (near_resonant_basis(A), 1e-14),
+                       (build_basis(KernelSpec(beta=0.5), 100, 20), 1e-14)):
+        lead = frequencies(basis, est._resonance(basis, A)[1])[2]
+        assert (lead == 0) == (tol == 0.0)
+        for window in ((0.0, ev.T), (20.0, 35.0)):
+            monkeypatch.setattr(est, "_frequencies", frequencies)
+            want = build_xi(ev, basis, A, *window)
+            monkeypatch.setattr(est, "_frequencies", every)
+            got = build_xi(ev, basis, A, *window)
+            for g, w in zip(got, want):
+                assert np.abs(g - w).max() <= tol * np.abs(w).max()
+
+
 def test_resonance_split_matches_the_full_mask():
     # random bases with repeated, zero and exactly opposite frequencies: the
     # near entries found in windows of the sorted frequencies are those of the
@@ -440,12 +470,16 @@ def test_gram_ranges_match_one_range_build(monkeypatch):
     monkeypatch.setattr(est, "_RANGE", 1 << 40)
     want = [build_xi(ev, basis, A, *window) for window in windows]
 
-    sizes, finished = [], []
-    pairs, finish = est._pairs_lag_in_window, est._finish_gram
+    sizes, finished, gathered = [], [], []
+    pairs, finish, lag_sums = est._pairs_lag_in_window, est._finish_gram, est._lag_sums
 
     def counted_pairs(starts, a):
         sizes.append(starts.size)
         return pairs(starts, a)
+
+    def counted_lag_sums(*args):
+        gathered.append(1)
+        return lag_sums(*args)
 
     def counted_finish(*args):
         finished.append(1)
@@ -453,13 +487,17 @@ def test_gram_ranges_match_one_range_build(monkeypatch):
 
     monkeypatch.setattr(est, "_pairs_lag_in_window", counted_pairs)
     monkeypatch.setattr(est, "_finish_gram", counted_finish)
+    monkeypatch.setattr(est, "_lag_sums", counted_lag_sums)
     for budget in (1, 80):
         monkeypatch.setattr(est, "_RANGE", budget)
         for window, ref in zip(windows, want):
             sizes.clear()
             finished.clear()
+            gathered.clear()
             got = build_xi(ev, basis, A, *window)
             assert len(sizes) > 3 and max(sizes) <= 3
+            # one lag pass per range, for all its blocks
+            assert len(gathered) == len(sizes)
             assert len(finished) == 1
             assert np.array_equal(got[0], got[0].T)
             for g, w in zip(got, ref):
