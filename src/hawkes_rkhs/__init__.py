@@ -40,6 +40,7 @@ from .evaluation import (
     bench_factorization,
     bench_scaling,
     fit_scenario_draw,
+    fit_scenario_draws,
     grid_search,
     ise,
     ise_on_grid,

@@ -15,14 +15,13 @@ import json
 import os
 import re
 import sys
-import time
 
 import numpy as np
 
 from .estimator import FitConfig, FitError, FittedModel, fit, g_curve
 from .events import read_events_csv, write_events_csv, write_table
 from .evaluation import GridSpec, bench_factorization, bench_scaling
-from .evaluation import fit_scenario_draw, grid_search, ise, ise_on_grid
+from .evaluation import fit_scenario_draws, grid_search, ise, ise_on_grid
 from .features import KernelSpec, build_basis
 from .simulation import SCENARIOS, read_curves_csv, simulate, true_curves, write_curves_csv
 
@@ -311,11 +310,8 @@ def run_reproduce(opts) -> int:
     t_end, workers = _positive(opts, "t_end"), _positive(opts, "workers")
     grid = GridSpec((0.1, 0.5, 1.0), (0.5, 1.0, 1.5))
     d2, counts, refit = [], [], []
-    for seed in seeds:
-        t0 = time.perf_counter()
-        report, model, events = fit_scenario_draw(
-            spec, t_end, seed, grid, M=opts["features"], workers=workers)
-        wall = time.perf_counter() - t0
+    draws = fit_scenario_draws(spec, t_end, seeds, grid, M=opts["features"], workers=workers)
+    for seed, (report, model, events, wall) in zip(seeds, draws):
         d2.append(report.delta_sq)
         counts.append(len(events))
         refit.append(model.stats["total_s"])

@@ -11,6 +11,7 @@ baseline estimates mu_i follow in closed form from the same solves.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 
@@ -395,10 +396,12 @@ class Design:
 
     The first four come from one ``build_xi`` pass, which alone decides what
     each window edge cuts.  Every statistic is additive in the window: the
-    designs over [0, s] and [s, T] sum to the design over [0, T].  The ridge
-    strength enters only through ``solve_system``, so one design serves
-    every gamma.
+    designs over [0, s] and [s, T] sum to the design over [0, T], and ``+``
+    forms that sum.  The ridge strength enters only through ``solve_system``,
+    so one design serves every gamma.
     """
+
+    _ADDITIVE = ("xi", "window_vec", "event_sums", "counts", "length")
 
     def __init__(self, events: EventSequence, basis: FeatureBasis, A: float,
                  lo: float = 0.0, hi: float | None = None):
@@ -407,6 +410,21 @@ class Design:
             events, basis, A, lo, hi)
         self.A = A
         self.length = (events.T if hi is None else hi) - lo
+
+    def __add__(self, other: "Design") -> "Design":
+        """The design over the union of two adjacent windows of the same
+        events and basis, each statistic the sum of the two.  Raises
+        ValueError when the designs differ in A or in shape."""
+        if not isinstance(other, Design):
+            return NotImplemented
+        if other.A != self.A or any(np.shape(getattr(self, key)) != np.shape(getattr(other, key))
+                                    for key in self._ADDITIVE):
+            raise ValueError("only designs with the same A and shapes add up: "
+                             f"A={self.A}, {self.xi.shape} and A={other.A}, {other.xi.shape}")
+        total = copy.copy(self)
+        for key in self._ADDITIVE:
+            setattr(total, key, getattr(self, key) + getattr(other, key))
+        return total
 
     def solve_system(self, gamma: float, rhs: np.ndarray):
         """Solve ((1/gamma) I + Xi) x = rhs; returns (x, Cholesky factor,

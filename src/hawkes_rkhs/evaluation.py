@@ -8,6 +8,7 @@ ground-truth scenario uses composite Simpson quadrature on the lag window.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -105,10 +106,11 @@ _CELL_FAILURES = (FitError, ValueError, np.linalg.LinAlgError)
 
 
 def _search_beta(events: EventSequence, gammas, beta: float, M: int, A: float,
-                 seed: int, t_split: float) -> list:
+                 seed: int, t_split: float):
     """Score every gamma for one beta: a training design on [0, t_split] and a
     validation design on [t_split, T] serve all gammas, at one Cholesky
-    factorization per gamma.  Returns one report per gamma."""
+    factorization per gamma.  Returns one report per gamma and the design over
+    [0, T], the sum of the two."""
     basis = build_basis(KernelSpec(beta=beta), M, seed)
     train = Design(events, basis, A, 0.0, t_split)
     valid = Design(events, basis, A, t_split, events.T)
@@ -121,11 +123,11 @@ def _search_beta(events: EventSequence, gammas, beta: float, M: int, A: float,
         except _CELL_FAILURES as exc:
             report.error = f"{type(exc).__name__}: {exc}"
         reports.append(report)
-    return reports
+    return reports, train + valid
 
 
 def grid_search(events: EventSequence, grid: GridSpec, M: int, A: float,
-                seed: int, workers: int = 1):
+                seed: int, workers: int = 1, designs: dict | None = None):
     """Validation-split hyperparameter selection.
 
     Each (gamma, beta) cell fits on the events in [0, split * T] with horizon
@@ -134,7 +136,9 @@ def grid_search(events: EventSequence, grid: GridSpec, M: int, A: float,
     gammas; ``workers`` > 1 spreads the betas over processes, one per beta at
     most.  Returns (best, cells) with cells ordered gamma-major; ties prefer
     larger gamma, then larger beta.  Cells whose fit fails numerically carry
-    an error message and are skipped in the argmin.
+    an error message and are skipped in the argmin.  A ``designs`` dict
+    receives, keyed by beta, the design over [0, T]: the sum of that beta's
+    two, so a refit on the whole horizon builds no Gram.
     """
     t_split = grid.split_fraction * events.T
     if len(events) == 0 or events.times.max() <= t_split:
@@ -147,8 +151,14 @@ def grid_search(events: EventSequence, grid: GridSpec, M: int, A: float,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_beta = list(pool.map(_search_beta, *zip(*jobs)))
     else:
-        per_beta = [_search_beta(*job) for job in jobs]
-    reports = [report for by_gamma in zip(*per_beta) for report in by_gamma]
+        # lazily, so that a [0, T] design no one asked for is dropped at once
+        per_beta = map(_search_beta, *zip(*jobs))
+    by_beta = []
+    for beta, (cells, whole) in zip(grid.beta_grid, per_beta):
+        by_beta.append(cells)
+        if designs is not None:
+            designs[beta] = whole
+    reports = [report for by_gamma in zip(*by_beta) for report in by_gamma]
     scored = [r for r in reports if r.error is None]
     if not scored:
         raise RuntimeError(
@@ -159,16 +169,50 @@ def grid_search(events: EventSequence, grid: GridSpec, M: int, A: float,
 
 def fit_scenario_draw(scenario: ScenarioSpec, T: float, seed: int, grid: GridSpec,
                       M: int = 100, workers: int = 1):
-    """Simulate one draw, grid-search hyperparameters, refit on the full
-    horizon with the chosen cell, and score against the truth.  Returns
-    (report, model, events)."""
+    """Simulate one draw, grid-search hyperparameters (``workers`` as in
+    ``grid_search``), refit on the full horizon with the chosen cell, and
+    score against the truth.  Returns (report, model, events).
+
+    The refit solves the chosen beta's [0, T] design from the grid search at
+    the chosen gamma, which is ``fit`` on [0, T] up to the rounding of the
+    sum; ``model.stats["total_s"]`` times that solve."""
     result = simulate(scenario, T, seed)
-    best, _ = grid_search(result.events, grid, M, scenario.A, seed, workers=workers)
+    designs = {}
+    best, _ = grid_search(result.events, grid, M, scenario.A, seed, workers=workers,
+                          designs=designs)
+    t0 = time.perf_counter()
+    mu_hat, coeff, stats = designs[best.beta].solve(best.gamma)
+    stats["total_s"] = time.perf_counter() - t0
     basis = build_basis(KernelSpec(beta=best.beta), M, seed)
-    model = fit(result.events, FitConfig(gamma=best.gamma, A=scenario.A, basis=basis))
+    model = FittedModel(mu_hat=mu_hat, coeff=coeff, basis=basis,
+                        config=FitConfig(gamma=best.gamma, A=scenario.A, basis=basis),
+                        T=result.events.T, U=result.events.U, stats=stats)
     report = ise(scenario, model)
     report.ls_loss = best.ls_loss
     return report, model, result.events
+
+
+def _timed_draw(scenario: ScenarioSpec, T: float, seed: int, grid: GridSpec, M: int):
+    t0 = time.perf_counter()
+    return *fit_scenario_draw(scenario, T, seed, grid, M=M), time.perf_counter() - t0
+
+
+def fit_scenario_draws(scenario: ScenarioSpec, T: float, seeds, grid: GridSpec,
+                       M: int = 100, workers: int = 1) -> list:
+    """``fit_scenario_draw`` for each seed, the draws spread over
+    min(``workers``, len(seeds)) processes, each draw's grid search on one.
+    Returns (report, model, events, wall_s) per seed in seed order, wall_s the
+    draw's wall-clock time in its process.  The workers are spawned and import
+    the caller's main module, so a script calling this with ``workers`` > 1
+    runs its calls under ``if __name__ == "__main__":``."""
+    jobs = [(scenario, T, seed, grid, M) for seed in seeds]
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        return [_timed_draw(*job) for job in jobs]
+    # spawn: a forked child would inherit the caller's threads in whatever state they hold
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(_timed_draw, *zip(*jobs)))
 
 
 def bench_scaling(scenario: ScenarioSpec, horizons, M: int, reps: int = 1, seed: int = 0):
@@ -234,6 +278,7 @@ __all__ = [
     "ise_on_grid",
     "grid_search",
     "fit_scenario_draw",
+    "fit_scenario_draws",
     "bench_scaling",
     "bench_factorization",
 ]

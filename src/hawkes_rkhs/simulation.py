@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -46,7 +47,9 @@ class TriggerKernel:
     ``values`` maps a 1-d float array of lags (the simulator passes one mark's
     live history at a time) elementwise to ``(g(s), envelope(s))``, two arrays
     of its shape.  The envelope must be nonincreasing, nonnegative, and
-    dominate g on [s, inf): envelope(s) >= g(u) for all u >= s.
+    dominate g on [s, inf): envelope(s) >= g(u) for all u >= s.  A scenario
+    goes to worker processes only if ``values`` pickles: a module-level
+    function or a ``partial`` of one, not a lambda or closure.
     """
 
     values: Callable[[np.ndarray], tuple]
@@ -59,46 +62,68 @@ class TriggerKernel:
         return self.values(s)[1]
 
 
+def _zero(s):
+    z = np.zeros_like(np.asarray(s, dtype=float))
+    return z, z
+
+
 # g = 0; the simulator does not evaluate it
-_ZERO = TriggerKernel(lambda s: (z := np.zeros_like(np.asarray(s, dtype=float)), z), "0")
+_ZERO = TriggerKernel(_zero, "0")
 
 
 def zero_kernel() -> TriggerKernel:
     return _ZERO
 
 
+def _exp_decay(c, rate, s):
+    g = c * np.exp(-rate * np.asarray(s, dtype=float))
+    return g, g
+
+
 def exp_decay(c: float, rate: float) -> TriggerKernel:
     """g(s) = c exp(-rate s); decreasing, so it is its own envelope."""
-    return TriggerKernel(lambda s: (g := c * np.exp(-rate * np.asarray(s, dtype=float)), g),
-                         f"{c}*exp(-{rate}s)")
+    return TriggerKernel(partial(_exp_decay, c, rate), f"{c}*exp(-{rate}s)")
+
+
+def _pow_two_decay(c, rate, s):
+    g = c * np.exp2(-rate * np.asarray(s, dtype=float))
+    return g, g
 
 
 def pow_two_decay(c: float, rate: float) -> TriggerKernel:
     """g(s) = c 2^(-rate s)."""
-    return TriggerKernel(lambda s: (g := c * np.exp2(-rate * np.asarray(s, dtype=float)), g),
-                         f"{c}*2^(-{rate}s)")
+    return TriggerKernel(partial(_pow_two_decay, c, rate), f"{c}*2^(-{rate}s)")
+
+
+def _gaussian_bump(c, center, sharpness, s):
+    s = np.asarray(s, dtype=float)
+    g = c * np.exp(-sharpness * (s - center) ** 2)
+    return g, np.where(s <= center, c, g)
 
 
 def gaussian_bump(c: float, center: float, sharpness: float) -> TriggerKernel:
     """g(s) = c exp(-sharpness (s - center)^2); envelope is flat at c before
     the peak and follows g after it."""
-    def values(s):
-        s = np.asarray(s, dtype=float)
-        g = c * np.exp(-sharpness * (s - center) ** 2)
-        return g, np.where(s <= center, c, g)
+    return TriggerKernel(partial(_gaussian_bump, c, center, sharpness),
+                         f"{c}*exp(-{sharpness}(s-{center})^2)")
 
-    return TriggerKernel(values, f"{c}*exp(-{sharpness}(s-{center})^2)")
+
+def _cosine_gated_decay(c, s):
+    s = np.asarray(s, dtype=float)
+    decay = np.exp(-s)
+    return c * (1.0 + np.cos(np.pi * s)) * decay, 2.0 * c * decay
 
 
 def cosine_gated_decay(c: float) -> TriggerKernel:
     """g(s) = c (1 + cos(pi s)) exp(-s), zero at odd integer lags; the
     modulation factor is at most 2, so 2c exp(-s) is a decreasing envelope."""
-    def values(s):
-        s = np.asarray(s, dtype=float)
-        decay = np.exp(-s)
-        return c * (1.0 + np.cos(np.pi * s)) * decay, 2.0 * c * decay
+    return TriggerKernel(partial(_cosine_gated_decay, c), f"{c}*(1+cos(pi s))*exp(-s)")
 
-    return TriggerKernel(values, f"{c}*(1+cos(pi s))*exp(-s)")
+
+def _refractory_pulse(decay, s):
+    s = np.asarray(s, dtype=float)
+    ramp, tail = s <= 0.5, np.exp(-decay * (s - 0.5))
+    return np.where(ramp, 8.0 * s * s - 1.0, tail), np.where(ramp, 1.0, tail)
 
 
 def refractory_pulse(decay: float) -> TriggerKernel:
@@ -107,12 +132,8 @@ def refractory_pulse(decay: float) -> TriggerKernel:
     Continuous at s = 1/2 (both branches equal 1); the maximum over [s, inf)
     is 1 before the peak and the decaying branch after it.
     """
-    def values(s):
-        s = np.asarray(s, dtype=float)
-        ramp, tail = s <= 0.5, np.exp(-decay * (s - 0.5))
-        return np.where(ramp, 8.0 * s * s - 1.0, tail), np.where(ramp, 1.0, tail)
-
-    return TriggerKernel(values, f"(8s^2-1)[s<=.5]+exp(-{decay}(s-.5))[s>.5]")
+    return TriggerKernel(partial(_refractory_pulse, decay),
+                         f"(8s^2-1)[s<=.5]+exp(-{decay}(s-.5))[s>.5]")
 
 
 @dataclass(frozen=True)
@@ -223,8 +244,9 @@ def simulate(spec: ScenarioSpec, T: float, seed: int,
     # order, its nonzero kernels j -> i as (i, values), and sums[j], the sums
     # over that history of every g_ij, then of every envelope_ij; those envelope
     # sums are the next proposal's bound once the accepted mark's are renewed
+    # equality, not identity: a spec unpickled in a worker holds a copy of _ZERO
     live = [[(i, spec.kernels[i][j].values) for i in range(U)
-             if spec.kernels[i][j] is not _ZERO] for j in range(U)]
+             if spec.kernels[i][j] != _ZERO] for j in range(U)]
     sums = [np.zeros(2 * U)] * U
     base = np.array(spec.mu * 2)
     bufs = [np.empty(_BUFFER) for _ in range(U)]

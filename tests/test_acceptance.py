@@ -30,7 +30,7 @@ from hawkes_rkhs.evaluation import (
     GridSpec,
     bench_factorization,
     bench_scaling,
-    fit_scenario_draw,
+    fit_scenario_draws,
 )
 from hawkes_rkhs.features import (
     KernelSpec,
@@ -283,9 +283,8 @@ def test_criterion_6_mutually_exciting_reproduction():
     refit on the full horizon, score integrated squared error."""
     spec = mutually_exciting_scenario()
     d2, counts = [], []
-    for seed in TABLE1_SEEDS:
-        rep, _, events = fit_scenario_draw(spec, 2000.0, seed, BENCH_GRID,
-                                           M=100, workers=WORKERS)
+    for rep, _, events, _ in fit_scenario_draws(spec, 2000.0, TABLE1_SEEDS, BENCH_GRID,
+                                                M=100, workers=WORKERS):
         d2.append(rep.delta_sq)
         counts.append(len(events))
     mean_d2 = float(np.mean(d2))
@@ -303,9 +302,8 @@ def test_criterion_6_long_horizon_reproduction():
     """Optional T = 7000 run: mean integrated squared error in [0.08, 0.32]."""
     spec = mutually_exciting_scenario()
     d2 = []
-    for seed in TABLE1_SEEDS:
-        rep, _, _ = fit_scenario_draw(spec, 7000.0, seed, BENCH_GRID,
-                                      M=100, workers=WORKERS)
+    for rep, _, _, _ in fit_scenario_draws(spec, 7000.0, TABLE1_SEEDS, BENCH_GRID,
+                                           M=100, workers=WORKERS):
         d2.append(rep.delta_sq)
     mean_d2 = float(np.mean(d2))
     assert 0.08 <= mean_d2 <= 0.32
@@ -318,9 +316,8 @@ def test_criterion_7_refractory_reproduction():
     linear estimator is scored against the pre-link ground-truth kernels."""
     spec = refractory_scenario()
     d2, counts = [], []
-    for seed in TABLE2_SEEDS:
-        rep, _, events = fit_scenario_draw(spec, 2000.0, seed, BENCH_GRID,
-                                           M=100, workers=WORKERS)
+    for rep, _, events, _ in fit_scenario_draws(spec, 2000.0, TABLE2_SEEDS, BENCH_GRID,
+                                                M=100, workers=WORKERS):
         d2.append(rep.delta_sq)
         counts.append(len(events))
     mean_d2 = float(np.mean(d2))

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -367,6 +368,21 @@ def test_reproduce_tiny(scenario, extra):
     assert "delta^2=" in lines[0] and "refit wall=" in lines[0]
     assert lines[-1].startswith("T=400  ") and "refit wall " in lines[-1]
     assert ("baseline=0.006" in lines[-1]) == (scenario == "refractory")
+
+
+@pytest.mark.parametrize("scenario", ["mutually-exciting", "refractory"])
+def test_reproduce_output_does_not_depend_on_workers(scenario):
+    # the seeds go to worker processes and come back in seed order
+    outputs = []
+    for workers in ("2", "1"):
+        out = run_cli("reproduce", "--scenario", scenario, "--t-end", "400",
+                      "--seeds", "2-4", "--features", "8", "--workers", workers)
+        assert out.returncode == 0, out.stderr
+        # the two wall-clock fields end each line
+        outputs.append([re.sub(r"\s+refit wall.*$", "", line)
+                        for line in out.stdout.splitlines()])
+    assert outputs[0] == outputs[1]
+    assert [line[:9] for line in outputs[0][:3]] == ["seed    2", "seed    3", "seed    4"]
 
 
 def test_reproduce_rejects_bad_options():

@@ -570,6 +570,29 @@ def test_design_split_additivity(seed, split):
     assert whole.length == ev.T and whole.counts.sum() == len(ev)
 
 
+def test_design_addition_sums_adjacent_windows():
+    ev, basis = small_instance(seed=17, U=2, n=20, T=12.0)
+    A, s = 3.0, 0.8 * ev.T
+    total, whole = Design(ev, basis, A, 0.0, s) + Design(ev, basis, A, s, ev.T), Design(ev, basis, A)
+    for got, want in zip(design_parts(total)[:3], design_parts(whole)):
+        assert_allclose(got, want, rtol=0, atol=1e-10 * max(1.0, np.abs(want).max()))
+    assert np.array_equal(total.counts, whole.counts)
+    assert total.length == whole.length == ev.T and total.A == A
+
+
+def test_design_addition_rejects_other_a_or_shape():
+    ev, basis = small_instance(seed=17, U=2, n=20, T=12.0)
+    left = Design(ev, basis, 3.0, 0.0, 6.0)
+    with pytest.raises(ValueError, match="same A"):
+        left + Design(ev, basis, 2.0, 6.0, ev.T)
+    with pytest.raises(ValueError, match="same A"):
+        left + Design(ev, build_basis(KernelSpec(beta=1.0), 4, 0), 3.0, 6.0, ev.T)
+    # U = 1 at M = 16 has the Gram shape of U = 2 at M = 8, not its event sums
+    one, wide = small_instance(seed=17, U=1, n=20, T=12.0, M=16)
+    with pytest.raises(ValueError, match="same A"):
+        left + Design(one, wide, 3.0, 6.0, one.T)
+
+
 @pytest.mark.parametrize("at_event", [True, False])
 def test_design_over_an_empty_window_is_zero(at_event):
     # lo = hi at an event time or between events, with pairs whose support

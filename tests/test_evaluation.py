@@ -11,6 +11,7 @@ from hawkes_rkhs.evaluation import (
     GridSpec,
     bench_factorization,
     bench_scaling,
+    fit_scenario_draw,
     grid_search,
     ise,
     ise_on_grid,
@@ -343,7 +344,7 @@ def test_failed_cell_is_reported_not_fatal():
     from hawkes_rkhs.evaluation import _search_beta
     events = sim_events(seed=14)
     # A larger than the training horizon makes the fit raise inside the cell
-    [report] = _search_beta(events, (1.0,), 1.0, 8, events.T * 0.9, 0, 0.8 * events.T)
+    [report], _ = _search_beta(events, (1.0,), 1.0, 8, events.T * 0.9, 0, 0.8 * events.T)
     assert report.error is not None and "exceeds the horizon" in report.error
     assert report.ls_loss is None
     # when every cell fails the search itself raises
@@ -376,6 +377,34 @@ def test_grid_search_builds_two_grams_per_beta(monkeypatch):
     assert len(calls) == 4
     assert [(c.gamma, c.beta) for c in cells] == [(0.5, 0.5), (0.5, 1.0),
                                                   (1.0, 0.5), (1.0, 1.0)]
+
+
+def test_scenario_draw_refits_from_the_grid_designs(monkeypatch):
+    # the refit solves the chosen beta's summed grid designs: fit on [0, T]
+    # up to rounding, with no Gram build of its own
+    calls = []
+    original = estimator.build_xi
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "build_xi", counting)
+    monkeypatch.setattr(evaluation, "build_xi", counting)
+    spec, grid = dense_scenario(), GridSpec((0.5, 1.0), (0.5, 1.0))
+    report, model, events = fit_scenario_draw(spec, 120.0, 2, grid, M=8)
+    assert len(calls) == 2 * len(grid.beta_grid)
+    monkeypatch.undo()
+    best, _ = grid_search(events, grid, M=8, A=spec.A, seed=2)
+    assert (report.gamma, report.beta, report.ls_loss) == (best.gamma, best.beta, best.ls_loss)
+    basis = build_basis(KernelSpec(beta=best.beta), 8, 2)
+    want = fit(events, FitConfig(gamma=best.gamma, A=spec.A, basis=basis))
+    assert (model.config.gamma, model.config.A, model.T, model.U) == (
+        want.config.gamma, want.config.A, want.T, want.U)
+    assert model.basis.to_dict() == want.basis.to_dict()
+    for got, ref in ((model.mu_hat, want.mu_hat), (model.coeff, want.coeff)):
+        assert_allclose(got, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
+    assert report.delta_sq == pytest.approx(ise(spec, want).delta_sq, rel=1e-12, abs=0)
 
 
 # --- benchmarks -------------------------------------------------------------------
