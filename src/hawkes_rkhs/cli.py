@@ -314,16 +314,16 @@ def run_reproduce(opts) -> int:
     for seed, (report, model, events, wall) in zip(seeds, draws):
         d2.append(report.delta_sq)
         counts.append(len(events))
-        refit.append(model.stats["total_s"])
+        refit.append(model.stats["solve_s"])
         print(f"seed {seed:4d}: N={len(events):5d}  "
               f"chosen (gamma={report.gamma}, beta={report.beta})  "
-              f"delta^2={report.delta_sq:6.3f}  refit wall={refit[-1]:.2f}s  "
+              f"delta^2={report.delta_sq:6.3f}  refit wall={_fmt(refit[-1])}s  "
               f"wall={wall:.1f}s")
     n = len(d2)
     baseline = f"baseline={spec.mu[0]}  " if opts["scenario"] == "refractory" else ""
     print(f"\nT={t_end:.0f}  {baseline}N~ {np.mean(counts):.0f}   "
           f"delta^2 {np.mean(d2):.2f} ({np.std(d2) / np.sqrt(n):.2f})   "
-          f"refit wall {np.mean(refit):.2f}s ({np.std(refit) / np.sqrt(n):.2f})")
+          f"refit wall {_fmt(np.mean(refit))}s ({_fmt(np.std(refit) / np.sqrt(n))})")
     return 0
 
 

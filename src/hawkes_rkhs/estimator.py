@@ -408,22 +408,26 @@ class Design:
         # first, so that build_xi checks A and the window
         self.xi, self.window_vec, self.event_sums, self.counts = build_xi(
             events, basis, A, lo, hi)
-        self.A = A
-        self.length = (events.T if hi is None else hi) - lo
+        self.basis, self.A, self.lo, self.hi = basis, A, lo, events.T if hi is None else hi
+        self.length = self.hi - lo
 
     def __add__(self, other: "Design") -> "Design":
-        """The design over the union of two adjacent windows of the same
-        events and basis, each statistic the sum of the two.  Raises
-        ValueError when the designs differ in A or in shape."""
+        """The design of the same events over [self.lo, other.hi], each
+        statistic the sum of the two.  Raises ValueError unless the designs
+        share A, shapes and basis object, and self.hi == other.lo."""
         if not isinstance(other, Design):
             return NotImplemented
-        if other.A != self.A or any(np.shape(getattr(self, key)) != np.shape(getattr(other, key))
-                                    for key in self._ADDITIVE):
-            raise ValueError("only designs with the same A and shapes add up: "
-                             f"A={self.A}, {self.xi.shape} and A={other.A}, {other.xi.shape}")
+        # the basis by identity: a basis compares its arrays, so == raises
+        if (other.A != self.A or other.basis is not self.basis or other.lo != self.hi
+                or any(np.shape(getattr(self, key)) != np.shape(getattr(other, key))
+                       for key in self._ADDITIVE)):
+            raise ValueError("only designs with the same A, basis and shapes on adjacent windows "
+                             f"add up: A={self.A}, {self.xi.shape} on [{self.lo}, {self.hi}] and "
+                             f"A={other.A}, {other.xi.shape} on [{other.lo}, {other.hi}]")
         total = copy.copy(self)
         for key in self._ADDITIVE:
             setattr(total, key, getattr(self, key) + getattr(other, key))
+        total.hi = other.hi
         return total
 
     def solve_system(self, gamma: float, rhs: np.ndarray):

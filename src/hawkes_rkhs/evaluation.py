@@ -8,7 +8,6 @@ ground-truth scenario uses composite Simpson quadrature on the lag window.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -100,6 +99,17 @@ def ise_on_grid(s: np.ndarray, truth_curves: np.ndarray, model: FittedModel) -> 
                       delta_sq=float(per_pair.sum()), per_pair=per_pair)
 
 
+def _map(fn, jobs, workers: int):
+    """``fn(*job)`` per job, in job order: over min(``workers``, len(jobs))
+    processes started by the platform's default method or, when that is 1 or
+    less, serially and lazily, so that a result the caller drops is freed."""
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        return (fn(*job) for job in jobs)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*jobs)))
+
+
 # numerical failures a grid cell reports instead of raising; any other
 # exception is a programming error and propagates out of grid_search
 _CELL_FAILURES = (FitError, ValueError, np.linalg.LinAlgError)
@@ -144,15 +154,8 @@ def grid_search(events: EventSequence, grid: GridSpec, M: int, A: float,
     if len(events) == 0 or events.times.max() <= t_split:
         raise ValueError(
             f"validation window empty: no events after t={t_split:.6g}")
-    jobs = [(events, grid.gamma_grid, beta, M, A, seed, t_split)
-            for beta in grid.beta_grid]
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_beta = list(pool.map(_search_beta, *zip(*jobs)))
-    else:
-        # lazily, so that a [0, T] design no one asked for is dropped at once
-        per_beta = map(_search_beta, *zip(*jobs))
+    jobs = [(events, grid.gamma_grid, beta, M, A, seed, t_split) for beta in grid.beta_grid]
+    per_beta = _map(_search_beta, jobs, workers)
     by_beta = []
     for beta, (cells, whole) in zip(grid.beta_grid, per_beta):
         by_beta.append(cells)
@@ -175,15 +178,13 @@ def fit_scenario_draw(scenario: ScenarioSpec, T: float, seed: int, grid: GridSpe
 
     The refit solves the chosen beta's [0, T] design from the grid search at
     the chosen gamma, which is ``fit`` on [0, T] up to the rounding of the
-    sum; ``model.stats["total_s"]`` times that solve."""
+    sum; ``model.stats["solve_s"]`` times that solve."""
     result = simulate(scenario, T, seed)
     designs = {}
     best, _ = grid_search(result.events, grid, M, scenario.A, seed, workers=workers,
                           designs=designs)
-    t0 = time.perf_counter()
     mu_hat, coeff, stats = designs[best.beta].solve(best.gamma)
-    stats["total_s"] = time.perf_counter() - t0
-    basis = build_basis(KernelSpec(beta=best.beta), M, seed)
+    basis = designs[best.beta].basis
     model = FittedModel(mu_hat=mu_hat, coeff=coeff, basis=basis,
                         config=FitConfig(gamma=best.gamma, A=scenario.A, basis=basis),
                         T=result.events.T, U=result.events.U, stats=stats)
@@ -202,17 +203,11 @@ def fit_scenario_draws(scenario: ScenarioSpec, T: float, seeds, grid: GridSpec,
     """``fit_scenario_draw`` for each seed, the draws spread over
     min(``workers``, len(seeds)) processes, each draw's grid search on one.
     Returns (report, model, events, wall_s) per seed in seed order, wall_s the
-    draw's wall-clock time in its process.  The workers are spawned and import
-    the caller's main module, so a script calling this with ``workers`` > 1
-    runs its calls under ``if __name__ == "__main__":``."""
-    jobs = [(scenario, T, seed, grid, M) for seed in seeds]
-    workers = min(workers, len(jobs))
-    if workers <= 1:
-        return [_timed_draw(*job) for job in jobs]
-    # spawn: a forked child would inherit the caller's threads in whatever state they hold
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
-        return list(pool.map(_timed_draw, *zip(*jobs)))
+    draw's wall-clock time in its process.  The workers start by the
+    platform's default method; where that is spawn or forkserver they import
+    the caller's main module, so there a script calling this with ``workers``
+    > 1 runs its calls under ``if __name__ == "__main__":``."""
+    return list(_map(_timed_draw, [(scenario, T, seed, grid, M) for seed in seeds], workers))
 
 
 def bench_scaling(scenario: ScenarioSpec, horizons, M: int, reps: int = 1, seed: int = 0):

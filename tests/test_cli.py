@@ -368,6 +368,9 @@ def test_reproduce_tiny(scenario, extra):
     assert "delta^2=" in lines[0] and "refit wall=" in lines[0]
     assert lines[-1].startswith("T=400  ") and "refit wall " in lines[-1]
     assert ("baseline=0.006" in lines[-1]) == (scenario == "refractory")
+    # the refit is a solve of about a millisecond: printed to 4 significant digits
+    refits = [float(re.search(r"refit wall=(\S+)s", line)[1]) for line in lines[:2]]
+    assert all(wall > 0 for wall in refits)
 
 
 @pytest.mark.parametrize("scenario", ["mutually-exciting", "refractory"])

@@ -578,6 +578,7 @@ def test_design_addition_sums_adjacent_windows():
         assert_allclose(got, want, rtol=0, atol=1e-10 * max(1.0, np.abs(want).max()))
     assert np.array_equal(total.counts, whole.counts)
     assert total.length == whole.length == ev.T and total.A == A
+    assert (total.lo, total.hi) == (0.0, ev.T) and total.basis is basis
 
 
 def test_design_addition_rejects_other_a_or_shape():
@@ -591,6 +592,17 @@ def test_design_addition_rejects_other_a_or_shape():
     one, wide = small_instance(seed=17, U=1, n=20, T=12.0, M=16)
     with pytest.raises(ValueError, match="same A"):
         left + Design(one, wide, 3.0, 6.0, one.T)
+    # another basis of the same shape, and an equal copy of this one: only
+    # the same object is known to be the same basis
+    copied = build_basis(KernelSpec(beta=1.0), 8, 17)
+    assert np.array_equal(copied.omega, basis.omega) and copied is not basis
+    for other in (build_basis(KernelSpec(beta=0.5), 8, 17), copied):
+        with pytest.raises(ValueError, match="same A"):
+            left + Design(ev, other, 3.0, 6.0, ev.T)
+    # windows that are not adjacent: a gap, an overlap, the same window again
+    for lo, hi in ((7.0, ev.T), (5.0, ev.T), (0.0, 6.0)):
+        with pytest.raises(ValueError, match="same A"):
+            left + Design(ev, basis, 3.0, lo, hi)
 
 
 @pytest.mark.parametrize("at_event", [True, False])

@@ -12,6 +12,7 @@ from hawkes_rkhs.evaluation import (
     bench_factorization,
     bench_scaling,
     fit_scenario_draw,
+    fit_scenario_draws,
     grid_search,
     ise,
     ise_on_grid,
@@ -308,6 +309,15 @@ def test_grid_search_pool_has_one_worker_per_beta_at_most(monkeypatch):
     assert pools == [3]
     grid_search(events, GridSpec((1.0,), (1.0,)), M=8, A=5.0, seed=1, workers=8)
     assert pools == [3]
+    # the seed pool is the same map: one pool for three seeds, draws in seed order
+    pools.clear()
+    seeds, grid = (2, 3, 4), GridSpec((1.0,), (0.5, 1.0))
+    draws = fit_scenario_draws(dense_scenario(), 120.0, seeds, grid, M=8, workers=8)
+    assert pools == [3]
+    for seed, (report, _, events, _) in zip(seeds, draws, strict=True):
+        want = fit_scenario_draw(dense_scenario(), 120.0, seed, grid, M=8)
+        assert np.array_equal(events.times, want[2].times)
+        assert report.delta_sq == want[0].delta_sq
 
 
 def test_grid_search_empty_validation_window():
