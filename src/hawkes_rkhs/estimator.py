@@ -27,6 +27,10 @@ class FitError(RuntimeError):
     """Raised when the normal equations cannot be solved reliably."""
 
 
+class _WindowError(FitError, ValueError):
+    """A support window A longer than the horizon: bad input, and a failed grid cell."""
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Hyperparameters of a fit: ridge strength gamma, support window A and
@@ -356,17 +360,17 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
 
 
 def _check_fittable(has_events: bool, A: float, length: float):
-    """Raise FitError for a window without events, ValueError for A beyond it."""
+    """Raise FitError for a window without events or with A beyond it (also a ValueError)."""
     if not has_events:
         raise FitError("cannot fit an empty event sequence")
     if A > length:
-        raise ValueError(f"support window A={A} exceeds the horizon T={length}")
+        raise _WindowError(f"support window A={A} exceeds the horizon T={length}")
 
 
 def _solve_spd(Z: np.ndarray, rhs: np.ndarray, gamma: float):
     """Cholesky solve of Z x = rhs with a condition estimate, factoring the
     symmetric Z in place; raises FitError naming gamma when Z is not finite or
-    not numerically positive definite."""
+    not numerically positive definite, or when rhs is not finite."""
     # Z.T: Z in the Fortran order LAPACK reads without a copy; NaN and inf carry into the norm
     anorm = _lapack.dlange("1", Z.T)
     if not np.isfinite(anorm):
@@ -379,7 +383,9 @@ def _solve_spd(Z: np.ndarray, rhs: np.ndarray, gamma: float):
             f"1-norm={anorm:.3e}); the system is numerically singular") from exc
     rcond, _ = _lapack.dpocon(factor[0], anorm, uplo="L")
     cond = np.inf if rcond == 0 else 1.0 / rcond
-    return cho_solve(factor, np.asarray_chkfinite(rhs), check_finite=False), factor, cond
+    if not np.isfinite(rhs).all():
+        raise FitError(f"right-hand side is not finite (gamma={gamma})")
+    return cho_solve(factor, rhs, check_finite=False), factor, cond
 
 
 class Design:

@@ -110,11 +110,6 @@ def _map(fn, jobs, workers: int):
         return list(pool.map(fn, *zip(*jobs)))
 
 
-# numerical failures a grid cell reports instead of raising; any other
-# exception is a programming error and propagates out of grid_search
-_CELL_FAILURES = (FitError, ValueError, np.linalg.LinAlgError)
-
-
 def _search_beta(events: EventSequence, gammas, beta: float, M: int, A: float,
                  seed: int, t_split: float):
     """Score every gamma for one beta: a training design on [0, t_split] and a
@@ -130,7 +125,7 @@ def _search_beta(events: EventSequence, gammas, beta: float, M: int, A: float,
         try:
             mu_hat, coeff, _ = train.solve(gamma)
             report.ls_loss = valid.contrast(mu_hat, coeff)
-        except _CELL_FAILURES as exc:
+        except FitError as exc:  # numerical failure; any other error propagates
             report.error = f"{type(exc).__name__}: {exc}"
         reports.append(report)
     return reports, train + valid

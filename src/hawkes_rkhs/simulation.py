@@ -45,11 +45,14 @@ class TriggerKernel:
     """A triggering kernel g(s) and its thinning envelope, from one formula.
 
     ``values`` maps a 1-d float array of lags (the simulator passes one mark's
-    live history at a time) elementwise to ``(g(s), envelope(s))``, two arrays
-    of its shape.  The envelope must be nonincreasing, nonnegative, and
-    dominate g on [s, inf): envelope(s) >= g(u) for all u >= s.  A scenario
-    goes to worker processes only if ``values`` pickles: a module-level
-    function or a ``partial`` of one, not a lambda or closure.
+    live history at a time) to ``(g(s), envelope(s))``, two arrays of its
+    shape.  It must be deterministic and elementwise: a lag's values may not
+    depend on the other lags in the call or on its length, since the simulator
+    evaluates lag 0 once per draw and reuses that column for every accepted
+    event.  The envelope must be nonincreasing, nonnegative, and dominate g on
+    [s, inf): envelope(s) >= g(u) for all u >= s.  A scenario goes to worker
+    processes only if ``values`` pickles: a module-level function or a
+    ``partial`` of one, not a lambda or closure.
     """
 
     values: Callable[[np.ndarray], tuple]
@@ -76,7 +79,8 @@ def zero_kernel() -> TriggerKernel:
 
 
 def _exp_decay(c, rate, s):
-    g = c * np.exp(-rate * np.asarray(s, dtype=float))
+    g = np.exp(-rate * np.asarray(s, dtype=float))
+    g *= c
     return g, g
 
 
@@ -86,7 +90,8 @@ def exp_decay(c: float, rate: float) -> TriggerKernel:
 
 
 def _pow_two_decay(c, rate, s):
-    g = c * np.exp2(-rate * np.asarray(s, dtype=float))
+    g = np.exp2(-rate * np.asarray(s, dtype=float))
+    g *= c
     return g, g
 
 
@@ -98,7 +103,9 @@ def pow_two_decay(c: float, rate: float) -> TriggerKernel:
 def _gaussian_bump(c, center, sharpness, s):
     s = np.asarray(s, dtype=float)
     g = c * np.exp(-sharpness * (s - center) ** 2)
-    return g, np.where(s <= center, c, g)
+    envelope = np.array(g)
+    np.putmask(envelope, s <= center, c)
+    return g, envelope
 
 
 def gaussian_bump(c: float, center: float, sharpness: float) -> TriggerKernel:
@@ -123,7 +130,10 @@ def cosine_gated_decay(c: float) -> TriggerKernel:
 def _refractory_pulse(decay, s):
     s = np.asarray(s, dtype=float)
     ramp, tail = s <= 0.5, np.exp(-decay * (s - 0.5))
-    return np.where(ramp, 8.0 * s * s - 1.0, tail), np.where(ramp, 1.0, tail)
+    g, envelope = np.array(tail), np.array(tail)
+    np.putmask(g, ramp, 8.0 * s * s - 1.0)
+    np.putmask(envelope, ramp, 1.0)
+    return g, envelope
 
 
 def refractory_pulse(decay: float) -> TriggerKernel:
@@ -241,12 +251,24 @@ def simulate(spec: ScenarioSpec, T: float, seed: int,
     identity = isinstance(spec.link, IdentityLink)
     U = spec.U
     # per source mark j: its live history bufs[j][lo[j]:hi[j]] in acceptance
-    # order, its nonzero kernels j -> i as (i, values), and sums[j], the sums
-    # over that history of every g_ij, then of every envelope_ij; those envelope
-    # sums are the next proposal's bound once the accepted mark's are renewed
+    # order, its nonzero kernels j -> i as (i, values), rows[j], the (2U, n)
+    # values of every g_ij, then of every envelope_ij, over that history at the
+    # last proposal, and sums[j], their row sums; those envelope sums are the
+    # next proposal's bound once the accepted mark's are renewed
     # equality, not identity: a spec unpickled in a worker holds a copy of _ZERO
     live = [[(i, spec.kernels[i][j].values) for i in range(U)
              if spec.kernels[i][j] != _ZERO] for j in range(U)]
+
+    def kernel_rows(j: int, lags: np.ndarray) -> np.ndarray:
+        out = np.zeros((2 * U, lags.size))
+        if lags.size:
+            for i, values in live[j]:
+                out[i], out[U + i] = values(lags)
+        return out
+
+    # the column an accepted event of mark j adds to rows[j]: its lag is t - t = 0
+    fresh = [kernel_rows(j, np.zeros(1)) for j in range(U)]
+    rows = [np.zeros((2 * U, 0))] * U
     sums = [np.zeros(2 * U)] * U
     base = np.array(spec.mu * 2)
     bufs = [np.empty(_BUFFER) for _ in range(U)]
@@ -256,12 +278,8 @@ def simulate(spec: ScenarioSpec, T: float, seed: int,
     t, n_proposals = 0.0, 0
 
     def refresh(j: int) -> None:
-        lags = t - bufs[j][lo[j]:hi[j]]
-        rows = np.zeros((2 * U, lags.size))
-        if lags.size:
-            for i, values in live[j]:
-                rows[i], rows[U + i] = values(lags)
-        sums[j] = np.add.reduce(rows, axis=1)
+        rows[j] = kernel_rows(j, t - bufs[j][lo[j]:hi[j]])
+        sums[j] = np.add.reduce(rows[j], axis=1)
 
     def linear() -> np.ndarray:  # [intensities, bounds] before the link
         out = base + sums[0]
@@ -271,7 +289,7 @@ def simulate(spec: ScenarioSpec, T: float, seed: int,
 
     parts = linear()
     while True:
-        bound = float(spec.link(parts[U:]).sum())
+        bound = float(np.add.reduce(spec.link(parts[U:])))
         if bound <= 0.0:
             break
         t += rng.exponential(1.0 / bound)
@@ -287,7 +305,7 @@ def simulate(spec: ScenarioSpec, T: float, seed: int,
         if identity and lam.min() < 0:
             raise RuntimeError(
                 f"negative intensity {lam.min():.3e} at t={t:.6g} under the identity link")
-        total = float(lam.sum())
+        total = float(np.add.reduce(lam))
         if rng.random() * bound <= total:
             mark = min(1 + int(np.searchsorted(np.cumsum(lam), rng.random() * total)), U)
             times.append(t)
@@ -305,7 +323,8 @@ def simulate(spec: ScenarioSpec, T: float, seed: int,
                 raise RuntimeError(
                     f"simulation aborted: more than {max_events} events by t={t:.6g} "
                     f"(runaway supercritical process; raise max_events to override)")
-            refresh(j)
+            # the rows refresh(j) would build at this t, with no kernel call
+            sums[j] = np.add.reduce(np.concatenate((rows[j], fresh[j]), axis=1), axis=1)
             parts = linear()
 
     events = EventSequence(np.asarray(times), np.asarray(marks, dtype=int), T, spec.U)

@@ -617,10 +617,10 @@ def test_console_script_runs_cli_main():
     # tier-1 runs the package with python -m; an installed hawkes-rkhs command
     # runs the [project.scripts] target instead, which must resolve to cli.main
     import importlib
+    import tomllib
 
     from hawkes_rkhs import cli
 
-    tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
     module, _, attr = project["project"]["scripts"]["hawkes-rkhs"].partition(":")
     assert getattr(importlib.import_module(module), attr) is cli.main

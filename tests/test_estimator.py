@@ -801,6 +801,13 @@ def test_solver_rejects_non_finite_systems(entries):
         _solve_spd(Z, np.ones(3), gamma=0.5)
 
 
+def test_solver_rejects_non_finite_right_hand_side():
+    # a grid cell reports FitError alone, so this numerical failure must be one
+    from hawkes_rkhs.estimator import _solve_spd
+    with pytest.raises(FitError, match=r"right-hand side is not finite \(gamma=0\.5\)"):
+        _solve_spd(np.eye(3) + 0.1, np.array([1.0, np.nan, 1.0]), gamma=0.5)
+
+
 # --- g_curve / intensity --------------------------------------------------------
 
 def test_evaluate_g_zero_model():

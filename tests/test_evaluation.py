@@ -371,6 +371,21 @@ def test_grid_cell_programming_error_propagates(monkeypatch):
         grid_search(sim_events(seed=9), GridSpec((1.0,), (1.0,)), M=8, A=5.0, seed=0)
 
 
+def test_grid_cell_shape_bug_propagates(monkeypatch):
+    # numpy raises ValueError for a shape mismatch: a bug in the beta=1 cells
+    # must raise, not turn them into error cells that the beta=0.5 cells outvote
+    original = Design.contrast
+
+    def broken_at_beta_one(self, mu, coeff):
+        if self.basis.beta == 1.0:
+            return original(self, mu, coeff[:, :-1])
+        return original(self, mu, coeff)
+
+    monkeypatch.setattr(Design, "contrast", broken_at_beta_one)
+    with pytest.raises(ValueError):
+        grid_search(sim_events(seed=9), GridSpec((0.1, 1.0), (0.5, 1.0)), M=8, A=5.0, seed=0)
+
+
 def test_grid_search_builds_two_grams_per_beta(monkeypatch):
     calls = []
     original = estimator.build_xi

@@ -89,6 +89,23 @@ def test_envelopes_dominate_and_decrease():
                 assert np.all(env >= suffix_max - 1e-12), k.label
 
 
+def test_builtin_kernels_are_elementwise():
+    # the simulator evaluates lag 0 once per draw and reuses that column, so a
+    # value must not depend on the call's shape: a scalar, a one-lag array and
+    # any position of a longer array give the same bits
+    lags = np.random.default_rng(0).uniform(0.0, 6.0, 37)
+    for spec in (mutually_exciting_scenario(), refractory_scenario()):
+        for k in sum(spec.kernels, ()):
+            for s in (0.0, 0.5, 1.0, 2.5):
+                one = k.values(np.array([s]))
+                at = [k.values(np.insert(lags, pos, s)) for pos in (0, 20, lags.size)]
+                for part, scalar in enumerate(k.values(s)):
+                    assert np.shape(scalar) == ()
+                    assert np.asarray(scalar).tobytes() == one[part].tobytes(), (k.label, s)
+                    assert [v[part][pos] for v, pos in zip(at, (0, 20, lags.size))] == \
+                        [one[part][0]] * 3, (k.label, s)
+
+
 def test_unbounded_envelope_rejected():
     def inv(s):
         with np.errstate(divide="ignore"):
@@ -201,6 +218,68 @@ def test_simulate_matches_reference_loop(make_spec, T, seed):
     if make_spec is sparse_spec:
         gaps = np.diff(got.events.times)
         assert (gaps > spec.support_lag).sum() > 10 and (gaps < spec.support_lag).sum() > 10
+
+
+@pytest.mark.parametrize("make_spec, T, seed", [
+    (mutually_exciting_scenario, 400.0, 3),
+    (refractory_scenario, 300.0, 1),
+    (sparse_spec, 2000.0, 8),
+])
+def test_simulate_calls_each_kernel_once_per_proposal(monkeypatch, make_spec, T, seed):
+    # a live kernel's values run once per draw at lag 0 and once per proposal
+    # before T that finds its source mark's history nonempty; an acceptance
+    # sums its lag-0 column onto that proposal's values and calls no kernel
+    spec = make_spec()
+    calls = {}
+
+    def counting(key, values):
+        calls[key] = []
+
+        def wrapped(s):
+            calls[key].append(np.array(s, dtype=float))
+            return values(s)
+        return wrapped
+
+    kernels = tuple(tuple(k if k == zero_kernel() else TriggerKernel(counting((i, j), k.values))
+                          for j, k in enumerate(row)) for i, row in enumerate(spec.kernels))
+    counted = ScenarioSpec(U=spec.U, mu=spec.mu, kernels=kernels, link=spec.link,
+                           A=spec.A, support_lag=spec.support_lag)
+    for seen in calls.values():
+        seen.clear()  # ScenarioSpec's own check on a lag grid
+    gaps, default_rng = [], np.random.default_rng
+
+    class Recording:  # the draws of default_rng, keeping each proposal's gap
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def exponential(self, scale):
+            gaps.append(self.rng.exponential(scale))
+            return gaps[-1]
+
+        def random(self):
+            return self.rng.random()
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    got = simulate(counted, T, seed)
+    monkeypatch.undo()
+    ref = simulate_loop(spec, T, seed)
+    assert np.array_equal(got.events.times, ref.events.times)
+    assert np.array_equal(got.events.marks, ref.events.marks)
+    assert np.array_equal(got.intensities, ref.intensities)
+    assert got.n_proposals == ref.n_proposals == len(gaps)
+
+    t, proposals = 0.0, []
+    for gap in gaps:  # summed as the simulator sums them
+        t += gap
+        proposals.append(t)
+    assert proposals[-1] >= T > proposals[-2]
+    times, marks = got.events.times, got.events.marks
+    for (i, j), seen in calls.items():
+        history = times[marks == j + 1]
+        busy = sum(bool(np.any((history < p) & (p - history <= spec.support_lag)))
+                   for p in proposals[:-1])
+        assert len(seen) == busy + 1, (i, j)
+        assert [s.tolist() for s in seen if np.any(s == 0.0)] == [[0.0]], (i, j)
 
 
 def _digest(a, dtype):
