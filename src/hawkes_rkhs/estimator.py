@@ -12,11 +12,11 @@ baseline estimates mu_i follow in closed form from the same solves.
 from __future__ import annotations
 
 import copy
+import logging
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg import lapack as _lapack
 
 from .events import EventSequence
@@ -367,25 +367,126 @@ def _check_fittable(has_events: bool, A: float, length: float):
         raise _WindowError(f"support window A={A} exceeds the horizon T={length}")
 
 
-def _solve_spd(Z: np.ndarray, rhs: np.ndarray, gamma: float):
-    """Cholesky solve of Z x = rhs with a condition estimate, factoring the
-    symmetric Z in place; raises FitError naming gamma when Z is not finite or
-    not numerically positive definite, or when rhs is not finite."""
+_log = logging.getLogger(__name__)
+
+# A condition estimate above this leaves fewer than 6 of float64's 16 significant
+# digits of the solution trustworthy (relative error up to about cond * 1.1e-16).
+ILL_CONDITIONED = 1e10
+# The float32 route (mixed-precision refinement, as LAPACK's dsposv) runs on
+# systems of order M*U >= MIXED_MIN_ORDER, below which float64 is as fast
+# (CHANGES.md), and gamma ||Z||_1 eps32 < MIXED_MAX_KAPPA_EPS.  Xi is positive
+# semidefinite, so Z's eigenvalues are >= 1/gamma and gamma ||Z||_1 bounds
+# kappa_2(Z).  Refinement shrinks the error by about kappa eps32 per step: on
+# the seed-20 designs it took <= 3 steps below this bound, and 9-13 at 0.25,
+# where it lost to float64.  It is abandoned after MIXED_MAX_STEPS steps.
+MIXED_MIN_ORDER = 700
+MIXED_MAX_KAPPA_EPS = 1e-2
+MIXED_MAX_STEPS = 10
+_EPS32 = np.finfo(np.float32).eps / 2
+# LAPACK's dlamch("Epsilon"), the unit roundoff dsposv's stopping test uses
+_EPS64 = np.finfo(np.float64).eps / 2
+
+
+def _shifted(xi: np.ndarray, gamma: float) -> np.ndarray:
+    """(1/gamma) I + xi, a new float64 array."""
+    Z = xi.copy()
+    Z.flat[::Z.shape[0] + 1] += 1.0 / gamma
+    return Z
+
+
+def _solve_float64(Z: np.ndarray, rhs: np.ndarray, gamma: float):
+    """Cholesky solve of Z x = rhs in float64, factoring the symmetric Z in
+    place; returns (x, (factor, lower), condition estimate)."""
     # Z.T: Z in the Fortran order LAPACK reads without a copy; NaN and inf carry into the norm
     anorm = _lapack.dlange("1", Z.T)
     if not np.isfinite(anorm):
         raise FitError(f"(1/gamma) I + Xi is not finite (gamma={gamma}, 1-norm={anorm})")
-    try:
-        factor = cho_factor(Z.T, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
+    c, info = _lapack.dpotrf(Z.T, lower=1, overwrite_a=1, clean=0)
+    if info > 0:
         raise FitError(
             f"(1/gamma) I + Xi is not positive definite (gamma={gamma}, "
-            f"1-norm={anorm:.3e}); the system is numerically singular") from exc
-    rcond, _ = _lapack.dpocon(factor[0], anorm, uplo="L")
+            f"1-norm={anorm:.3e}); the system is numerically singular")
+    rcond, _ = _lapack.dpocon(c, anorm, uplo="L")
     cond = np.inf if rcond == 0 else 1.0 / rcond
     if not np.isfinite(rhs).all():
         raise FitError(f"right-hand side is not finite (gamma={gamma})")
-    return cho_solve(factor, rhs, check_finite=False), factor, cond
+    return _lapack.dpotrs(c, rhs, lower=1)[0], (c, True), cond
+
+
+def _residual(xi: np.ndarray, x: np.ndarray, rhs: np.ndarray, gamma: float) -> np.ndarray:
+    """rhs - ((1/gamma) I + xi) x, in float64."""
+    # xi is symmetric, and x^T xi reads it row by row, faster than xi x
+    return rhs - (x.T @ xi).T - x * (1.0 / gamma)
+
+
+def _solve_float32(xi: np.ndarray, rhs: np.ndarray, gamma: float):
+    """Solve ((1/gamma) I + xi) x = rhs by a float32 Cholesky factor and
+    float64 iterative refinement to dsposv's stopping test.  Returns
+    (x, condition estimate, steps, residual), or None when the float64 route
+    must run instead: Z overflows float32, gamma ||Z||_1 eps32 (a bound on
+    kappa_2(Z) eps32) reaches MIXED_MAX_KAPPA_EPS, spotrf fails, or
+    refinement misses the test after MIXED_MAX_STEPS steps."""
+    n = xi.shape[0]
+    # ||Z||_1 >= the 1-norm of any row of xi less 1/gamma; on the seed-20 designs the
+    # row of xi's largest diagonal entry has the largest 1-norm, so a system plainly
+    # past the bound leaves before the O(n^2) copy
+    if (gamma * np.abs(xi[np.argmax(xi.diagonal())]).sum() - 1.0) * _EPS32 >= MIXED_MAX_KAPPA_EPS:
+        return None
+    with np.errstate(over="ignore"):  # an entry past float32's range reads inf in the norm
+        Z32 = xi.astype(np.float32)
+        Z32.flat[::n + 1] += np.float32(1.0 / gamma)
+    anorm = _lapack.slange("1", Z32.T)
+    if not (np.isfinite(anorm) and gamma * anorm * _EPS32 < MIXED_MAX_KAPPA_EPS):
+        return None
+    c, info = _lapack.spotrf(Z32.T, lower=1, overwrite_a=1, clean=0)
+    if info != 0:
+        return None
+    rcond, _ = _lapack.spocon(c, anorm, uplo="L")
+    x = _lapack.spotrs(c, rhs.astype(np.float32), lower=1)[0].astype(np.float64)
+    tol = anorm * _EPS64 * np.sqrt(n)
+    for step in range(MIXED_MAX_STEPS + 1):
+        r = _residual(xi, x, rhs, gamma)
+        # dsposv's test, for every right-hand side: ||r||_inf <= ||x||_inf ||Z||_inf eps sqrt(n)
+        if (np.abs(r).max(axis=0) <= np.abs(x).max(axis=0) * tol).all():
+            return x, np.inf if rcond == 0 else 1.0 / rcond, step, r
+        if step < MIXED_MAX_STEPS:
+            x += _lapack.spotrs(c, r.astype(np.float32), lower=1)[0]
+    return None
+
+
+def _solve_spd(Z, rhs: np.ndarray, gamma: float, xi: np.ndarray | None = None):
+    """Cholesky solve of the symmetric positive-definite Z x = rhs,
+    Z = (1/gamma) I + Xi, with a condition estimate; returns
+    (x, factor, condition estimate, info).
+
+    Given Z (float64), it is factored in place and ``factor`` is the float64
+    ``(c, lower)`` pair ``cho_solve`` takes.  Given Z=None and Xi as ``xi``,
+    a system of order >= MIXED_MIN_ORDER is first tried by ``_solve_float32``
+    (``factor`` then None); any other system, or one that route declines, is
+    copied to a float64 Z and solved as above.  ``info`` holds the
+    ``solve_route`` ("float32" or "float64"), the ``refine_steps`` and, given
+    ``xi``, the ``relative_residual`` ||Z x - rhs|| / ||rhs||.
+
+    Raises FitError naming gamma when Z is not finite or not numerically
+    positive definite, or when rhs is not finite; logs a warning when the
+    condition estimate passes ILL_CONDITIONED."""
+    mixed = None
+    if Z is None and xi.shape[0] >= MIXED_MIN_ORDER and np.isfinite(rhs).all():
+        mixed = _solve_float32(xi, rhs, gamma)
+    if mixed is None:
+        x, factor, cond = _solve_float64(_shifted(xi, gamma) if Z is None else Z, rhs, gamma)
+        info = {"solve_route": "float64", "refine_steps": 0}
+        residual = None if xi is None else _residual(xi, x, rhs, gamma)
+    else:
+        x, cond, steps, residual = mixed
+        factor, info = None, {"solve_route": "float32", "refine_steps": steps}
+    if residual is not None:
+        info["relative_residual"] = float(np.linalg.norm(residual) / np.linalg.norm(rhs))
+    if cond > ILL_CONDITIONED:
+        _log.warning("ill-conditioned system at gamma=%g: condition estimate %.3e exceeds "
+                     "%.0e, so fewer than 6 significant digits may be correct",
+                     gamma, cond, ILL_CONDITIONED)
+    return x, factor, cond, info
 
 
 class Design:
@@ -437,20 +538,28 @@ class Design:
         return total
 
     def solve_system(self, gamma: float, rhs: np.ndarray):
-        """Solve ((1/gamma) I + Xi) x = rhs; returns (x, Cholesky factor,
-        condition estimate)."""
+        """Solve ((1/gamma) I + Xi) x = rhs in float64; returns (x, the
+        float64 Cholesky factor as ``cho_solve`` takes it, condition
+        estimate)."""
         if not gamma > 0:
             raise ValueError(f"gamma must be positive, got {gamma}")
-        Z = self.xi.copy()
-        Z.flat[::Z.shape[0] + 1] += 1.0 / gamma
-        return _solve_spd(Z, rhs, gamma)
+        return _solve_spd(_shifted(self.xi, gamma), rhs, gamma)[:3]
 
     def solve(self, gamma: float):
         """Baselines and kernel coefficients minimizing the penalized contrast
         over the window; returns (mu_hat, coeff, stats).
 
         Factorizes (1/gamma) I + Xi once and solves for the U + 1 right-hand
-        sides (the window vector and the U event sums).  Baselines are
+        sides (the window vector and the U event sums).  A system of order
+        M*U >= MIXED_MIN_ORDER with gamma ||Z||_1 eps32 < MIXED_MAX_KAPPA_EPS
+        (eps32 ~ 6e-8; the product bounds kappa_2(Z) eps32) is factored in a
+        float32 copy of Z instead of a float64 one and refined in float64
+        residuals until ||r||_inf <= ||x||_inf ||Z||_inf eps sqrt(M*U) for
+        each right-hand side, LAPACK dsposv's test.  Its backward error is
+        then at float64 level, and it agrees with the float64 route to about
+        the condition estimate times 1.1e-16.  Any other system, or one whose
+        float32 factorization fails or whose refinement misses the test, runs
+        in float64.  Baselines are
 
             mu_i = (|N_i| - I^T b_i) / (length - I^T b_0),
 
@@ -459,10 +568,12 @@ class Design:
         indicates numerical breakdown and raises FitError.
         """
         _check_fittable(self.counts.any(), self.A, self.length)
+        if not gamma > 0:
+            raise ValueError(f"gamma must be positive, got {gamma}")
         t0 = time.perf_counter()
         rhs = np.column_stack([self.window_vec, self.event_sums.T])
-        solved, _, cond = self.solve_system(gamma, rhs)
-        stats = {"solve_s": time.perf_counter() - t0, "condition_estimate": cond}
+        solved, _, cond, info = _solve_spd(None, rhs, gamma, xi=self.xi)
+        stats = {"solve_s": time.perf_counter() - t0, "condition_estimate": cond, **info}
         b0, b_dims = solved[:, 0], solved[:, 1:]
         denom = self.length - self.window_vec @ b0
         stats["mu_denominator"] = denom
@@ -595,7 +706,7 @@ class EquivalentKernel:
     def coefficients(self, s_prime: float) -> np.ndarray:
         """Solution vector ((1/gamma) I + Xi)^{-1} phi_tilde(s')."""
         rhs = np.asarray_chkfinite(phi_tilde(self.events, self.basis, self.A, s_prime))
-        return cho_solve(self._factor, rhs, check_finite=False)
+        return _lapack.dpotrs(self._factor[0], rhs, lower=1)[0]
 
     def h(self, j: int, s, s_prime: float) -> np.ndarray:
         """h_j(s, s') at a lag s or on an array of lags, for one fixed s'."""

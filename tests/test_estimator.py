@@ -1,8 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from hawkes_rkhs import estimator
 from hawkes_rkhs.estimator import (
     Design,
     EquivalentKernel,
@@ -806,6 +809,149 @@ def test_solver_rejects_non_finite_right_hand_side():
     from hawkes_rkhs.estimator import _solve_spd
     with pytest.raises(FitError, match=r"right-hand side is not finite \(gamma=0\.5\)"):
         _solve_spd(np.eye(3) + 0.1, np.array([1.0, np.nan, 1.0]), gamma=0.5)
+
+
+@pytest.mark.parametrize("small,warned", [(1e-11, True), (1e-9, False)])
+def test_solver_warns_past_the_condition_threshold(caplog, small, warned):
+    from hawkes_rkhs.estimator import _solve_spd
+    with caplog.at_level(logging.WARNING, logger="hawkes_rkhs.estimator"):
+        _, _, cond, _ = _solve_spd(np.diag([1.0, small]), np.ones(2), gamma=2.0)
+    assert (cond > estimator.ILL_CONDITIONED) == warned
+    messages = [r.getMessage() for r in caplog.records if r.name == "hawkes_rkhs.estimator"]
+    if warned:
+        assert len(messages) == 1
+        assert "gamma=2" in messages[0] and f"{cond:.3e}" in messages[0]
+    else:
+        assert messages == []
+
+
+# --- the float32 route: float32 Cholesky factor, float64 refinement -------------
+
+@pytest.fixture(scope="module")
+def seed20_design():
+    """Designs of the seed-20 mutually-exciting draw over [0, T] (beta = 1,
+    basis seed 20), keyed by (T, M) and built on first use."""
+    from hawkes_rkhs.simulation import mutually_exciting_scenario, simulate
+    spec = mutually_exciting_scenario()
+    designs = {}
+
+    def design(T, M):
+        if (T, M) not in designs:
+            events = simulate(spec, T, 20).events
+            designs[T, M] = Design(events, build_basis(KernelSpec(beta=1.0), M, 20), spec.A)
+        return designs[T, M]
+    return design
+
+
+def solve_rhs(design):
+    return np.column_stack([design.window_vec, design.event_sums.T])
+
+
+def float64_reference(design, gamma, rhs):
+    """The float64 route as scipy's wrappers run it: cho_factor of the
+    Fortran view of (1/gamma) I + Xi, then cho_solve."""
+    from scipy.linalg import cho_factor, cho_solve
+    Z = design.xi.copy()
+    Z.flat[::Z.shape[0] + 1] += 1.0 / gamma
+    return cho_solve(cho_factor(Z.T, lower=True, overwrite_a=True, check_finite=False), rhs,
+                     check_finite=False)
+
+
+@pytest.mark.parametrize("M", [256, 512])
+@pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
+def test_float32_solve_meets_dsposv_test_and_agrees_with_float64(seed20_design, M, gamma):
+    from hawkes_rkhs.estimator import _residual, _solve_spd
+    design = seed20_design(200.0, M)
+    rhs = solve_rhs(design)
+    x, factor, cond, info = _solve_spd(None, rhs, gamma, xi=design.xi)
+    assert info["solve_route"] == "float32" and factor is None
+    assert 1 <= info["refine_steps"] <= estimator.MIXED_MAX_STEPS
+    n = 3 * M
+    Z = design.xi + np.eye(n) / gamma
+    # dsposv's stopping test, for every right-hand side
+    r = _residual(design.xi, x, rhs, gamma)
+    tol = np.abs(Z).sum(axis=0).max() * np.finfo(float).eps / 2 * np.sqrt(n)
+    assert (np.abs(r).max(axis=0) <= np.abs(x).max(axis=0) * tol).all()
+    assert info["relative_residual"] == pytest.approx(np.linalg.norm(r) / np.linalg.norm(rhs))
+    want, want_factor, want_cond = design.solve_system(gamma, rhs)
+    assert cond == pytest.approx(want_cond, rel=0.05)
+    assert np.abs(x - want).max() <= 10 * want_cond * np.finfo(float).eps * np.abs(want).max()
+
+
+@pytest.mark.parametrize("T,M,gamma", [(200.0, 100, 1.0), (2000.0, 512, 100.0)])
+def test_float64_solve_route_below_size_or_past_bound_is_unchanged(seed20_design, monkeypatch,
+                                                                    T, M, gamma):
+    # M*U = 300 is below MIXED_MIN_ORDER; at T=2000, gamma=100 the bound
+    # gamma ||Z||_1 eps32 is about 0.25, past MIXED_MAX_KAPPA_EPS
+    from hawkes_rkhs.estimator import _solve_spd
+
+    def spotrf(*args, **kwargs):
+        raise AssertionError("the float64 route called spotrf")
+    design = seed20_design(T, M)
+    rhs = solve_rhs(design)
+    want = float64_reference(design, gamma, rhs)
+    monkeypatch.setattr(estimator._lapack, "spotrf", spotrf)
+    x, factor, cond, info = _solve_spd(None, rhs, gamma, xi=design.xi)
+    assert info["solve_route"] == "float64" and info["refine_steps"] == 0
+    assert x.tobytes() == want.tobytes()
+    x_system, factor_system, cond_system = design.solve_system(gamma, rhs)
+    # dpocon's estimate can move by an ulp with the factor's memory alignment
+    assert x_system.tobytes() == want.tobytes() and cond_system == pytest.approx(cond, rel=1e-12)
+    assert factor_system[1] and factor[0].tobytes() == factor_system[0].tobytes()
+
+
+@pytest.mark.parametrize("force", ["spotrf fails", "refinement misses the test"])
+def test_float32_solve_falls_back_to_float64(seed20_design, monkeypatch, force):
+    from hawkes_rkhs.estimator import _solve_spd
+    design = seed20_design(200.0, 256)
+    rhs = solve_rhs(design)
+    want, _, want_cond = design.solve_system(1.0, rhs)
+    calls = []
+    spotrf = estimator._lapack.spotrf
+
+    def failing_spotrf(a, **kwargs):
+        calls.append(a.shape)
+        c, info = spotrf(a, **kwargs)
+        return c, 1 if force == "spotrf fails" else info
+    monkeypatch.setattr(estimator._lapack, "spotrf", failing_spotrf)
+    if force != "spotrf fails":
+        # float32 accuracy never meets the test, so no step means no convergence
+        monkeypatch.setattr(estimator, "MIXED_MAX_STEPS", 0)
+    x, factor, cond, info = _solve_spd(None, rhs, 1.0, xi=design.xi)
+    assert calls == [(768, 768)]
+    assert info["solve_route"] == "float64" and factor is not None
+    assert x.tobytes() == want.tobytes() and cond == pytest.approx(want_cond, rel=1e-12)
+
+
+def test_wide_solver_keeps_float64_errors_and_declines_float32_overflow():
+    from hawkes_rkhs.estimator import _solve_spd
+    n = estimator.MIXED_MIN_ORDER
+    rhs = np.ones((n, 2))
+    for value in (np.nan, np.inf):
+        bad = np.eye(n)
+        bad[0, 1] = bad[1, 0] = value
+        with pytest.raises(FitError, match=r"not finite \(gamma=0\.5, 1-norm="):
+            _solve_spd(None, rhs, 0.5, xi=bad)
+    with pytest.raises(FitError, match=r"not positive definite \(gamma=0\.5"):
+        _solve_spd(None, rhs, 0.5, xi=-4.0 * np.eye(n))
+    # entries past float32's range take the float64 route, with no overflow warning
+    big = np.eye(n)
+    big[0, 0] = 1e39
+    x, factor, cond, info = _solve_spd(None, rhs, 0.5, xi=big)
+    assert info["solve_route"] == "float64" and factor is not None
+    assert x[0] == pytest.approx(1.0 / (1e39 + 2.0)) and x[1:] == pytest.approx(1.0 / 3.0)
+    big = np.eye(n)
+    big[n - 1, n - 2] = big[n - 2, n - 1] = 1e39
+    with pytest.raises(FitError, match="not positive definite"):
+        _solve_spd(None, rhs, 0.5, xi=big)
+
+
+def test_design_solve_stats_name_route_steps_and_residual(seed20_design):
+    for M, route in ((100, "float64"), (512, "float32")):
+        _, _, stats = seed20_design(200.0, M).solve(1.0)
+        assert stats["solve_route"] == route
+        assert (stats["refine_steps"] > 0) == (route == "float32")
+        assert 0.0 <= stats["relative_residual"] < 1e-13
 
 
 # --- g_curve / intensity --------------------------------------------------------
