@@ -10,7 +10,6 @@ from .features import (
     WindowIntegralTable,
     build_basis,
     feature_matrix,
-    integral_phi_outer,
     integral_phi_range,
 )
 from .estimator import (
@@ -44,7 +43,6 @@ from .evaluation import (
     grid_search,
     ise,
     ise_on_grid,
-    ls_contrast,
 )
 
 __version__ = "0.1.0"

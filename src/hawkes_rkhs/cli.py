@@ -1,9 +1,9 @@
 """Command-line pipelines: simulate, fit, grid-search, evaluate, reproduce,
 bench.
 
-Every command reads an optional flat key=value config file (a TOML-compatible
-subset; keys match the long flag names of any subcommand, with dashes or
-underscores) and lets explicit flags override it.  Floats in CSV files carry
+Every command reads an optional TOML config file (its top-level keys match the
+long flag names of any subcommand, with dashes or underscores) and lets
+explicit flags override it.  Floats in CSV files carry
 17 significant digits and in JSON files their shortest round-trip repr; human
 summaries use 4.
 """
@@ -42,35 +42,17 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
-# a config line up to its '#' comment; quoted strings are taken whole
-_UNCOMMENTED = re.compile(r"""(?:[^#"']|"[^"]*"|'[^']*'|["'])*""")
-
-
 def load_config(path) -> dict:
-    """Parse a flat key = value config file; '#' outside quotes starts a comment."""
-    opts = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = _UNCOMMENTED.match(raw)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
-                opts[key] = value[1:-1]
-            elif value.lower() in ("true", "false"):
-                opts[key] = value.lower() == "true"
-            else:
-                try:
-                    opts[key] = int(value)
-                except ValueError:
-                    try:
-                        opts[key] = float(value)
-                    except ValueError:
-                        opts[key] = value
-    return opts
+    """The top-level keys of a TOML file, dashes in them read as underscores;
+    a file that is not TOML raises ValueError naming it."""
+    import tomllib  # here, so that a run without --config does not import it
+
+    with open(path, "rb") as fh:
+        try:
+            doc = tomllib.load(fh)
+        except ValueError as exc:  # TOMLDecodeError, or bytes that are not UTF-8
+            raise ValueError(f"{path}: {exc}") from None
+    return {key.replace("-", "_"): value for key, value in doc.items()}
 
 
 # Options of each subcommand, dest -> (type, default[, help]), which drive
@@ -125,10 +107,12 @@ def _resolve(args) -> dict:
 
 def _config_value(path, key, kind, value):
     """Config ``value`` of option ``key`` as the option's type, else UsageError
-    naming the file and the key; a bool is no number, and an int no fraction."""
+    naming the file and the key; a table, array or date is no option value, a
+    bool no number, and an int no fraction."""
     try:
-        if kind is not str and (isinstance(value, bool) or (
-                kind is int and isinstance(value, float) and not value.is_integer())):
+        if (not isinstance(value, (str, int, float))
+                or kind is not str and isinstance(value, bool)
+                or kind is int and isinstance(value, float) and not value.is_integer()):
             raise ValueError
         return kind(value)
     except ValueError:

@@ -1,7 +1,7 @@
 """Scoring, hyperparameter search, and runtime benchmarks.
 
 The least-squares contrast of a fitted model over a time window has a closed
-form through the same feature-map integrals used by the estimator, so
+form, ``Design.contrast``, through the same statistics the estimator solves, so
 validation scoring needs no quadrature.  Integrated squared error against a
 ground-truth scenario uses composite Simpson quadrature on the lag window.
 """
@@ -58,13 +58,6 @@ class EvalReport:
         """The scores that are set; ``per_pair`` as nested lists."""
         return {key: value.tolist() if isinstance(value, np.ndarray) else value
                 for key, value in vars(self).items() if value is not None}
-
-
-def ls_contrast(mu: np.ndarray, coeff: np.ndarray, basis, events: EventSequence,
-                t0: float, t1: float, A: float) -> float:
-    """Least-squares contrast of (mu, coeff) over the window [t0, t1], as
-    ``Design.contrast`` defines it: intensities see the full history."""
-    return Design(events, basis, A, t0, t1).contrast(mu, coeff)
 
 
 def ise(truth: ScenarioSpec, model: FittedModel, n_nodes: int = 2001) -> EvalReport:
@@ -267,7 +260,6 @@ def bench_factorization(events: EventSequence, m_values, reps: int = 3):
 __all__ = [
     "GridSpec",
     "EvalReport",
-    "ls_contrast",
     "ise",
     "ise_on_grid",
     "grid_search",

@@ -138,7 +138,8 @@ def read_events_csv(path, T: float | None = None):
 
     The horizon comes from ``T`` when given, else from the file metadata, and
     the dimension count from the metadata, else the largest mark.  Malformed
-    rows raise ValueError naming the offending line number.
+    rows raise ValueError naming the offending line number, and every
+    ValueError names the file.
     """
     meta, (lineno, header), rows = read_table(path)
     if header is None:
@@ -172,7 +173,10 @@ def read_events_csv(path, T: float | None = None):
         if not 0.0 < T < np.inf:
             raise ValueError(f"{path}: '# T=' is not a positive finite horizon: {meta['T']!r}")
     U = meta_value(path, meta, "U", int, max(marks) if marks else 1)
-    events = EventSequence(np.asarray(times), np.asarray(marks, dtype=int), T, U)
+    try:
+        events = EventSequence(np.asarray(times), np.asarray(marks, dtype=int), T, U)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return events, meta
 
 

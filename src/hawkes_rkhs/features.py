@@ -3,9 +3,11 @@
 A basis of M features phi_m(s) = sqrt(2/M) cos(omega_m s + theta_m) is built
 from M/2 frequencies sampled from the spectral density of the kernel, each
 frequency duplicated with a -pi/2 phase shift so the features come in
-(cos, sin) pairs and phi(s)^T phi(s') approximates k(s, s').  Window integrals
-of phi and one pair's outer-product integral have closed forms here; the Gram
-sums the latter over all pairs in a lag-sum form, in ``estimator.build_xi``.
+(cos, sin) pairs and phi(s)^T phi(s') approximates k(s, s').
+``integral_phi_range`` is the closed form of a window integral of phi that a
+fit runs; ``estimator.build_xi`` forms the Gram's pair integrals in a lag-sum
+form.  ``WindowIntegralTable`` is the per-event oracle of the window vector,
+kept for the benchmark's ``features.window_table`` span.
 """
 
 from __future__ import annotations
@@ -152,32 +154,6 @@ def integral_phi_range(basis: FeatureBasis, lo, hi) -> np.ndarray:
     return basis.scale * length * np.cos(arg) * sinc_u(basis.omega * length * 0.5)
 
 
-def integral_phi_outer(basis: FeatureBasis, t_n: float, t_np: float,
-                       a: float, b: float) -> np.ndarray:
-    """Exact int_a^b phi(t - t_n) phi(t - t_np)^T dt as an M-by-M matrix.
-
-    Expanding the cosine product gives two plane-wave terms whose integrals
-    are cos(...) * sinc(...) factors: with X_m = omega_m (mid - t_n) + theta_m,
-    Y_m = omega_m (mid - t_np) + theta_m, mid = (a+b)/2 and h = (b-a)/2,
-
-        (b-a)/M [ cos X cos Y^T (S+ + S-) + sin X sin Y^T (S- - S+) ],
-
-    where S+- = sinc(h (omega_m +- omega_m')).  Requires a <= b; a == b
-    returns the zero matrix.
-    """
-    if a > b:
-        raise ValueError(f"integration bounds must satisfy a <= b, got a={a}, b={b}")
-    omega, theta = basis.omega, basis.theta
-    mid, h = (a + b) * 0.5, (b - a) * 0.5
-    X = omega * (mid - t_n) + theta
-    Y = omega * (mid - t_np) + theta
-    s_plus = sinc_u(h * np.add.outer(omega, omega))
-    s_minus = sinc_u(h * np.subtract.outer(omega, omega))
-    out = np.outer(np.cos(X), np.cos(Y)) * (s_plus + s_minus)
-    out += np.outer(np.sin(X), np.sin(Y)) * (s_minus - s_plus)
-    return out * ((b - a) / basis.M)
-
-
 class WindowIntegralTable:
     """Per-event window integrals of the feature map: the per-event oracle.
 
@@ -202,6 +178,5 @@ __all__ = [
     "sinc_u",
     "feature_matrix",
     "integral_phi_range",
-    "integral_phi_outer",
     "WindowIntegralTable",
 ]

@@ -2,7 +2,9 @@
 
 Everything here is deliberately slow and direct: adaptive quadrature per
 component, per-event python loops, breakpoint-aware composite Gauss-Legendre
-rules.  None of it shares code with the closed-form paths under test.
+rules.  None of it shares code with the closed-form paths under test, except
+that ``integral_phi_outer``, the per-pair reference of the Gram, uses the
+package's ``sinc_u``; ``tests/test_features.py`` checks it against quadrature.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from hawkes_rkhs.events import EventSequence
-from hawkes_rkhs.features import FeatureBasis
+from hawkes_rkhs.features import FeatureBasis, sinc_u
 from hawkes_rkhs.simulation import IdentityLink, ScenarioSpec, SimResult
 
 
@@ -56,6 +58,32 @@ def quad_phi_outer(basis: FeatureBasis, t_n: float, t_np: float,
                 * np.cos(basis.omega[n] * (t - t_np) + basis.theta[n])
             out[m, n] = _integrate(f, a, b)
     return out
+
+
+def integral_phi_outer(basis: FeatureBasis, t_n: float, t_np: float,
+                       a: float, b: float) -> np.ndarray:
+    """Exact int_a^b phi(t - t_n) phi(t - t_np)^T dt as an M-by-M matrix.
+
+    Expanding the cosine product gives two plane-wave terms whose integrals
+    are cos(...) * sinc(...) factors: with X_m = omega_m (mid - t_n) + theta_m,
+    Y_m = omega_m (mid - t_np) + theta_m, mid = (a+b)/2 and h = (b-a)/2,
+
+        (b-a)/M [ cos X cos Y^T (S+ + S-) + sin X sin Y^T (S- - S+) ],
+
+    where S+- = sinc(h (omega_m +- omega_m')).  Requires a <= b; a == b
+    returns the zero matrix.
+    """
+    if a > b:
+        raise ValueError(f"integration bounds must satisfy a <= b, got a={a}, b={b}")
+    omega, theta = basis.omega, basis.theta
+    mid, h = (a + b) * 0.5, (b - a) * 0.5
+    X = omega * (mid - t_n) + theta
+    Y = omega * (mid - t_np) + theta
+    s_plus = sinc_u(h * np.add.outer(omega, omega))
+    s_minus = sinc_u(h * np.subtract.outer(omega, omega))
+    out = np.outer(np.cos(X), np.cos(Y)) * (s_plus + s_minus)
+    out += np.outer(np.sin(X), np.sin(Y)) * (s_minus - s_plus)
+    return out * ((b - a) / basis.M)
 
 
 def phi_tilde_loop(events: EventSequence, basis: FeatureBasis, A: float,

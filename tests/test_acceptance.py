@@ -37,7 +37,6 @@ from hawkes_rkhs.features import (
     WindowIntegralTable,
     build_basis,
     feature_matrix,
-    integral_phi_outer,
 )
 from hawkes_rkhs.simulation import (
     IdentityLink,
@@ -68,8 +67,9 @@ def report(name, detail):
 
 
 def test_criterion_1_closed_form_integral_fidelity():
-    """Window and outer-product integrals match adaptive quadrature to 1e-9
-    relative error on 1000 randomized inputs (beta in [0.5, 1.5], M = 8)."""
+    """``build_xi``'s window vector of one event and its cross block of two
+    events on two marks match adaptive quadrature to 1e-9 relative error on
+    1000 randomized inputs (beta in [0.5, 1.5], M = 8)."""
     rng = np.random.default_rng(2024)
     worst_w = worst_o = 0.0
     for trial in range(1000):
@@ -78,7 +78,8 @@ def test_criterion_1_closed_form_integral_fidelity():
         t_event = rng.uniform(0.0, 6.0)
         T = rng.uniform(0.5, 10.0)
         A = rng.uniform(0.1, 6.0)
-        got = WindowIntegralTable(basis, [t_event], T, A).vectors[0]
+        one = EventSequence([t_event], [1], max(T, t_event) + 1.0, 1)
+        got = build_xi(one, basis, A, 0.0, T)[1]
         L = max(0.0, min(T - t_event, A))
         want = quad_phi_vector(basis, 0.0, L)
         worst_w = max(worst_w, np.abs(got - want).max()
@@ -86,8 +87,15 @@ def test_criterion_1_closed_form_integral_fidelity():
         t_n, t_np = rng.uniform(0.0, 5.0, 2)
         a = rng.uniform(0.0, 5.0)
         b = a + rng.uniform(0.0, 5.0)
-        got = integral_phi_outer(basis, t_n, t_np, a, b)
-        want = quad_phi_outer(basis, t_n, t_np, a, b)
+        # t_n on mark 1 and t_n' on mark 2, so block (1, 2) is the pair's
+        # integral alone, from the later event to where A cuts the earlier one
+        order = np.argsort([t_n, t_np])
+        pair = EventSequence(np.array([t_n, t_np])[order], np.array([1, 2])[order],
+                             max(b, t_n, t_np) + 1.0, 2)
+        got = build_xi(pair, basis, A, a, b)[0][:8, 8:]
+        start, end = max(a, t_n, t_np), min(b, min(t_n, t_np) + A)
+        want = (quad_phi_outer(basis, t_n, t_np, start, end) if start < end
+                else np.zeros((8, 8)))
         worst_o = max(worst_o, np.abs(got - want).max()
                       / max(np.abs(want).max(), 1e-12))
     assert worst_w <= 1e-9

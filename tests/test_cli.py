@@ -293,11 +293,10 @@ def test_config_comment_starts_outside_quotes(tmp_path):
         'scenario = "refractory"#no space before the comment\n'
         "seed = 7 # seven\n"
         "# a whole-line comment\n"
-        'events = "unterminated#cut\n'
     )
     assert load_config(config) == {
         "out": "runs#1.csv", "curves_out": 'a"b#2.csv', "scenario": "refractory",
-        "seed": 7, "events": '"unterminated'}
+        "seed": 7}
 
 
 def test_unknown_config_key_is_an_error(sim_files, tmp_path):
@@ -386,16 +385,6 @@ def test_reproduce_output_does_not_depend_on_workers(scenario):
                         for line in out.stdout.splitlines()])
     assert outputs[0] == outputs[1]
     assert [line[:9] for line in outputs[0][:3]] == ["seed    2", "seed    3", "seed    4"]
-
-
-def test_reproduce_rejects_bad_options():
-    assert run_cli("reproduce", "--scenario", "poisson").returncode == 2
-    out = run_cli("reproduce", "--scenario", "mutually-exciting", "--baseline", "0.1")
-    assert out.returncode == 2 and "refractory" in out.stderr
-    for seeds in ("5-3", "abc", "-3"):
-        out = run_cli("reproduce", "--scenario", "refractory", "--seeds", seeds)
-        assert out.returncode == 2 and not out.stdout
-        assert "--seeds" in out.stderr and "N or N-M" in out.stderr
 
 
 # every "error: ..." line a command prints, with its exit code: usage errors
@@ -519,6 +508,12 @@ CLI_ERRORS = {
     "reproduce-bad-seeds": (
         ["reproduce", "--scenario", "refractory", "--seeds", "5-3"], 2,
         "--seeds 5-3 is not a seed range: expected N or N-M with N <= M"),
+    "reproduce-text-seeds": (
+        ["reproduce", "--scenario", "refractory", "--seeds", "abc"], 2,
+        "--seeds abc is not a seed range: expected N or N-M with N <= M"),
+    "reproduce-negative-seeds": (
+        ["reproduce", "--scenario", "refractory", "--seeds", "-3"], 2,
+        "--seeds -3 is not a seed range: expected N or N-M with N <= M"),
     "reproduce-negative-workers": (
         ["reproduce", "--scenario", "refractory", "--t-end", "20", "--seeds", "1",
          "--workers", "-2"], 2,
@@ -545,6 +540,30 @@ CLI_ERRORS = {
     "config-text-window": (
         ["fit", "--events", "{d}/events.csv", "--config", "{d}/text_window.toml", "--out",
          "{d}/m.json"], 2, "{d}/text_window.toml: window = 'wide' is not a valid float"),
+    "config-unquoted-value": (
+        ["fit", "--events", "{d}/events.csv", "--config", "{d}/unquoted.toml", "--out",
+         "{d}/m.json"], 1, "{d}/unquoted.toml: Invalid value (at line 1, column 10)"),
+    "config-unterminated-string": (
+        ["fit", "--events", "{d}/events.csv", "--config", "{d}/unterminated.toml", "--out",
+         "{d}/m.json"], 1,
+        "{d}/unterminated.toml: Illegal character '\\n' (at line 1, column 27)"),
+    "config-not-utf8": (
+        ["fit", "--events", "{d}/events.csv", "--config", "{d}/latin1.toml", "--out",
+         "{d}/m.json"], 1,
+        "{d}/latin1.toml: 'utf-8' codec can't decode byte 0xe9 in position 10: "
+        "invalid continuation byte"),
+    "config-array-features": (
+        ["fit", "--events", "{d}/events.csv", "--config", "{d}/array.toml", "--out",
+         "{d}/m.json"], 2, "{d}/array.toml: features = [16] is not a valid int"),
+    "fit-event-past-horizon": (
+        ["fit", "--events", "{d}/events.csv", "--horizon", "2", "--out", "{d}/m.json"], 1,
+        "{d}/events.csv: event time 2.5 is at or past the horizon T=2.0"),
+    "fit-mark-above-dimension": (
+        ["fit", "--events", "{d}/high_mark.csv", "--out", "{d}/m.json"], 1,
+        "{d}/high_mark.csv: mark 2 outside 1..1"),
+    "fit-negative-event-time": (
+        ["fit", "--events", "{d}/negative_time.csv", "--out", "{d}/m.json"], 1,
+        "{d}/negative_time.csv: negative event time -0.5"),
     "fit-nan-horizon-metadata": (
         ["fit", "--events", "{d}/nan_t.csv", "--out", "{d}/m.json"], 1,
         "{d}/nan_t.csv: '# T=' is not a positive finite horizon: 'nan'"),
@@ -581,7 +600,13 @@ def error_inputs(tmp_path_factory):
     (d / "run.toml").write_text("featurs = 16\n")
     (d / "frac_seed.toml").write_text("seed = 1.5\n")
     (d / "text_seed.toml").write_text('seed = "x"\n')
-    (d / "text_window.toml").write_text("window = wide\n")
+    (d / "text_window.toml").write_text('window = "wide"\n')
+    (d / "unquoted.toml").write_text("window = wide\n")
+    (d / "unterminated.toml").write_text('events = "unterminated#cut\n')
+    (d / "array.toml").write_text("features = [16]\n")
+    (d / "latin1.toml").write_bytes('out = "caf\u00e9.json"\n'.encode("latin-1"))
+    (d / "high_mark.csv").write_text("# T=10\n# U=1\ntime,mark\n0.5,2\n")
+    (d / "negative_time.csv").write_text("# T=10\n# U=1\ntime,mark\n-0.5,1\n")
     (d / "nan_t.csv").write_text("# T=nan\n# U=1\ntime,mark\n0.5,1\n")
     (d / "negative_t.csv").write_text("# T=-1\n# U=1\ntime,mark\n0.5,1\n")
     with contextlib.redirect_stdout(io.StringIO()):

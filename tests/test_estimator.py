@@ -28,6 +28,7 @@ from hawkes_rkhs.features import (
 )
 from oracles import (
     event_sums_loop,
+    integral_phi_outer,
     intensity_loop,
     kkt_solve,
     objective_gradient,
@@ -150,7 +151,6 @@ def test_xi_agrees_with_per_pair_closed_form():
     # block-level pair summation vs one integral_phi_outer call per pair;
     # M = 256 makes adjacent frequencies close enough to exercise the
     # near-resonant entry handling
-    from hawkes_rkhs.features import integral_phi_outer
     rng = np.random.default_rng(6)
     for M in (8, 256):
         ev, basis = random_instance(rng, U=2, n_events=15, T=10.0, M=M, seed=9)
@@ -177,7 +177,6 @@ def test_xi_windowed_matches_quadrature():
 
 def per_pair_xi(ev, basis, A, lo, hi):
     """Gram over [lo, hi] with one integral_phi_outer call per ordered pair."""
-    from hawkes_rkhs.features import integral_phi_outer
     M = basis.M
     ref = np.zeros((ev.U * M, ev.U * M))
     for n in range(len(ev)):

@@ -16,7 +16,6 @@ from hawkes_rkhs.evaluation import (
     grid_search,
     ise,
     ise_on_grid,
-    ls_contrast,
 )
 from hawkes_rkhs.features import KernelSpec, build_basis
 from hawkes_rkhs.simulation import (
@@ -38,13 +37,13 @@ def fitted_small(seed=3, U=2, n=14, T=12.0, gamma=0.8, A=3.0):
     return events, basis, model
 
 
-# --- ls_contrast -----------------------------------------------------------------
+# --- Design.contrast ---------------------------------------------------------------
 
 def test_ls_contrast_zero_model():
     events, basis, model = fitted_small()
     zero_mu = np.zeros(events.U)
     zero_c = np.zeros_like(model.coeff)
-    assert ls_contrast(zero_mu, zero_c, basis, events, 0.0, events.T, 3.0) == 0.0
+    assert Design(events, basis, 3.0, 0.0, events.T).contrast(zero_mu, zero_c) == 0.0
 
 
 def test_ls_contrast_baseline_only_model():
@@ -52,7 +51,7 @@ def test_ls_contrast_baseline_only_model():
     r = 0.37
     mu = np.full(events.U, r)
     zero_c = np.zeros_like(model.coeff)
-    got = ls_contrast(mu, zero_c, basis, events, 0.0, events.T, 3.0)
+    got = Design(events, basis, 3.0, 0.0, events.T).contrast(mu, zero_c)
     want = sum(events.T * r * r - 2.0 * r * events.counts[i] for i in range(events.U))
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -60,15 +59,15 @@ def test_ls_contrast_baseline_only_model():
 def test_ls_contrast_rejects_bad_window():
     events, basis, model = fitted_small()
     with pytest.raises(ValueError):
-        ls_contrast(model.mu_hat, model.coeff, basis, events, -1.0, 5.0, 3.0)
+        Design(events, basis, 3.0, -1.0, 5.0).contrast(model.mu_hat, model.coeff)
     with pytest.raises(ValueError):
-        ls_contrast(model.mu_hat, model.coeff, basis, events, 0.0, events.T + 1, 3.0)
+        Design(events, basis, 3.0, 0.0, events.T + 1).contrast(model.mu_hat, model.coeff)
 
 
 def test_ls_contrast_matches_quadrature():
     events, basis, model = fitted_small(seed=13)
     A = 3.0
-    got = ls_contrast(model.mu_hat, model.coeff, basis, events, 0.0, events.T, A)
+    got = Design(events, basis, A, 0.0, events.T).contrast(model.mu_hat, model.coeff)
     nodes, weights = gauss_panels(gram_breakpoints(events, A, 0.0, events.T), 60)
     want = 0.0
     for i in range(events.U):
@@ -87,7 +86,7 @@ def test_ls_contrast_windowed_uses_full_history():
     events, basis, model = fitted_small(seed=15, T=12.0)
     A = 3.0
     t0, t1 = 6.0, 12.0
-    got = ls_contrast(model.mu_hat, model.coeff, basis, events, t0, t1, A)
+    got = Design(events, basis, A, t0, t1).contrast(model.mu_hat, model.coeff)
     nodes, weights = gauss_panels(gram_breakpoints(events, A, t0, t1), 60)
     want = 0.0
     for i in range(events.U):
@@ -106,7 +105,7 @@ def test_ls_contrast_windowed_uses_full_history():
 def penalized_objective(mu, coeff, basis, events, gamma, A):
     """Full-window contrast plus the ridge penalty (1/gamma) sum ||c_ij||^2;
     the fitted model is its unique minimizer."""
-    loss = ls_contrast(mu, coeff, basis, events, 0.0, events.T, A)
+    loss = Design(events, basis, A, 0.0, events.T).contrast(mu, coeff)
     return loss + float(np.sum(coeff * coeff)) / gamma
 
 
@@ -271,8 +270,7 @@ def test_grid_search_matches_manual_fit_and_score():
     t_split = 0.8 * events.T
     basis = build_basis(KernelSpec(beta=1.0), 16, 3)
     model = fit(events.restrict(t_split), FitConfig(gamma=0.5, A=5.0, basis=basis))
-    want = ls_contrast(model.mu_hat, model.coeff, basis, events,
-                       t_split, events.T, 5.0)
+    want = Design(events, basis, 5.0, t_split, events.T).contrast(model.mu_hat, model.coeff)
     assert best.ls_loss == pytest.approx(want, rel=1e-12)
 
 
@@ -341,12 +339,10 @@ def test_noisy_model_scores_worse_on_validation():
     t_split = 0.8 * events.T
     basis = build_basis(KernelSpec(beta=1.0), 16, 1)
     model = fit(events.restrict(t_split), FitConfig(gamma=1.0, A=5.0, basis=basis))
-    clean = ls_contrast(model.mu_hat, model.coeff, basis, events,
-                        t_split, events.T, 5.0)
+    clean = Design(events, basis, 5.0, t_split, events.T).contrast(model.mu_hat, model.coeff)
     rng = np.random.default_rng(7)
     noisy_coeff = model.coeff + 0.5 * rng.standard_normal(model.coeff.shape)
-    noisy = ls_contrast(model.mu_hat, noisy_coeff, basis, events,
-                        t_split, events.T, 5.0)
+    noisy = Design(events, basis, 5.0, t_split, events.T).contrast(model.mu_hat, noisy_coeff)
     assert clean < noisy
 
 

@@ -11,11 +11,10 @@ from hawkes_rkhs.features import (
     WindowIntegralTable,
     build_basis,
     feature_matrix,
-    integral_phi_outer,
     integral_phi_range,
     sinc_u,
 )
-from oracles import quad_phi_outer, quad_phi_vector
+from oracles import integral_phi_outer, quad_phi_outer, quad_phi_vector
 
 
 def test_kernel_spec_validation():
