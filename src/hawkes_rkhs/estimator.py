@@ -31,6 +31,12 @@ class _WindowError(FitError, ValueError):
     """A support window A longer than the horizon: bad input, and a failed grid cell."""
 
 
+def _check_gamma(gamma: float):
+    """Raise ValueError unless 0 < gamma < inf."""
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Hyperparameters of a fit: ridge strength gamma, support window A and
@@ -41,8 +47,7 @@ class FitConfig:
     basis: FeatureBasis
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        _check_gamma(self.gamma)
         if not self.A > 0:
             raise ValueError(f"support window A must be positive, got {self.A}")
 
@@ -387,16 +392,24 @@ _EPS32 = np.finfo(np.float32).eps / 2
 _EPS64 = np.finfo(np.float64).eps / 2
 
 
-def _shifted(xi: np.ndarray, gamma: float) -> np.ndarray:
-    """(1/gamma) I + xi, a new float64 array."""
+def _condition(rcond: float, gamma: float) -> float:
+    """The condition estimate 1 / rcond of Z = (1/gamma) I + Xi; logs a
+    warning when it passes ILL_CONDITIONED."""
+    cond = np.inf if rcond == 0 else 1.0 / rcond
+    if cond > ILL_CONDITIONED:
+        _log.warning("ill-conditioned system at gamma=%g: condition estimate %.3e exceeds "
+                     "%.0e, so fewer than 6 significant digits may be correct",
+                     gamma, cond, ILL_CONDITIONED)
+    return cond
+
+
+def _cholesky(xi: np.ndarray, gamma: float):
+    """Float64 Cholesky factor of Z = (1/gamma) I + xi, formed in a copy of xi;
+    returns (c, condition estimate), c the lower factor as ``dpotrs`` takes it.
+    Raises FitError naming gamma when Z is not finite or not numerically
+    positive definite."""
     Z = xi.copy()
     Z.flat[::Z.shape[0] + 1] += 1.0 / gamma
-    return Z
-
-
-def _solve_float64(Z: np.ndarray, rhs: np.ndarray, gamma: float):
-    """Cholesky solve of Z x = rhs in float64, factoring the symmetric Z in
-    place; returns (x, (factor, lower), condition estimate)."""
     # Z.T: Z in the Fortran order LAPACK reads without a copy; NaN and inf carry into the norm
     anorm = _lapack.dlange("1", Z.T)
     if not np.isfinite(anorm):
@@ -406,11 +419,7 @@ def _solve_float64(Z: np.ndarray, rhs: np.ndarray, gamma: float):
         raise FitError(
             f"(1/gamma) I + Xi is not positive definite (gamma={gamma}, "
             f"1-norm={anorm:.3e}); the system is numerically singular")
-    rcond, _ = _lapack.dpocon(c, anorm, uplo="L")
-    cond = np.inf if rcond == 0 else 1.0 / rcond
-    if not np.isfinite(rhs).all():
-        raise FitError(f"right-hand side is not finite (gamma={gamma})")
-    return _lapack.dpotrs(c, rhs, lower=1)[0], (c, True), cond
+    return c, _condition(_lapack.dpocon(c, anorm, uplo="L")[0], gamma)
 
 
 def _residual(xi: np.ndarray, x: np.ndarray, rhs: np.ndarray, gamma: float) -> np.ndarray:
@@ -441,52 +450,41 @@ def _solve_float32(xi: np.ndarray, rhs: np.ndarray, gamma: float):
     c, info = _lapack.spotrf(Z32.T, lower=1, overwrite_a=1, clean=0)
     if info != 0:
         return None
-    rcond, _ = _lapack.spocon(c, anorm, uplo="L")
     x = _lapack.spotrs(c, rhs.astype(np.float32), lower=1)[0].astype(np.float64)
     tol = anorm * _EPS64 * np.sqrt(n)
     for step in range(MIXED_MAX_STEPS + 1):
         r = _residual(xi, x, rhs, gamma)
         # dsposv's test, for every right-hand side: ||r||_inf <= ||x||_inf ||Z||_inf eps sqrt(n)
         if (np.abs(r).max(axis=0) <= np.abs(x).max(axis=0) * tol).all():
-            return x, np.inf if rcond == 0 else 1.0 / rcond, step, r
+            return x, _condition(_lapack.spocon(c, anorm, uplo="L")[0], gamma), step, r
         if step < MIXED_MAX_STEPS:
             x += _lapack.spotrs(c, r.astype(np.float32), lower=1)[0]
     return None
 
 
-def _solve_spd(Z, rhs: np.ndarray, gamma: float, xi: np.ndarray | None = None):
-    """Cholesky solve of the symmetric positive-definite Z x = rhs,
-    Z = (1/gamma) I + Xi, with a condition estimate; returns
-    (x, factor, condition estimate, info).
+def _solve_spd(xi: np.ndarray, rhs: np.ndarray, gamma: float):
+    """Solve ((1/gamma) I + xi) x = rhs; returns (x, condition estimate, info).
 
-    Given Z (float64), it is factored in place and ``factor`` is the float64
-    ``(c, lower)`` pair ``cho_solve`` takes.  Given Z=None and Xi as ``xi``,
-    a system of order >= MIXED_MIN_ORDER is first tried by ``_solve_float32``
-    (``factor`` then None); any other system, or one that route declines, is
-    copied to a float64 Z and solved as above.  ``info`` holds the
-    ``solve_route`` ("float32" or "float64"), the ``refine_steps`` and, given
-    ``xi``, the ``relative_residual`` ||Z x - rhs|| / ||rhs||.
-
-    Raises FitError naming gamma when Z is not finite or not numerically
-    positive definite, or when rhs is not finite; logs a warning when the
-    condition estimate passes ILL_CONDITIONED."""
-    mixed = None
-    if Z is None and xi.shape[0] >= MIXED_MIN_ORDER and np.isfinite(rhs).all():
-        mixed = _solve_float32(xi, rhs, gamma)
+    A system of order >= MIXED_MIN_ORDER is first tried by ``_solve_float32``,
+    whose backward error is then at float64 level, so x agrees with the
+    float64 route to about the condition estimate times 1.1e-16.  Any other
+    system, or one that route declines, takes the float64 ``_cholesky``
+    factor.  ``info`` holds the ``solve_route`` ("float32" or
+    "float64"), the ``refine_steps`` and the ``relative_residual``
+    ||Z x - rhs|| / ||rhs||.  Raises FitError naming gamma when rhs is not
+    finite, or as ``_cholesky`` does."""
+    if not np.isfinite(rhs).all():
+        raise FitError(f"right-hand side is not finite (gamma={gamma})")
+    mixed = _solve_float32(xi, rhs, gamma) if xi.shape[0] >= MIXED_MIN_ORDER else None
     if mixed is None:
-        x, factor, cond = _solve_float64(_shifted(xi, gamma) if Z is None else Z, rhs, gamma)
-        info = {"solve_route": "float64", "refine_steps": 0}
-        residual = None if xi is None else _residual(xi, x, rhs, gamma)
+        c, cond = _cholesky(xi, gamma)
+        x = _lapack.dpotrs(c, rhs, lower=1)[0]
+        steps, residual = 0, _residual(xi, x, rhs, gamma)
     else:
         x, cond, steps, residual = mixed
-        factor, info = None, {"solve_route": "float32", "refine_steps": steps}
-    if residual is not None:
-        info["relative_residual"] = float(np.linalg.norm(residual) / np.linalg.norm(rhs))
-    if cond > ILL_CONDITIONED:
-        _log.warning("ill-conditioned system at gamma=%g: condition estimate %.3e exceeds "
-                     "%.0e, so fewer than 6 significant digits may be correct",
-                     gamma, cond, ILL_CONDITIONED)
-    return x, factor, cond, info
+    return x, cond, {"solve_route": "float64" if mixed is None else "float32",
+                     "refine_steps": steps,
+                     "relative_residual": float(np.linalg.norm(residual) / np.linalg.norm(rhs))}
 
 
 class Design:
@@ -504,7 +502,7 @@ class Design:
     The first four come from one ``build_xi`` pass, which alone decides what
     each window edge cuts.  Every statistic is additive in the window: the
     designs over [0, s] and [s, T] sum to the design over [0, T], and ``+``
-    forms that sum.  The ridge strength enters only through ``solve_system``,
+    forms that sum.  The ridge strength enters only when a design is solved,
     so one design serves every gamma.
     """
 
@@ -537,29 +535,13 @@ class Design:
         total.hi = other.hi
         return total
 
-    def solve_system(self, gamma: float, rhs: np.ndarray):
-        """Solve ((1/gamma) I + Xi) x = rhs in float64; returns (x, the
-        float64 Cholesky factor as ``cho_solve`` takes it, condition
-        estimate)."""
-        if not gamma > 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
-        return _solve_spd(_shifted(self.xi, gamma), rhs, gamma)[:3]
-
     def solve(self, gamma: float):
         """Baselines and kernel coefficients minimizing the penalized contrast
         over the window; returns (mu_hat, coeff, stats).
 
         Factorizes (1/gamma) I + Xi once and solves for the U + 1 right-hand
-        sides (the window vector and the U event sums).  A system of order
-        M*U >= MIXED_MIN_ORDER with gamma ||Z||_1 eps32 < MIXED_MAX_KAPPA_EPS
-        (eps32 ~ 6e-8; the product bounds kappa_2(Z) eps32) is factored in a
-        float32 copy of Z instead of a float64 one and refined in float64
-        residuals until ||r||_inf <= ||x||_inf ||Z||_inf eps sqrt(M*U) for
-        each right-hand side, LAPACK dsposv's test.  Its backward error is
-        then at float64 level, and it agrees with the float64 route to about
-        the condition estimate times 1.1e-16.  Any other system, or one whose
-        float32 factorization fails or whose refinement misses the test, runs
-        in float64.  Baselines are
+        sides (the window vector and the U event sums) by ``_solve_spd``,
+        which names its route.  Baselines are
 
             mu_i = (|N_i| - I^T b_i) / (length - I^T b_0),
 
@@ -568,11 +550,10 @@ class Design:
         indicates numerical breakdown and raises FitError.
         """
         _check_fittable(self.counts.any(), self.A, self.length)
-        if not gamma > 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
+        _check_gamma(gamma)
         t0 = time.perf_counter()
         rhs = np.column_stack([self.window_vec, self.event_sums.T])
-        solved, _, cond, info = _solve_spd(None, rhs, gamma, xi=self.xi)
+        solved, cond, info = _solve_spd(self.xi, rhs, gamma)
         stats = {"solve_s": time.perf_counter() - t0, "condition_estimate": cond, **info}
         b0, b_dims = solved[:, 0], solved[:, 1:]
         denom = self.length - self.window_vec @ b0
@@ -688,20 +669,22 @@ class EquivalentKernel:
     expand with unit coefficients.
 
     h_j(s, s') = phi(s)^T [((1/gamma) I + Xi)^{-1} phi_tilde(s')]_(block j).
-    The factorization is done once at construction; evaluations are solves
-    against phi_tilde right-hand sides.
+    The ``_cholesky`` factor is formed once at construction, in float64 at
+    any order; evaluations are solves against phi_tilde right-hand sides.
     """
 
     def __init__(self, events: EventSequence, basis: FeatureBasis,
                  gamma: float, A: float):
+        _check_gamma(gamma)
         self.events = events
         self.basis = basis
         self.gamma = gamma
         self.A = A
         design = Design(events, basis, A)
         self.window_vec = design.window_vec
-        self._window_solution, self._factor, self.condition = design.solve_system(
-            gamma, self.window_vec)
+        c, self.condition = _cholesky(design.xi, gamma)
+        self._factor = (c, True)  # as cho_solve takes it
+        self._window_solution = _lapack.dpotrs(c, self.window_vec, lower=1)[0]
 
     def coefficients(self, s_prime: float) -> np.ndarray:
         """Solution vector ((1/gamma) I + Xi)^{-1} phi_tilde(s')."""

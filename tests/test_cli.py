@@ -8,35 +8,46 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import hawkes_rkhs
+from hawkes_rkhs import cli
 from hawkes_rkhs.cli import build_parser, load_config
 from hawkes_rkhs.events import read_events_csv
 
-# the child runs the package these tests import, also when that is the
-# checkout's src/ put on the path by pytest's pythonpath setting
-PACKAGE_ROOT = str(Path(hawkes_rkhs.__file__).resolve().parents[1])
-
 
 def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("HAWKES_RKHS_SEED", None)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "hawkes_rkhs", *args],
-                          capture_output=True, text=True, env=env)
+    """``cli.main(args)`` in this process, with HAWKES_RKHS_SEED unset and
+    env_extra set for the call alone; its exit code and output, as
+    subprocess.run returns them."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        os.environ.pop("HAWKES_RKHS_SEED", None)
+        os.environ.update(env_extra or {})
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, stdout.getvalue(), stderr.getvalue())
 
 
 @pytest.fixture(scope="module")
 def sim_files(tmp_path_factory):
+    # the one run of python -m hawkes_rkhs, so that __main__.py runs in a test
     root = tmp_path_factory.mktemp("cli")
     events = root / "events.csv"
-    out = run_cli("simulate", "--scenario", "mutually-exciting",
-                  "--t-end", "400", "--seed", "1", "--out", str(events))
+    env = {name: value for name, value in os.environ.items() if name != "HAWKES_RKHS_SEED"}
+    # the child runs the package these tests import, also when that is the
+    # checkout's src/ put on the path by pytest's pythonpath setting
+    package_root = str(Path(hawkes_rkhs.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "hawkes_rkhs", "simulate", "--scenario",
+                          "mutually-exciting", "--t-end", "400", "--seed", "1",
+                          "--out", str(events)], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     return root, events, root / "events_curves.csv"
 
@@ -62,8 +73,6 @@ def test_simulate_default_curves_path_replaces_the_file_extension(out, curves, t
                                                                   monkeypatch):
     # only the file name's extension becomes _curves.csv; a dot in a directory
     # name or a leading ./ leaves the curves file beside the events file
-    from hawkes_rkhs import cli
-
     monkeypatch.chdir(tmp_path)
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     with contextlib.redirect_stdout(io.StringIO()):
@@ -156,8 +165,6 @@ def test_fit_reports_duplicate_timestamp(tmp_path):
 
 def test_fit_programming_error_propagates(tmp_path, monkeypatch):
     # only expected numerical failures become "error: ..." and exit code 1
-    from hawkes_rkhs import cli
-
     def broken(events, config):
         raise TypeError("broken fit")
 
@@ -432,6 +439,8 @@ CLI_ERRORS = {
                     "{d}/m.json"], 1,
                    "fit failed on {d}/events.csv: support window A=20.0 exceeds the "
                    "horizon T=10.0"),
+    "fit-infinite-gamma": (["fit", "--events", "{d}/events.csv", "--gamma", "inf", "--out",
+                            "{d}/m.json"], 1, "gamma must be positive and finite, got inf"),
     "fit-failed-empty": (["fit", "--events", "{d}/empty.csv", "--out", "{d}/m.json"], 1,
                          "fit failed on {d}/empty.csv: cannot fit an empty event sequence"),
     "grid-search-no-out": (["grid-search", "--events", "{d}/events.csv"], 2,
@@ -581,8 +590,6 @@ CLI_ERRORS = {
 
 @pytest.fixture(scope="module")
 def error_inputs(tmp_path_factory):
-    from hawkes_rkhs import cli
-
     d = tmp_path_factory.mktemp("errors")
     (d / "events.csv").write_text("# T=10\n# U=1\ntime,mark\n0.5,1\n2.5,1\n")
     (d / "dup.csv").write_text("# T=10\n# U=1\ntime,mark\n0.5,1\n0.5,1\n")
@@ -617,8 +624,6 @@ def error_inputs(tmp_path_factory):
 
 @pytest.mark.parametrize("case", sorted(CLI_ERRORS))
 def test_cli_error_exit_code_and_message(case, error_inputs, capsys, monkeypatch):
-    from hawkes_rkhs import cli
-
     monkeypatch.delenv("HAWKES_RKHS_SEED", raising=False)
     argv, code, message, *env = CLI_ERRORS[case]
     for name, value in (env[0] if env else {}).items():
@@ -632,8 +637,6 @@ def test_cli_error_exit_code_and_message(case, error_inputs, capsys, monkeypatch
 
 
 def test_bench_rejects_a_single_horizon(capsys):
-    from hawkes_rkhs import cli
-
     assert cli.main(["bench", "--horizons", "250", "--features", "8"]) == 1
     assert capsys.readouterr().err == "error: a slope needs at least two horizons, got 1\n"
 
@@ -643,8 +646,6 @@ def test_console_script_runs_cli_main():
     # runs the [project.scripts] target instead, which must resolve to cli.main
     import importlib
     import tomllib
-
-    from hawkes_rkhs import cli
 
     project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
     module, _, attr = project["project"]["scripts"]["hawkes-rkhs"].partition(":")
@@ -658,8 +659,6 @@ def _sha256(path) -> str:
 def test_refractory_draw_files_match_benchmark_digests(tmp_path):
     # the digests perfbench/references.json records for the simulate-refractory
     # workload (seed 175, T=2000): the benchmark checks every run against them
-    from hawkes_rkhs import cli
-
     events, curves = tmp_path / "events.csv", tmp_path / "curves.csv"
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["simulate", "--scenario", "refractory", "--t-end", "2000.0",
@@ -694,8 +693,6 @@ PIPELINE_DIGESTS = {
 
 
 def test_pipeline_files_match_recorded_digests(tmp_path):
-    from hawkes_rkhs import cli
-
     d = str(tmp_path)
     for argv in (
         ["simulate", "--scenario", "mutually-exciting", "--t-end", "200", "--seed", "1",

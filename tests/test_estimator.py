@@ -786,35 +786,35 @@ def test_fit_relabeling_equivariance():
 
 
 def test_solver_rejects_non_spd():
-    from hawkes_rkhs.estimator import _solve_spd
+    from hawkes_rkhs.estimator import _cholesky
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
     with pytest.raises(FitError, match="positive definite"):
-        _solve_spd(bad, np.ones(2), gamma=1.0)
+        _cholesky(bad - np.eye(2), gamma=1.0)
 
 
 @pytest.mark.parametrize("entries", [(np.nan,), (np.inf,), (np.nan, np.inf)])
 def test_solver_rejects_non_finite_systems(entries):
     # LAPACK is called without scipy's finiteness check, so the 1-norm does it
-    from hawkes_rkhs.estimator import _solve_spd
+    from hawkes_rkhs.estimator import _cholesky
     Z = np.eye(3) + 0.1
     for k, value in enumerate(entries):
         Z[k, 2] = Z[2, k] = value
     with pytest.raises(FitError, match=r"not finite \(gamma=0\.5, 1-norm="):
-        _solve_spd(Z, np.ones(3), gamma=0.5)
+        _cholesky(Z - np.eye(3) / 0.5, gamma=0.5)
 
 
 def test_solver_rejects_non_finite_right_hand_side():
     # a grid cell reports FitError alone, so this numerical failure must be one
     from hawkes_rkhs.estimator import _solve_spd
     with pytest.raises(FitError, match=r"right-hand side is not finite \(gamma=0\.5\)"):
-        _solve_spd(np.eye(3) + 0.1, np.array([1.0, np.nan, 1.0]), gamma=0.5)
+        _solve_spd(np.eye(3) + 0.1 - np.eye(3) / 0.5, np.array([1.0, np.nan, 1.0]), gamma=0.5)
 
 
 @pytest.mark.parametrize("small,warned", [(1e-11, True), (1e-9, False)])
 def test_solver_warns_past_the_condition_threshold(caplog, small, warned):
-    from hawkes_rkhs.estimator import _solve_spd
+    from hawkes_rkhs.estimator import _cholesky
     with caplog.at_level(logging.WARNING, logger="hawkes_rkhs.estimator"):
-        _, _, cond, _ = _solve_spd(np.diag([1.0, small]), np.ones(2), gamma=2.0)
+        _, cond = _cholesky(np.diag([1.0, small]) - np.eye(2) / 2.0, gamma=2.0)
     assert (cond > estimator.ILL_CONDITIONED) == warned
     messages = [r.getMessage() for r in caplog.records if r.name == "hawkes_rkhs.estimator"]
     if warned:
@@ -822,6 +822,18 @@ def test_solver_warns_past_the_condition_threshold(caplog, small, warned):
         assert "gamma=2" in messages[0] and f"{cond:.3e}" in messages[0]
     else:
         assert messages == []
+
+
+@pytest.mark.parametrize("gamma", [np.inf, np.nan, 0.0])
+@pytest.mark.parametrize("call", ["FitConfig", "Design.solve", "EquivalentKernel"])
+def test_solve_rejects_gamma_not_positive_and_finite(call, gamma):
+    # at gamma = inf the ridge is gone: an unpenalized fit, or a singular system
+    ev, basis = small_instance()
+    calls = {"FitConfig": lambda: FitConfig(gamma=gamma, A=3.0, basis=basis),
+             "Design.solve": lambda: Design(ev, basis, 3.0).solve(gamma),
+             "EquivalentKernel": lambda: EquivalentKernel(ev, basis, gamma, 3.0)}
+    with pytest.raises(ValueError, match=f"gamma must be positive and finite, got {gamma}"):
+        calls[call]()
 
 
 # --- the float32 route: float32 Cholesky factor, float64 refinement -------------
@@ -846,24 +858,29 @@ def solve_rhs(design):
     return np.column_stack([design.window_vec, design.event_sums.T])
 
 
-def float64_reference(design, gamma, rhs):
-    """The float64 route as scipy's wrappers run it: cho_factor of the
-    Fortran view of (1/gamma) I + Xi, then cho_solve."""
-    from scipy.linalg import cho_factor, cho_solve
+def float64_factor(design, gamma):
+    """scipy's cho_factor of the Fortran view of (1/gamma) I + Xi."""
+    from scipy.linalg import cho_factor
     Z = design.xi.copy()
     Z.flat[::Z.shape[0] + 1] += 1.0 / gamma
-    return cho_solve(cho_factor(Z.T, lower=True, overwrite_a=True, check_finite=False), rhs,
-                     check_finite=False)
+    return cho_factor(Z.T, lower=True, overwrite_a=True, check_finite=False)
+
+
+def float64_reference(design, gamma, rhs):
+    """The float64 route as scipy's wrappers run it: ``float64_factor``, then
+    cho_solve."""
+    from scipy.linalg import cho_solve
+    return cho_solve(float64_factor(design, gamma), rhs, check_finite=False)
 
 
 @pytest.mark.parametrize("M", [256, 512])
 @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
 def test_float32_solve_meets_dsposv_test_and_agrees_with_float64(seed20_design, M, gamma):
-    from hawkes_rkhs.estimator import _residual, _solve_spd
+    from hawkes_rkhs.estimator import _cholesky, _residual, _solve_spd
     design = seed20_design(200.0, M)
     rhs = solve_rhs(design)
-    x, factor, cond, info = _solve_spd(None, rhs, gamma, xi=design.xi)
-    assert info["solve_route"] == "float32" and factor is None
+    x, cond, info = _solve_spd(design.xi, rhs, gamma)
+    assert info["solve_route"] == "float32"
     assert 1 <= info["refine_steps"] <= estimator.MIXED_MAX_STEPS
     n = 3 * M
     Z = design.xi + np.eye(n) / gamma
@@ -872,7 +889,7 @@ def test_float32_solve_meets_dsposv_test_and_agrees_with_float64(seed20_design, 
     tol = np.abs(Z).sum(axis=0).max() * np.finfo(float).eps / 2 * np.sqrt(n)
     assert (np.abs(r).max(axis=0) <= np.abs(x).max(axis=0) * tol).all()
     assert info["relative_residual"] == pytest.approx(np.linalg.norm(r) / np.linalg.norm(rhs))
-    want, want_factor, want_cond = design.solve_system(gamma, rhs)
+    want, (_, want_cond) = float64_reference(design, gamma, rhs), _cholesky(design.xi, gamma)
     assert cond == pytest.approx(want_cond, rel=0.05)
     assert np.abs(x - want).max() <= 10 * want_cond * np.finfo(float).eps * np.abs(want).max()
 
@@ -882,7 +899,7 @@ def test_float64_solve_route_below_size_or_past_bound_is_unchanged(seed20_design
                                                                     T, M, gamma):
     # M*U = 300 is below MIXED_MIN_ORDER; at T=2000, gamma=100 the bound
     # gamma ||Z||_1 eps32 is about 0.25, past MIXED_MAX_KAPPA_EPS
-    from hawkes_rkhs.estimator import _solve_spd
+    from hawkes_rkhs.estimator import _cholesky, _solve_spd
 
     def spotrf(*args, **kwargs):
         raise AssertionError("the float64 route called spotrf")
@@ -890,21 +907,22 @@ def test_float64_solve_route_below_size_or_past_bound_is_unchanged(seed20_design
     rhs = solve_rhs(design)
     want = float64_reference(design, gamma, rhs)
     monkeypatch.setattr(estimator._lapack, "spotrf", spotrf)
-    x, factor, cond, info = _solve_spd(None, rhs, gamma, xi=design.xi)
+    x, cond, info = _solve_spd(design.xi, rhs, gamma)
     assert info["solve_route"] == "float64" and info["refine_steps"] == 0
     assert x.tobytes() == want.tobytes()
-    x_system, factor_system, cond_system = design.solve_system(gamma, rhs)
+    # the factor EquivalentKernel keeps is scipy's, to the bit
+    c, cond_cholesky = _cholesky(design.xi, gamma)
     # dpocon's estimate can move by an ulp with the factor's memory alignment
-    assert x_system.tobytes() == want.tobytes() and cond_system == pytest.approx(cond, rel=1e-12)
-    assert factor_system[1] and factor[0].tobytes() == factor_system[0].tobytes()
+    assert c.tobytes() == float64_factor(design, gamma)[0].tobytes()
+    assert cond_cholesky == pytest.approx(cond, rel=1e-12)
 
 
 @pytest.mark.parametrize("force", ["spotrf fails", "refinement misses the test"])
 def test_float32_solve_falls_back_to_float64(seed20_design, monkeypatch, force):
-    from hawkes_rkhs.estimator import _solve_spd
+    from hawkes_rkhs.estimator import _cholesky, _solve_spd
     design = seed20_design(200.0, 256)
     rhs = solve_rhs(design)
-    want, _, want_cond = design.solve_system(1.0, rhs)
+    want, (_, want_cond) = float64_reference(design, 1.0, rhs), _cholesky(design.xi, 1.0)
     calls = []
     spotrf = estimator._lapack.spotrf
 
@@ -916,9 +934,9 @@ def test_float32_solve_falls_back_to_float64(seed20_design, monkeypatch, force):
     if force != "spotrf fails":
         # float32 accuracy never meets the test, so no step means no convergence
         monkeypatch.setattr(estimator, "MIXED_MAX_STEPS", 0)
-    x, factor, cond, info = _solve_spd(None, rhs, 1.0, xi=design.xi)
+    x, cond, info = _solve_spd(design.xi, rhs, 1.0)
     assert calls == [(768, 768)]
-    assert info["solve_route"] == "float64" and factor is not None
+    assert info["solve_route"] == "float64"
     assert x.tobytes() == want.tobytes() and cond == pytest.approx(want_cond, rel=1e-12)
 
 
@@ -930,19 +948,19 @@ def test_wide_solver_keeps_float64_errors_and_declines_float32_overflow():
         bad = np.eye(n)
         bad[0, 1] = bad[1, 0] = value
         with pytest.raises(FitError, match=r"not finite \(gamma=0\.5, 1-norm="):
-            _solve_spd(None, rhs, 0.5, xi=bad)
+            _solve_spd(bad, rhs, 0.5)
     with pytest.raises(FitError, match=r"not positive definite \(gamma=0\.5"):
-        _solve_spd(None, rhs, 0.5, xi=-4.0 * np.eye(n))
+        _solve_spd(-4.0 * np.eye(n), rhs, 0.5)
     # entries past float32's range take the float64 route, with no overflow warning
     big = np.eye(n)
     big[0, 0] = 1e39
-    x, factor, cond, info = _solve_spd(None, rhs, 0.5, xi=big)
-    assert info["solve_route"] == "float64" and factor is not None
+    x, cond, info = _solve_spd(big, rhs, 0.5)
+    assert info["solve_route"] == "float64"
     assert x[0] == pytest.approx(1.0 / (1e39 + 2.0)) and x[1:] == pytest.approx(1.0 / 3.0)
     big = np.eye(n)
     big[n - 1, n - 2] = big[n - 2, n - 1] = 1e39
     with pytest.raises(FitError, match="not positive definite"):
-        _solve_spd(None, rhs, 0.5, xi=big)
+        _solve_spd(big, rhs, 0.5)
 
 
 def test_design_solve_stats_name_route_steps_and_residual(seed20_design):
@@ -1003,15 +1021,18 @@ def test_equivalent_kernel_vanishes_under_strong_penalty():
     assert max(vals) <= 1e-8
 
 
-def test_representer_consistency():
-    # fitted kernels equal the unit-coefficient expansion in equivalent kernels
-    ev, basis = small_instance(seed=41, U=2, n=10, T=12.0)
+@pytest.mark.parametrize("U,M,route", [(2, 8, "float64"), (3, 256, "float32")])
+def test_representer_consistency_on_each_solve_route(U, M, route):
+    # fitted kernels equal the unit-coefficient expansion in equivalent kernels,
+    # which factor in float64 also where the fit took the float32 route
+    ev, basis = small_instance(seed=41, U=U, n=10, T=12.0, M=M)
     gamma, A = 0.8, 3.0
     model = fit(ev, FitConfig(gamma=gamma, A=A, basis=basis))
+    assert model.stats["solve_route"] == route
     eq = EquivalentKernel(ev, basis, gamma, A)
-    for i in (1, 2):
+    for i in range(1, U + 1):
         idx = ev.dim_indices(i)
-        for j in (1, 2):
+        for j in range(1, U + 1):
             for s in (0.15, 1.1, 2.8):
                 expansion = sum(eq.h(j, s, ev.times[n]) for n in idx)
                 expansion -= model.mu_hat[i - 1] * eq.integral_second(j, s)
