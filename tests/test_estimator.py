@@ -889,7 +889,8 @@ def test_float32_solve_meets_dsposv_test_and_agrees_with_float64(seed20_design, 
     tol = np.abs(Z).sum(axis=0).max() * np.finfo(float).eps / 2 * np.sqrt(n)
     assert (np.abs(r).max(axis=0) <= np.abs(x).max(axis=0) * tol).all()
     assert info["relative_residual"] == pytest.approx(np.linalg.norm(r) / np.linalg.norm(rhs))
-    want, (_, want_cond) = float64_reference(design, gamma, rhs), _cholesky(design.xi, gamma)
+    want = float64_reference(design, gamma, rhs)
+    _, want_cond = _cholesky(design.xi, gamma)
     assert cond == pytest.approx(want_cond, rel=0.05)
     assert np.abs(x - want).max() <= 10 * want_cond * np.finfo(float).eps * np.abs(want).max()
 
@@ -912,8 +913,8 @@ def test_float64_solve_route_below_size_or_past_bound_is_unchanged(seed20_design
     assert x.tobytes() == want.tobytes()
     # the factor EquivalentKernel keeps is scipy's, to the bit
     c, cond_cholesky = _cholesky(design.xi, gamma)
-    # dpocon's estimate can move by an ulp with the factor's memory alignment
     assert c.tobytes() == float64_factor(design, gamma)[0].tobytes()
+    # dpocon's estimate can move by an ulp with the factor's memory alignment
     assert cond_cholesky == pytest.approx(cond, rel=1e-12)
 
 
@@ -922,7 +923,8 @@ def test_float32_solve_falls_back_to_float64(seed20_design, monkeypatch, force):
     from hawkes_rkhs.estimator import _cholesky, _solve_spd
     design = seed20_design(200.0, 256)
     rhs = solve_rhs(design)
-    want, (_, want_cond) = float64_reference(design, 1.0, rhs), _cholesky(design.xi, 1.0)
+    want = float64_reference(design, 1.0, rhs)
+    _, want_cond = _cholesky(design.xi, 1.0)
     calls = []
     spotrf = estimator._lapack.spotrf
 
