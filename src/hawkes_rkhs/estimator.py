@@ -115,7 +115,9 @@ def _resonance(basis: FeatureBasis, A: float):
     |y| < _CUTOFF, and for each sign the (m, k, y) of those near-resonant
     entries in row-major order, found in windows of the sorted frequencies;
     they take the Taylor series in y.  R+ - R- is R^T.  The criterion is
-    dimensionless, so it does not depend on the time unit.
+    dimensionless, so it does not depend on the time unit.  Then (freq,
+    inverse, lead): the distinct frequencies, omega = freq[inverse], first the
+    ``lead`` ones whose lag rows 2..J a near entry with y != 0 reads.
     """
     omega, M, order = basis.omega, basis.M, np.argsort(basis.omega)
     r_sum = np.empty((M, M))
@@ -133,16 +135,10 @@ def _resonance(basis: FeatureBasis, A: float):
         series.append((m, k, (omega[m] + sign * omega[k]) * A))
         x = omega[m] - sign * omega[k]  # the other sign's term stays, or 0 where it is near too
         r_sum[m, k] = np.divide(1.0, M * x, out=np.zeros_like(x), where=np.abs(x) * A >= _CUTOFF)
-    return r_sum, series
-
-
-def _frequencies(basis: FeatureBasis, series):
-    """(freq, inverse, lead): the distinct frequencies, omega = freq[inverse],
-    first the ``lead`` ones whose lag rows 2..J a near entry with y != 0 reads."""
-    freq, inverse = np.unique(basis.omega, return_inverse=True)
-    live = np.isin(freq, basis.omega[np.concatenate([k[y != 0] for _, k, y in series])])
-    order = np.argsort(~live, kind="stable")
-    return freq[order], np.argsort(order)[inverse], np.count_nonzero(live)
+    freq, inverse = np.unique(omega, return_inverse=True)
+    live = np.isin(freq, omega[np.concatenate([k[y != 0] for _, k, y in series])])
+    first = np.argsort(~live, kind="stable")
+    return r_sum, series, freq[first], np.argsort(first)[inverse], np.count_nonzero(live)
 
 
 def _lag_sums(phasors, first, second, ell, weight, bounds, lead: int) -> np.ndarray:
@@ -174,28 +170,22 @@ def _lag_sums(phasors, first, second, ell, weight, bounds, lead: int) -> np.ndar
     return out.view(complex)
 
 
-def _finish_gram(uncut, sums, edge_rows, halves, resonance, basis: FeatureBasis, A, U):
+def _finish_gram(uncut, sums, edges, halves, resonance, basis: FeatureBasis, A, U):
     """Gram and event sums of ``build_xi`` from its per-block lag sums over the
-    pairs that end at t_n' + A (uncut) and over all pairs (sums), its edge rows
-    (a, c) and ``_resonance`` split.  Block b's event sums are its u = 0 lag sum
-    less halves[b], the weight of its self pairs.  With X_b = R o S_b + R^T o
-    S~_b + series_b as in ``build_xi``, Gram block i <= j is R o P + R^T o Q
-    plus series, P = S_ij + S~_ji^T and Q = S~_ij + S_ji^T each from one GEMM
-    over the rows of X_ij (u = 0, c = t_n' + A, then the edges') and, a and c
-    swapped, of X_ji.  On the diagonal Q = P^T and the block is Y + Y^T, with
-    Y = R o P + series; the rest are mirrored, so the Gram is exactly symmetric.
+    pairs that end at t_n' + A (uncut) and over all pairs (sums), each edge's
+    marks and rows (a, c), and ``_resonance`` split.  Block b's event sums are
+    its u = 0 lag sum less halves[b], the weight of its self pairs.  With X_b =
+    R o S_b + R^T o S~_b + series_b as in ``build_xi``, Gram block i <= j is R o
+    P + R^T o Q plus series, P = S_ij + S~_ji^T and Q = S~_ij + S_ji^T each from
+    one GEMM over the rows of X_ij (u = 0, c = t_n' + A, then the edges') and, a
+    and c swapped, of X_ji.  On the diagonal Q = P^T and the block is Y + Y^T,
+    with Y = R o P + series; the rest are mirrored, so the Gram is exactly symmetric.
     """
     (r_sum, series), M, J = resonance, basis.M, _SERIES_TERMS
     turn = np.exp(1j * basis.theta)
     F = np.exp(1j * (basis.omega * A + basis.theta))
     event_sums = basis.scale * (turn * (sums[:, 0] - halves[:, None])).real
     moments = turn * sums[:, 1:] / np.cumprod(np.arange(1.0, J + 1.0))[:, None]
-    sides = []  # per block, (Im a, Re c, Re a, Im c) over its rows, each contiguous
-    for b in range(U * U):
-        # c = t_n' + A takes the uncut pairs alone, u = 0 every pair
-        ends = [[F * np.conj(uncut[b, 0]), -turn], [F, turn * sums[b, 0]]]
-        a, c = np.concatenate([ends, *edge_rows[b]], axis=1)
-        sides.append(np.stack([a.imag, c.real, a.real, c.imag]))
     near = []
     for (m, k, y), conj in zip(series, (np.asarray, np.conj)):
         live = np.flatnonzero(y)  # y = 0 reads moment 0 alone
@@ -206,11 +196,20 @@ def _finish_gram(uncut, sums, edge_rows, halves, resonance, basis: FeatureBasis,
         near.append((m, k, (A / M) * (turn[m] * acc).real))
     r_t = np.ascontiguousarray(r_sum.T)
     out, (P, Q) = np.empty((U, M, U, M)), np.empty((2, M, M))
+    # every block's end rows (a, c); made before the M x M arrays, they cost 2 MB more peak RSS
+    ends = np.empty((U * U, 2, 2, M), dtype=complex)
+    ends[:, 0, 0], ends[:, 0, 1], ends[:, 1, 0], ends[:, 1, 1] = (
+        F * np.conj(uncut[:, 0]), -turn, F, turn * sums[:, 0])
+    mark, rows = (np.concatenate(e) for e in zip(*edges))
+    split = np.cumsum(np.bincount(mark, minlength=U))[:-1]
+    # by mark: rows[i][j] holds the edge rows (a, c) of block (i, j)
+    rows = np.split(rows[np.argsort(mark, kind="stable")].transpose(1, 2, 0, 3), split, axis=2)
     for i in range(U):
         for j in range(i, U):
             ij, ji = i * U + j, j * U + i
-            # the rows of X_ij, then those of X_ji: a and c swapped reverse its sides
-            left_p, right_p, left_q, right_q = np.concatenate([sides[ij], sides[ji][::-1]], axis=1)
+            # the rows of X_ij, then those of X_ji with a and c swapped
+            a, c = np.concatenate([ends[ij], rows[i][j], ends[ji, ::-1], rows[j][i, ::-1]], axis=1)
+            left_p, right_p, left_q, right_q = np.array([a.imag, c.real, a.real, c.imag])
             Y = np.multiply(r_sum, np.matmul(left_p.T, right_p, out=P),
                             out=P if i == j else out[i, :, j])
             if i < j:
@@ -285,9 +284,9 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
     a near entry with y != 0 reads; ``_finish_gram`` forms the M^2 terms after
     the last range, with the edge rows.  A build costs O(N_w M) exponentials,
     O(P_w (2 F + (J - 1) F_s)) multiply-adds for the P_w pairs of those events,
-    O(E U M) exponentials and O(U E M^2) GEMM work for the E
-    events within A of an edge, and O(U^2 M^2) arithmetic, in
-    O(_RANGE + N_w + E U M + U^2 M^2) memory whatever N is.
+    O(E U M) exponentials and O(U E (M^2 + U J M)) GEMM work for the E events
+    within A of an edge, one pass per edge for all marks, and O(U^2 M^2)
+    arithmetic, in O(_RANGE + N_w + E U M + U^2 M^2) memory whatever N is.
     """
     if not A > 0:
         raise ValueError(f"support window A must be positive, got {A}")
@@ -297,8 +296,7 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
         raise ValueError(f"window [{lo}, {hi}] must lie inside [0, {events.T}]")
     times, marks = events.times, events.marks
     M, U, J = basis.M, events.U, _SERIES_TERMS
-    resonance = _resonance(basis, A)
-    freq, inverse, lead = _frequencies(basis, resonance[1])
+    *resonance, freq, inverse, lead = _resonance(basis, A)
     # segments of a power-of-two length >= 2A: t / span, its floor and the
     # offset t - seg span are exact, and a lag <= A crosses at most one boundary
     span = 2.0 ** np.ceil(np.log2(2.0 * A))
@@ -339,27 +337,28 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
     counts = np.bincount(marks[inside:last] - 1, minlength=U).astype(float)
     # each event in [lo, hi) adds int_0^A phi; an edge takes off int_{c - t}^A phi per edge event
     window_vec = np.multiply.outer(counts, integral_phi_range(basis, 0.0, A))
-    edge_rows = [[] for _ in range(U * U)]
-    edge_sums = np.zeros((U * U, J + 1, M), dtype=complex)
+    edge_sums = np.zeros((U, U, J + 1, M), dtype=complex)
+    edges = [(mark_w[:0], np.empty((0, U, 2, M), dtype=complex))]  # an entry when none is cut
     for c, sign, at in ((hi, 1.0, (t_w + A > hi) & (lo < hi)),
                         (lo, -1.0, (t_w < lo) & (np.minimum(t_w + A, hi) > lo))):
         if not at.any():
             continue
         lag, mark = c - t_w[at], mark_w[at]
-        tails = integral_phi_range(basis, lag, A)
+        hot = mark[:, None] == np.arange(U)  # (events, U)
+        # per mark, its events' tails summed in event order; +0 in place of the other marks'
+        tails = np.where(hot[:, :, None], sign * integral_phi_range(basis, lag, A)[:, None], 0.0)
+        window_vec -= tails.sum(axis=0)
         phases = np.exp(1j * (np.multiply.outer(lag, basis.omega) + basis.theta))  # e^{i alpha}
-        steps = (mark[:, None] == np.arange(U))[:, :, None] * (sign * phases)[:, None]
+        steps = hot[:, :, None] * (sign * phases)[:, None]
         running = np.cumsum(steps, axis=0) - 0.5 * steps  # e^{i theta} S_n[j]
-        powers = np.vander(lag / A, J + 1, increasing=True).T
-        for i in np.unique(mark):
-            sel = mark == i
-            window_vec[i] -= sign * tails[sel].sum(axis=0)
-            for j in range(U):
-                edge_rows[i * U + j].append(np.stack([phases[sel], running[sel, j]]))
-                edge_sums[i * U + j] += powers[:, sel] @ (np.conj(phases[sel]) * running[sel, j])
+        # row p of block (i, j) weighs its mark-i events by ((c - t_n) / A)^p; all blocks at once
+        powers = hot.T[:, None] * np.vander(lag / A, J + 1, increasing=True).T
+        edge_sums += powers[:, None] @ (np.conj(phases)[:, None] * running).transpose(1, 0, 2)
+        # per event, its row (a, c) = (e^{i alpha}, e^{i theta} S_n[j]) of each block (mark, j)
+        edges.append((mark, np.stack(np.broadcast_arrays(phases[:, None], running), axis=2)))
     lags = lags[:, :, inverse]
     # a self pair, lag 0, enters block (i, i) at weight 1/2 for each mark-i event in [lo, hi)
-    xi, event_sums = _finish_gram(lags, lags + edge_sums, edge_rows,
+    xi, event_sums = _finish_gram(lags, lags + edge_sums.reshape(lags.shape), edges,
                                   np.diag(counts / 2.0).ravel(), resonance, basis, A, U)
     return xi, window_vec.ravel(), event_sums, counts
 

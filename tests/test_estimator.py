@@ -338,21 +338,21 @@ def test_lag_rows_2_to_J_only_where_a_near_entry_reads_them(monkeypatch):
     A = 5.0
     times = np.unique(np.concatenate([rng.uniform(0.0, 40.0, 60), rng.uniform(17.0, 20.0, 10)]))
     ev = EventSequence(times, rng.integers(1, 4, times.size), 40.0, 3)
-    frequencies = est._frequencies
+    resonance = est._resonance
 
     def every(*args):
-        freq, inverse, _ = frequencies(*args)
-        return freq, inverse, freq.size
+        *rest, freq, inverse, _ = resonance(*args)
+        return (*rest, freq, inverse, freq.size)
 
     for basis, tol in ((build_basis(KernelSpec(beta=1.0), 100, 20), 0.0),
                        (near_resonant_basis(A), 1e-14),
                        (build_basis(KernelSpec(beta=0.5), 100, 20), 1e-14)):
-        lead = frequencies(basis, est._resonance(basis, A)[1])[2]
+        lead = resonance(basis, A)[4]
         assert (lead == 0) == (tol == 0.0)
         for window in ((0.0, ev.T), (20.0, 35.0)):
-            monkeypatch.setattr(est, "_frequencies", frequencies)
+            monkeypatch.setattr(est, "_resonance", resonance)
             want = build_xi(ev, basis, A, *window)
-            monkeypatch.setattr(est, "_frequencies", every)
+            monkeypatch.setattr(est, "_resonance", every)
             got = build_xi(ev, basis, A, *window)
             for g, w in zip(got, want):
                 assert np.abs(g - w).max() <= tol * np.abs(w).max()
@@ -370,7 +370,7 @@ def test_resonance_split_matches_the_full_mask():
         base = rng.normal(size=M // 4)
         omega = rng.choice(np.concatenate([base, -base, [0.0], rng.normal(size=M // 4)]), M)
         basis = FeatureBasis(omega=omega, theta=rng.uniform(-np.pi, np.pi, M))
-        R, series = est._resonance(basis, A)
+        R, series = est._resonance(basis, A)[:2]
         want, off = np.zeros((M, M)), np.ones((M, M), dtype=bool)
         for sign, (m, k, y) in zip((1.0, -1.0), series):
             x = np.add.outer(omega, sign * omega)
