@@ -48,8 +48,8 @@ class FitConfig:
 
     def __post_init__(self):
         _check_gamma(self.gamma)
-        if not self.A > 0:
-            raise ValueError(f"support window A must be positive, got {self.A}")
+        if not 0 < self.A < np.inf:
+            raise ValueError(f"support window A must be positive and finite, got {self.A}")
 
 
 def _support_start(times: np.ndarray, s, A: float):
@@ -231,7 +231,7 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
     pass, in its order: the Gram integral Xi of phi_tilde, shape (MU, MU), the
     window vector int phi_tilde, shape (MU,), the event sums over lo <= t_n <
     hi, shape (U, MU), and the per-mark counts of those events, shape (U,).
-    Raises ValueError unless A > 0 and 0 <= lo <= hi <= T.
+    Raises ValueError unless 0 < A < inf and 0 <= lo <= hi <= T.
 
     Pair (n, n'), t_n' <= t_n, adds int_a^b phi(t - t_n) phi(t - t_n')^T dt,
     a = max(t_n, lo), b = min(t_n' + A, hi), to its (mark_n, mark_n') block,
@@ -288,8 +288,8 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
     within A of an edge, one pass per edge for all marks, and O(U^2 M^2)
     arithmetic, in O(_RANGE + N_w + E U M + U^2 M^2) memory whatever N is.
     """
-    if not A > 0:
-        raise ValueError(f"support window A must be positive, got {A}")
+    if not 0 < A < np.inf:
+        raise ValueError(f"support window A must be positive and finite, got {A}")
     if hi is None:
         hi = events.T
     if not 0.0 <= lo <= hi <= events.T:

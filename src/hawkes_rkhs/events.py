@@ -36,14 +36,20 @@ class EventSequence:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float).copy()
-        marks = np.asarray(self.marks, dtype=int).copy()
+        marks = np.asarray(self.marks)
         if times.ndim != 1 or marks.shape != times.shape:
             raise ValueError("times and marks must be 1-d arrays of equal length")
         if not 0 < self.T < np.inf:
             raise ValueError(f"horizon T must be positive and finite, got {self.T}")
-        if self.U < 1:
-            raise ValueError(f"dimension count U must be >= 1, got {self.U}")
+        if not (isinstance(self.U, (int, np.integer)) and self.U >= 1):
+            raise ValueError(f"dimension count U must be an integer >= 1, got {self.U}")
         if times.size:
+            if not np.isfinite(times).all():
+                k = int(np.flatnonzero(~np.isfinite(times))[0])
+                raise ValueError(f"event time {times[k]} at index {k} is not finite")
+            fractional = marks != np.trunc(marks)  # NaN too
+            if fractional.any():
+                raise ValueError(f"mark {marks[fractional][0]} is not an integer")
             if times[0] < 0:
                 raise ValueError(f"negative event time {times[0]}")
             diffs = np.diff(times)
@@ -58,6 +64,7 @@ class EventSequence:
             if marks.min() < 1 or marks.max() > self.U:
                 bad = marks[(marks < 1) | (marks > self.U)][0]
                 raise ValueError(f"mark {bad} outside 1..{self.U}")
+        marks = marks.astype(int)
         times.setflags(write=False)
         marks.setflags(write=False)
         object.__setattr__(self, "times", times)

@@ -232,9 +232,6 @@ SCENARIOS = {
 }
 
 
-_BUFFER = 256  # initial per-mark history capacity
-
-
 def simulate(spec: ScenarioSpec, T: float, seed: int,
              max_events: int = 2_000_000) -> SimResult:
     """Draw one realization on [0, T] by thinning.
@@ -250,11 +247,12 @@ def simulate(spec: ScenarioSpec, T: float, seed: int,
     rng = np.random.default_rng(seed)
     identity = isinstance(spec.link, IdentityLink)
     U = spec.U
-    # per source mark j: its live history bufs[j][lo[j]:hi[j]] in acceptance
-    # order, its nonzero kernels j -> i as (i, values), rows[j], the (2U, n)
-    # values of every g_ij, then of every envelope_ij, over that history at the
-    # last proposal, and sums[j], their row sums; those envelope sums are the
-    # next proposal's bound once the accepted mark's are renewed
+    # per source mark j: its live history history[j], the event times within
+    # support_lag of the last proposal, oldest first; its nonzero kernels
+    # j -> i as (i, values); rows[j], the (2U, n) values of every g_ij, then of
+    # every envelope_ij, over the lags to that history; and sums[j], their row
+    # sums, whose envelope half bounds the next proposal once the accepted
+    # mark's sums are renewed
     # equality, not identity: a spec unpickled in a worker holds a copy of _ZERO
     live = [[(i, spec.kernels[i][j].values) for i in range(U)
              if spec.kernels[i][j] != _ZERO] for j in range(U)]
@@ -271,14 +269,13 @@ def simulate(spec: ScenarioSpec, T: float, seed: int,
     rows = [np.zeros((2 * U, 0))] * U
     sums = [np.zeros(2 * U)] * U
     base = np.array(spec.mu * 2)
-    bufs = [np.empty(_BUFFER) for _ in range(U)]
-    lo, hi = [0] * U, [0] * U
+    history = [np.zeros(0)] * U
     times, marks, accepted_intensity = [], [], []
     window = spec.support_lag
     t, n_proposals = 0.0, 0
 
     def refresh(j: int) -> None:
-        rows[j] = kernel_rows(j, t - bufs[j][lo[j]:hi[j]])
+        rows[j] = kernel_rows(j, t - history[j])
         sums[j] = np.add.reduce(rows[j], axis=1)
 
     def linear() -> np.ndarray:  # [intensities, bounds] before the link
@@ -297,8 +294,10 @@ def simulate(spec: ScenarioSpec, T: float, seed: int,
         if t >= T:
             break
         for j in range(U):
-            while lo[j] < hi[j] and t - bufs[j][lo[j]] > window:
-                lo[j] += 1
+            h, k = history[j], 0
+            while k < h.size and t - h[k] > window:
+                k += 1
+            history[j] = h[k:]
             refresh(j)
         parts = linear()
         lam = np.asarray(spec.link(parts[:U]), dtype=float)
@@ -312,13 +311,7 @@ def simulate(spec: ScenarioSpec, T: float, seed: int,
             marks.append(mark)
             accepted_intensity.append(float(lam[mark - 1]))
             j = mark - 1
-            if hi[j] == bufs[j].size:  # full: move the live range to a new buffer
-                n = hi[j] - lo[j]
-                grown = np.empty(max(_BUFFER, 2 * n))
-                grown[:n] = bufs[j][lo[j]:hi[j]]
-                bufs[j], lo[j], hi[j] = grown, 0, n
-            bufs[j][hi[j]] = t
-            hi[j] += 1
+            history[j] = np.concatenate((history[j], (t,)))
             if len(times) > max_events:
                 raise RuntimeError(
                     f"simulation aborted: more than {max_events} events by t={t:.6g} "

@@ -361,6 +361,24 @@ def test_bench_smoke(tmp_path):
     assert "xi_build_vs_events" in doc["slopes"]
 
 
+def test_bench_fact_features_prints_and_writes_the_factorization(tmp_path):
+    out_path = tmp_path / "bench.json"
+    out = run_cli("bench", "--scenario", "mutually-exciting", "--horizons", "300,600",
+                  "--features", "8", "--fact-features", "8,16", "--reps", "1",
+                  "--seed", "1", "--out", str(out_path))
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert re.fullmatch(r"M=    8 size=    24 factorize \S+s", lines[-4])
+    assert re.fullmatch(r"M=   16 size=    48 factorize \S+s", lines[-3])
+    assert re.fullmatch(r"factorize vs M log-log slope: \S+", lines[-2])
+    assert lines[-1] == f"bench table -> {out_path}"
+    doc = json.loads(out_path.read_text())
+    assert set(doc) == {"scaling", "factorization", "slopes"}
+    assert set(doc["slopes"]) == {"xi_build_vs_events", "factorize_vs_M"}
+    assert [(r["M"], r["size"]) for r in doc["factorization"]] == [(8, 24), (16, 48)]
+    assert all(r["factorize_s"] > 0 for r in doc["factorization"])
+
+
 @pytest.mark.parametrize("scenario,extra", [
     ("mutually-exciting", []),
     ("refractory", ["--baseline", "0.006"]),
@@ -495,6 +513,9 @@ CLI_ERRORS = {
     "evaluate-curves-bad-dimension": (
         ["evaluate", "--model", "{d}/model.json", "--truth-curves", "{d}/bad_u_curves.csv",
          "--out", "{d}/r.json"], 1, "{d}/bad_u_curves.csv: '# U=' is not a valid int: 'x'"),
+    "evaluate-curves-not-u-squared": (
+        ["evaluate", "--model", "{d}/model.json", "--truth-curves", "{d}/two_pair_curves.csv",
+         "--out", "{d}/r.json"], 1, "{d}/two_pair_curves.csv: expected U^2 kernel columns, got 2"),
     "evaluate-missing-curves": (
         ["evaluate", "--model", "{d}/model.json", "--truth-curves", "{d}/none.csv",
          "--out", "{d}/r.json"], 1, "[Errno 2] No such file or directory: '{d}/none.csv'"),
@@ -570,6 +591,21 @@ CLI_ERRORS = {
     "fit-mark-above-dimension": (
         ["fit", "--events", "{d}/high_mark.csv", "--out", "{d}/m.json"], 1,
         "{d}/high_mark.csv: mark 2 outside 1..1"),
+    "fit-nan-event-time": (
+        ["fit", "--events", "{d}/nan_time.csv", "--out", "{d}/m.json"], 1,
+        "{d}/nan_time.csv: event time nan at index 1 is not finite"),
+    "fit-events-no-header": (
+        ["fit", "--events", "{d}/no_header.csv", "--out", "{d}/m.json"], 1,
+        "{d}/no_header.csv: missing 'time,mark' header"),
+    "fit-events-wrong-header": (
+        ["fit", "--events", "{d}/wrong_header.csv", "--out", "{d}/m.json"], 1,
+        "{d}/wrong_header.csv: line 2: expected header 'time,mark', got 'time,dim'"),
+    "fit-events-three-fields": (
+        ["fit", "--events", "{d}/three_fields.csv", "--out", "{d}/m.json"], 1,
+        "{d}/three_fields.csv: line 4: expected 'time,mark', got '2.5,1,1'"),
+    "fit-events-decreasing-time": (
+        ["fit", "--events", "{d}/decreasing.csv", "--out", "{d}/m.json"], 1,
+        "{d}/decreasing.csv: non-increasing event time at line 4"),
     "fit-negative-event-time": (
         ["fit", "--events", "{d}/negative_time.csv", "--out", "{d}/m.json"], 1,
         "{d}/negative_time.csv: negative event time -0.5"),
@@ -616,6 +652,12 @@ def error_inputs(tmp_path_factory):
     (d / "negative_time.csv").write_text("# T=10\n# U=1\ntime,mark\n-0.5,1\n")
     (d / "nan_t.csv").write_text("# T=nan\n# U=1\ntime,mark\n0.5,1\n")
     (d / "negative_t.csv").write_text("# T=-1\n# U=1\ntime,mark\n0.5,1\n")
+    (d / "nan_time.csv").write_text("# T=10\ntime,mark\n1.0,1\nnan,2\n3.0,1\n")
+    (d / "no_header.csv").write_text("# T=10\n# U=1\n")
+    (d / "wrong_header.csv").write_text("# T=10\ntime,dim\n0.5,1\n")
+    (d / "three_fields.csv").write_text("# T=10\ntime,mark\n0.5,1\n2.5,1,1\n")
+    (d / "decreasing.csv").write_text("# T=10\ntime,mark\n2.5,1\n0.5,1\n")
+    (d / "two_pair_curves.csv").write_text("# A=1\n# U=1\ns,g_11,g_12\n0,0.5,0.5\n1,0,0\n")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["fit", "--events", str(d / "events.csv"), "--features", "2",
                          "--window", "1", "--out", str(d / "model.json")]) == 0

@@ -61,6 +61,23 @@ def test_event_sequence_rejects_bad_input():
     for T in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             EventSequence(np.array([1.0]), np.array([1]), T, 1)
+    # NaN compares false with every bound: the range checks alone pass it
+    with pytest.raises(ValueError, match="^event time nan at index 1 is not finite$"):
+        EventSequence(np.array([1.0, np.nan, 3.0]), np.array([1, 2, 1]), 10.0, 2)
+    with pytest.raises(ValueError, match="^event time inf at index 1 is not finite$"):
+        EventSequence(np.array([1.0, np.inf, 3.0]), np.array([1, 2, 1]), 10.0, 2)
+    for marks, bad in (([1.7, 2.0], "1.7"), ([1.0, np.nan], "nan")):
+        with pytest.raises(ValueError, match=f"^mark {bad} is not an integer$"):
+            EventSequence(np.array([1.0, 2.0]), np.array(marks), 10.0, 2)
+    for U in (2.5, 2.0, 0):
+        with pytest.raises(ValueError, match=f"^dimension count U must be an integer >= 1, "
+                                             f"got {U}$"):
+            EventSequence(np.array([1.0]), np.array([1]), 10.0, U)
+
+
+def test_event_sequence_keeps_integral_float_marks():
+    ev = EventSequence(np.array([1.0, 2.0]), np.array([2.0, 1.0]), 10.0, np.int64(2))
+    assert ev.marks.dtype == np.dtype(int) and list(ev.marks) == [2, 1]
 
 
 def test_event_sequence_counts_partition():
@@ -836,6 +853,20 @@ def test_solve_rejects_gamma_not_positive_and_finite(call, gamma):
         calls[call]()
 
 
+@pytest.mark.parametrize("A", [np.inf, np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("call", ["FitConfig", "build_xi", "Design", "EquivalentKernel"])
+def test_support_window_must_be_positive_and_finite(call, A):
+    # at A = inf every window integral diverges: NaN statistics, not an error
+    ev, basis = small_instance()
+    calls = {"FitConfig": lambda: FitConfig(gamma=1.0, A=A, basis=basis),
+             "build_xi": lambda: build_xi(ev, basis, A),
+             "Design": lambda: Design(ev, basis, A),
+             "EquivalentKernel": lambda: EquivalentKernel(ev, basis, 1.0, A)}
+    with pytest.raises(ValueError, match=f"^support window A must be positive and finite, "
+                                         f"got {A}$"):
+        calls[call]()
+
+
 # --- the float32 route: float32 Cholesky factor, float64 refinement -------------
 
 @pytest.fixture(scope="module")
@@ -1081,6 +1112,16 @@ def test_model_json_round_trip():
     assert_allclose(clone.coeff, model.coeff)
     assert clone.basis.beta == model.basis.beta
     assert g_curve(clone, 1, 2, 0.7) == pytest.approx(g_curve(model, 1, 2, 0.7))
+
+
+@pytest.mark.parametrize("coeff", [[[0.0] * 16], [[0.0] * 8] * 2, [[0.0] * 17] * 2])
+def test_model_from_dict_rejects_wrong_coeff_shape(coeff):
+    ev, basis = small_instance(seed=47)
+    doc = fit(ev, FitConfig(gamma=1.1, A=3.0, basis=basis)).to_dict()
+    assert np.shape(doc["coeff"]) == (2, 16)
+    doc["coeff"] = coeff
+    with pytest.raises(ValueError, match="^coefficient array shape inconsistent with U and M$"):
+        FittedModel.from_dict(doc)
 
 
 @pytest.mark.parametrize("mu_hat", [[0.3], [0.3, 0.2, 0.1], [[0.3, 0.2]]])

@@ -180,6 +180,17 @@ def test_ise_node_refinement_converges():
     assert abs(a - b) / b < 1e-6
 
 
+def test_ise_rounds_an_even_node_count_up():
+    # composite Simpson needs an odd node count: 2000 nodes run as 2001
+    truth = mutually_exciting_scenario()
+    basis = build_basis(KernelSpec(beta=1.0), 8, 1)
+    model = FittedModel(mu_hat=np.zeros(3), coeff=np.full((3, 24), 0.01), basis=basis,
+                        config=FitConfig(gamma=1.0, A=5.0, basis=basis), T=100.0, U=3)
+    even, odd = ise(truth, model, n_nodes=2000), ise(truth, model, n_nodes=2001)
+    assert even.delta_sq == odd.delta_sq
+    assert np.array_equal(even.per_pair, odd.per_pair)
+
+
 def test_ise_dimension_mismatch():
     events, basis, model = fitted_small(seed=3, U=2)
     with pytest.raises(ValueError, match="dimension"):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +203,23 @@ def test_basis_json_round_trip():
     assert np.array_equal(clone.theta, basis.theta)
     assert clone.beta == basis.beta and clone.seed == basis.seed
     assert json.dumps(clone.to_dict()) == text
+
+
+@pytest.mark.parametrize("omega, theta, message", [
+    ([1.0, 1.0], [0.0], "omega and theta must be 1-d arrays of equal length"),
+    ([[1.0, 1.0]], [[0.0, 0.0]], "omega and theta must be 1-d arrays of equal length"),
+    ([1.0, 1.0, 2.0], [0.0, 0.0, 0.0], "feature count must be even and >= 2, got 3"),
+    ([], [], "feature count must be even and >= 2, got 0")])
+def test_basis_rejects_bad_frequencies(omega, theta, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FeatureBasis(omega=np.array(omega), theta=np.array(theta))
+
+
+def test_basis_from_dict_rejects_wrong_feature_count():
+    doc = build_basis(KernelSpec(beta=0.7), 4, 1).to_dict()
+    doc["M"] = 6
+    with pytest.raises(ValueError, match="^inconsistent feature count in basis document$"):
+        FeatureBasis.from_dict(doc)
 
 
 def test_basis_rejects_unknown_family():

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import expon, kstest
 
-from hawkes_rkhs import simulation
 from hawkes_rkhs.events import read_events_csv, write_events_csv
 from hawkes_rkhs.simulation import (
     CURVE_POINTS,
@@ -106,6 +105,18 @@ def test_builtin_kernels_are_elementwise():
                         [one[part][0]] * 3, (k.label, s)
 
 
+@pytest.mark.parametrize("U, mu, kernels, support_lag, message", [
+    (2, (0.1,), ((zero_kernel(),) * 2,) * 2, None, "mu and kernels must have U entries"),
+    (2, (0.1, 0.1), ((zero_kernel(),) * 2,), None, "mu and kernels must have U entries"),
+    (2, (0.1, 0.1), ((zero_kernel(),) * 2, (zero_kernel(),)), None,
+     "kernels must be a U x U grid"),
+    (1, (0.1,), ((zero_kernel(),),), 4.0, "support_lag must be at least A")])
+def test_scenario_spec_rejects_bad_shapes(U, mu, kernels, support_lag, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ScenarioSpec(U=U, mu=mu, kernels=kernels, link=IdentityLink(), A=5.0,
+                     support_lag=support_lag)
+
+
 def test_unbounded_envelope_rejected():
     def inv(s):
         with np.errstate(divide="ignore"):
@@ -126,6 +137,18 @@ def test_simulation_reproducible():
     assert np.array_equal(a.events.marks, b.events.marks)
     c = simulate(spec, 150.0, 8)
     assert not np.array_equal(a.events.times, c.events.times)
+
+
+def test_simulate_stops_at_a_negative_identity_intensity():
+    # ScenarioSpec rejects a negative kernel under the identity link, so one is
+    # swapped in after validation: its envelope still bounds it, and the first
+    # proposal within lag 1/(2 sqrt 2) of an event sees 0.5 + (8 s^2 - 1) < 0
+    spec = ScenarioSpec(U=1, mu=(0.5,), kernels=((exp_decay(0.5, 1.0),),),
+                        link=IdentityLink(), A=5.0)
+    object.__setattr__(spec, "kernels", ((refractory_pulse(1.0),),))
+    with pytest.raises(RuntimeError, match=r"^negative intensity -\S+ at t=\S+ under the "
+                                           r"identity link$"):
+        simulate(spec, 200.0, 1)
 
 
 def test_simulation_rejects_bad_horizon():
@@ -203,7 +226,7 @@ def sparse_spec():
 ])
 def test_simulate_matches_reference_loop(make_spec, T, seed):
     # draws are a fixed function of (spec, T, seed): the per-mark history
-    # buffers and the envelope sums kept from one proposal for the next bound
+    # arrays and the envelope sums kept from one proposal for the next bound
     # must reproduce the single-list scan with two passes to the last bit
     spec = make_spec()
     got, ref = simulate(spec, T, seed), simulate_loop(spec, T, seed)
@@ -214,7 +237,8 @@ def test_simulate_matches_reference_loop(make_spec, T, seed):
     if make_spec is dense_poisson_spec:
         times = got.events.times
         live = np.arange(times.size) - np.searchsorted(times, times - spec.support_lag)
-        assert live.max() > simulation._BUFFER
+        # live histories longer than a small fixed-size buffer would hold
+        assert live.max() > 256
     if make_spec is sparse_spec:
         gaps = np.diff(got.events.times)
         assert (gaps > spec.support_lag).sum() > 10 and (gaps < spec.support_lag).sum() > 10
