@@ -24,30 +24,22 @@ from .features import FeatureBasis, feature_matrix, integral_phi_range
 
 
 class FitError(RuntimeError):
-    """Raised when the normal equations cannot be solved reliably."""
-
-
-class _WindowError(FitError, ValueError):
-    """A support window A longer than the horizon: bad input, and a failed grid cell."""
-
-
-def _check_gamma(gamma: float):
-    """Raise ValueError unless 0 < gamma < inf."""
-    if not 0 < gamma < np.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    """Raised when the normal equations cannot be solved reliably; unusable
+    input raises ValueError instead."""
 
 
 @dataclass(frozen=True)
 class FitConfig:
     """Hyperparameters of a fit: ridge strength gamma, support window A and
-    feature basis."""
+    feature basis; raises ValueError unless both numbers are positive and finite."""
 
     gamma: float
     A: float
     basis: FeatureBasis
 
     def __post_init__(self):
-        _check_gamma(self.gamma)
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if not 0 < self.A < np.inf:
             raise ValueError(f"support window A must be positive and finite, got {self.A}")
 
@@ -364,11 +356,11 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
 
 
 def _check_fittable(has_events: bool, A: float, length: float):
-    """Raise FitError for a window without events or with A beyond it (also a ValueError)."""
+    """Raise ValueError for a window without events or with A beyond it."""
     if not has_events:
-        raise FitError("cannot fit an empty event sequence")
+        raise ValueError("cannot fit an empty event sequence")
     if A > length:
-        raise _WindowError(f"support window A={A} exceeds the horizon T={length}")
+        raise ValueError(f"support window A={A} exceeds the horizon T={length}")
 
 
 _log = logging.getLogger(__name__)
@@ -435,11 +427,6 @@ def _solve_float32(xi: np.ndarray, rhs: np.ndarray, gamma: float):
     kappa_2(Z) eps32) reaches MIXED_MAX_KAPPA_EPS, spotrf fails, or
     refinement misses the test after MIXED_MAX_STEPS steps."""
     n = xi.shape[0]
-    # ||Z||_1 >= the 1-norm of any row of xi less 1/gamma; on the seed-20 designs the
-    # row of xi's largest diagonal entry has the largest 1-norm, so a system plainly
-    # past the bound leaves before the O(n^2) copy
-    if (gamma * np.abs(xi[np.argmax(xi.diagonal())]).sum() - 1.0) * _EPS32 >= MIXED_MAX_KAPPA_EPS:
-        return None
     with np.errstate(over="ignore"):  # an entry past float32's range reads inf in the norm
         Z32 = xi.astype(np.float32)
         Z32.flat[::n + 1] += np.float32(1.0 / gamma)
@@ -534,9 +521,9 @@ class Design:
         total.hi = other.hi
         return total
 
-    def solve(self, gamma: float):
-        """Baselines and kernel coefficients minimizing the penalized contrast
-        over the window; returns (mu_hat, coeff, stats).
+    def solve(self, gamma: float) -> "FittedModel":
+        """The model minimizing the penalized contrast over the window, its
+        horizon hi and its ``stats`` the solve's diagnostics.
 
         Factorizes (1/gamma) I + Xi once and solves for the U + 1 right-hand
         sides (the window vector and the U event sums) by ``_solve_spd``,
@@ -546,10 +533,11 @@ class Design:
 
         and the kernel coefficients are c_i = b_i - mu_i b_0.  The denominator
         is strictly inside (0, length) in exact arithmetic; a nonpositive value
-        indicates numerical breakdown and raises FitError.
+        indicates numerical breakdown and raises FitError.  A window without
+        events or shorter than A raises ValueError.
         """
+        config = FitConfig(gamma=gamma, A=self.A, basis=self.basis)
         _check_fittable(self.counts.any(), self.A, self.length)
-        _check_gamma(gamma)
         t0 = time.perf_counter()
         rhs = np.column_stack([self.window_vec, self.event_sums.T])
         solved, cond, info = _solve_spd(self.xi, rhs, gamma)
@@ -563,7 +551,8 @@ class Design:
                 f"(gamma={gamma}, condition estimate {cond:.3e})")
         mu_hat = (self.counts - self.window_vec @ b_dims) / denom
         coeff = (b_dims - np.outer(b0, mu_hat)).T
-        return mu_hat, coeff, stats
+        return FittedModel(mu_hat=mu_hat, coeff=coeff, basis=self.basis, config=config,
+                           T=self.hi, U=self.counts.size, stats=stats)
 
     def contrast(self, mu: np.ndarray, coeff: np.ndarray) -> float:
         """Least-squares contrast of (mu, coeff) over the window,
@@ -641,12 +630,10 @@ def fit(events: EventSequence, config: FitConfig) -> FittedModel:
     _check_fittable(len(events) > 0, config.A, events.T)
     t0 = time.perf_counter()
     design = Design(events, config.basis, config.A)
-    stats = {"xi_build_s": time.perf_counter() - t0}
-    mu_hat, coeff, solve_stats = design.solve(config.gamma)
-    stats.update(solve_stats)
-    stats["total_s"] = time.perf_counter() - t0
-    return FittedModel(mu_hat=mu_hat, coeff=coeff, basis=config.basis, config=config,
-                       T=events.T, U=events.U, stats=stats)
+    xi_build_s = time.perf_counter() - t0
+    model = design.solve(config.gamma)
+    model.stats.update(xi_build_s=xi_build_s, total_s=time.perf_counter() - t0)
+    return model
 
 
 def g_curve(model: FittedModel, i: int, j: int, s) -> np.ndarray:
@@ -674,7 +661,7 @@ class EquivalentKernel:
 
     def __init__(self, events: EventSequence, basis: FeatureBasis,
                  gamma: float, A: float):
-        _check_gamma(gamma)
+        FitConfig(gamma=gamma, A=A, basis=basis)  # checks gamma and A
         self.events = events
         self.basis = basis
         self.gamma = gamma

@@ -116,8 +116,8 @@ def _search_beta(events: EventSequence, gammas, beta: float, M: int, A: float,
     for gamma in gammas:
         report = EvalReport(gamma=gamma, beta=beta)
         try:
-            mu_hat, coeff, _ = train.solve(gamma)
-            report.ls_loss = valid.contrast(mu_hat, coeff)
+            model = train.solve(gamma)
+            report.ls_loss = valid.contrast(model.mu_hat, model.coeff)
         except FitError as exc:  # numerical failure; any other error propagates
             report.error = f"{type(exc).__name__}: {exc}"
         reports.append(report)
@@ -133,10 +133,12 @@ def grid_search(events: EventSequence, grid: GridSpec, M: int, A: float,
     full history.  Both designs are built once per beta and shared by its
     gammas; ``workers`` > 1 spreads the betas over processes, one per beta at
     most.  Returns (best, cells) with cells ordered gamma-major; ties prefer
-    larger gamma, then larger beta.  Cells whose fit fails numerically carry
-    an error message and are skipped in the argmin.  A ``designs`` dict
-    receives, keyed by beta, the design over [0, T]: the sum of that beta's
-    two, so a refit on the whole horizon builds no Gram.
+    larger gamma, then larger beta.  Cells whose solve raises FitError carry
+    its message and are skipped in the argmin, and RuntimeError means every
+    cell did; a window without events, or a training one shorter than A,
+    raises ValueError.  A ``designs`` dict receives, keyed by beta, the
+    design over [0, T]: the sum of that beta's two, so a refit on the whole
+    horizon builds no Gram.
     """
     t_split = grid.split_fraction * events.T
     if len(events) == 0 or events.times.max() <= t_split:
@@ -164,18 +166,14 @@ def fit_scenario_draw(scenario: ScenarioSpec, T: float, seed: int, grid: GridSpe
     ``grid_search``), refit on the full horizon with the chosen cell, and
     score against the truth.  Returns (report, model, events).
 
-    The refit solves the chosen beta's [0, T] design from the grid search at
-    the chosen gamma, which is ``fit`` on [0, T] up to the rounding of the
-    sum; ``model.stats["solve_s"]`` times that solve."""
+    The model is ``Design.solve`` of the chosen beta's [0, T] design from the
+    grid search at the chosen gamma, which is ``fit`` on [0, T] up to the
+    rounding of the sum; its ``stats`` are the solve's alone."""
     result = simulate(scenario, T, seed)
     designs = {}
     best, _ = grid_search(result.events, grid, M, scenario.A, seed, workers=workers,
                           designs=designs)
-    mu_hat, coeff, stats = designs[best.beta].solve(best.gamma)
-    basis = designs[best.beta].basis
-    model = FittedModel(mu_hat=mu_hat, coeff=coeff, basis=basis,
-                        config=FitConfig(gamma=best.gamma, A=scenario.A, basis=basis),
-                        T=result.events.T, U=result.events.U, stats=stats)
+    model = designs[best.beta].solve(best.gamma)
     report = ise(scenario, model)
     report.ls_loss = best.ls_loss
     return report, model, result.events

@@ -170,6 +170,11 @@ class ScenarioSpec:
             raise ValueError("mu and kernels must have U entries")
         if any(len(row) != self.U for row in kernels):
             raise ValueError("kernels must be a U x U grid")
+        # a NaN rate never reaches T, and a negative one under the identity link stops the draw
+        if bad := [v for v in mu if not math.isfinite(v)]:
+            raise ValueError(f"baseline mu must be finite, got {bad[0]}")
+        if isinstance(self.link, IdentityLink) and min(mu, default=0.0) < 0:
+            raise ValueError(f"the identity link needs a nonnegative baseline, got {min(mu)}")
         support = self.A if self.support_lag is None else self.support_lag
         if not support >= self.A:
             raise ValueError("support_lag must be at least A")
@@ -350,8 +355,9 @@ def write_curves_csv(path, spec: ScenarioSpec) -> None:
 
 def read_curves_csv(path):
     """Parse a kernel-curve file; returns (s grid, curves (U, U, n), U).
-    A short or non-numeric row raises ValueError naming its line, and a last
-    lag off the declared ``# A=`` by more than 1e-12 A one naming the file."""
+    A short or non-numeric row, or a lag not above the one before it, raises
+    ValueError naming its line, and a last lag off the declared ``# A=`` by
+    more than 1e-12 A one naming the file."""
     meta, (_, header), rows = read_table(path)
     if header is None or not rows:
         raise ValueError(f"{path}: no curve data")
@@ -367,6 +373,9 @@ def read_curves_csv(path):
             data[k] = [float(x) for x in fields]
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    steps = np.flatnonzero(~(np.diff(data[:, 0]) > 0))  # NaN lags too
+    if steps.size:
+        raise ValueError(f"{path}: non-increasing lag at line {rows[steps[0] + 1][0]}")
     A = meta_value(path, meta, "A", float, data[-1, 0])
     if not abs(data[-1, 0] - A) <= 1e-12 * A:
         raise ValueError(f"{path}: the lag grid ends at {data[-1, 0]}, not at '# A={A}'")

@@ -469,6 +469,14 @@ CLI_ERRORS = {
     "grid-search-empty-validation": (
         ["grid-search", "--events", "{d}/events.csv", "--out", "{d}/g.json"], 1,
         "validation window empty: no events after t=8"),
+    # an unusable training window is an input error, not a failed grid cell
+    "grid-search-window-past-training": (
+        ["grid-search", "--events", "{d}/late.csv", "--window", "9", "--features", "4",
+         "--workers", "1", "--out", "{d}/g.json"], 1,
+        "support window A=9.0 exceeds the horizon T=8.0"),
+    "grid-search-empty-training": (
+        ["grid-search", "--events", "{d}/late.csv", "--split", "0.01", "--features", "4",
+         "--workers", "1", "--out", "{d}/g.json"], 1, "cannot fit an empty event sequence"),
     "grid-search-bad-gammas": (
         ["grid-search", "--events", "{d}/events.csv", "--gammas", "abc", "--out",
          "{d}/g.json"], 2, "--gammas abc is not a list of numbers"),
@@ -516,6 +524,9 @@ CLI_ERRORS = {
     "evaluate-curves-not-u-squared": (
         ["evaluate", "--model", "{d}/model.json", "--truth-curves", "{d}/two_pair_curves.csv",
          "--out", "{d}/r.json"], 1, "{d}/two_pair_curves.csv: expected U^2 kernel columns, got 2"),
+    "evaluate-curves-not-increasing": (
+        ["evaluate", "--model", "{d}/model.json", "--truth-curves", "{d}/unsorted_curves.csv",
+         "--out", "{d}/r.json"], 1, "{d}/unsorted_curves.csv: non-increasing lag at line 6"),
     "evaluate-missing-curves": (
         ["evaluate", "--model", "{d}/model.json", "--truth-curves", "{d}/none.csv",
          "--out", "{d}/r.json"], 1, "[Errno 2] No such file or directory: '{d}/none.csv'"),
@@ -535,6 +546,10 @@ CLI_ERRORS = {
     "reproduce-negative-horizon": (
         ["reproduce", "--scenario", "refractory", "--t-end", "-1"], 2,
         "--t-end -1.0 is not a positive finite number"),
+    "reproduce-nan-baseline": (
+        ["reproduce", "--scenario", "refractory", "--baseline", "nan", "--t-end", "50",
+         "--seeds", "1", "--features", "8", "--workers", "1"], 1,
+        "baseline mu must be finite, got nan"),
     "reproduce-bad-seeds": (
         ["reproduce", "--scenario", "refractory", "--seeds", "5-3"], 2,
         "--seeds 5-3 is not a seed range: expected N or N-M with N <= M"),
@@ -628,6 +643,7 @@ CLI_ERRORS = {
 def error_inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("errors")
     (d / "events.csv").write_text("# T=10\n# U=1\ntime,mark\n0.5,1\n2.5,1\n")
+    (d / "late.csv").write_text("# T=10\n# U=1\ntime,mark\n0.5,1\n2.5,1\n9,1\n")
     (d / "dup.csv").write_text("# T=10\n# U=1\ntime,mark\n0.5,1\n0.5,1\n")
     (d / "empty.csv").write_text("# T=10\n# U=1\ntime,mark\n")
     (d / "bad_t.csv").write_text("# T=abc\n# U=1\ntime,mark\n0.5,1\n")
@@ -635,6 +651,8 @@ def error_inputs(tmp_path_factory):
     (d / "keyless.json").write_text("{}\n")
     (d / "nan_curves.csv").write_text("# A=1\n# U=1\ns,g_11\n0,0.5\n0.5,x\n")
     (d / "short_curves.csv").write_text("# A=1\n# U=1\ns,g_11\n0,0.5\n0.5\n")
+    (d / "unsorted_curves.csv").write_text(
+        "# A=1\n# U=1\ns,g_11\n0,0.5\n0.75,0.2\n0.25,0.4\n1,0\n")
     (d / "bare_curves.csv").write_text("# A=1\n# U=1\ns,g_11\n")
     (d / "bad_u_curves.csv").write_text("# A=1\n# U=x\ns,g_11\n0,0.5\n")
     (d / "wide_curves.csv").write_text("# A=2\n# U=1\ns,g_11\n0,0.5\n1,0.25\n2,0\n")

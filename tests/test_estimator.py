@@ -726,14 +726,31 @@ def test_design_ignores_events_that_cannot_reach_the_window():
 def test_fit_requires_events_and_window(monkeypatch):
     basis = build_basis(KernelSpec(beta=1.0), 4, 0)
     empty = EventSequence(np.array([]), np.array([]), 10.0, 1)
-    for A in (5.0, 50.0):  # an empty sequence is reported first
-        with pytest.raises(FitError):
+    for A in (5.0, 50.0):  # an empty sequence is reported first, as an input error
+        with pytest.raises(ValueError, match="^cannot fit an empty event sequence$"):
             fit(empty, FitConfig(gamma=1.0, A=A, basis=basis))
     ev = EventSequence(np.array([1.0]), np.array([1]), 4.0, 1)
     # a window longer than the horizon is rejected before any design is built
     monkeypatch.setattr("hawkes_rkhs.estimator.build_xi", None)
-    with pytest.raises(ValueError, match="exceeds the horizon"):
+    with pytest.raises(ValueError, match="exceeds the horizon") as exc:
         fit(ev, FitConfig(gamma=1.0, A=5.0, basis=basis))
+    assert not isinstance(exc.value, FitError)
+
+
+def test_design_solve_returns_the_model_fit_returns():
+    # fit is the [0, T] design's solve plus two timers: same arrays, bit for bit
+    ev, basis = small_instance()
+    want = fit(ev, FitConfig(gamma=0.7, A=3.0, basis=basis))
+    model = Design(ev, basis, 3.0).solve(0.7)
+    assert isinstance(model, FittedModel)
+    assert (model.config.gamma, model.config.A, model.T, model.U) == (0.7, 3.0, ev.T, ev.U)
+    assert model.basis is basis and model.config.basis is basis
+    assert set(want.stats) - set(model.stats) == {"xi_build_s", "total_s"}
+    assert set(model.stats) <= set(want.stats)
+    assert model.mu_hat.tobytes() == want.mu_hat.tobytes()
+    assert model.coeff.tobytes() == want.coeff.tobytes()
+    # a window design has the horizon hi
+    assert Design(ev, basis, 3.0, 0.0, 6.0).solve(0.7).T == 6.0
 
 
 def test_fit_config_validation():
@@ -998,7 +1015,7 @@ def test_wide_solver_keeps_float64_errors_and_declines_float32_overflow():
 
 def test_design_solve_stats_name_route_steps_and_residual(seed20_design):
     for M, route in ((100, "float64"), (512, "float32")):
-        _, _, stats = seed20_design(200.0, M).solve(1.0)
+        stats = seed20_design(200.0, M).solve(1.0).stats
         assert stats["solve_route"] == route
         assert (stats["refine_steps"] > 0) == (route == "float32")
         assert 0.0 <= stats["relative_residual"] < 1e-13

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
 from hawkes_rkhs import estimator, evaluation
-from hawkes_rkhs.estimator import Design, FitConfig, FittedModel, fit, g_curve
+from hawkes_rkhs.estimator import Design, FitConfig, FitError, FittedModel, fit, g_curve
 from hawkes_rkhs.events import EventSequence
 from hawkes_rkhs.evaluation import (
     EvalReport,
@@ -357,16 +357,42 @@ def test_noisy_model_scores_worse_on_validation():
     assert clean < noisy
 
 
-def test_failed_cell_is_reported_not_fatal():
+def test_failed_cell_is_reported_not_fatal(monkeypatch):
+    # a numerical failure of one cell's solve is recorded in that cell alone
+    original = Design.solve
+
+    def singular_at_one(self, gamma):
+        if gamma == 1.0:
+            raise FitError(f"not positive definite (gamma={gamma})")
+        return original(self, gamma)
+
+    monkeypatch.setattr(Design, "solve", singular_at_one)
+    events = sim_events(seed=14)
+    best, cells = grid_search(events, GridSpec((0.5, 1.0), (1.0,)), M=8, A=5.0, seed=0)
+    assert [(c.gamma, c.error) for c in cells] == [
+        (0.5, None), (1.0, "FitError: not positive definite (gamma=1.0)")]
+    assert cells[1].ls_loss is None and best is cells[0]
+    # when every cell fails the search itself raises
+    with pytest.raises(RuntimeError, match=r"^every grid cell failed; first error: FitError: "
+                                           r"not positive definite \(gamma=1\.0\)$"):
+        grid_search(events, GridSpec((1.0,), (1.0,)), M=8, A=5.0, seed=0)
+
+
+def test_unusable_training_window_is_an_input_error():
+    # bad input leaves the search as a ValueError; no cell records it
     from hawkes_rkhs.evaluation import _search_beta
     events = sim_events(seed=14)
-    # A larger than the training horizon makes the fit raise inside the cell
-    [report], _ = _search_beta(events, (1.0,), 1.0, 8, events.T * 0.9, 0, 0.8 * events.T)
-    assert report.error is not None and "exceeds the horizon" in report.error
-    assert report.ls_loss is None
-    # when every cell fails the search itself raises
-    with pytest.raises(RuntimeError, match="every grid cell failed"):
-        grid_search(events, GridSpec((1.0,), (1.0,)), M=8, A=events.T * 0.9, seed=0)
+    A, before_first = 0.9 * events.T, events.times[0] / events.T / 2
+    for split, A, message in (
+            (0.8, A, f"support window A={A} exceeds the horizon T={0.8 * events.T}"),
+            (before_first, 5.0, "cannot fit an empty event sequence")):
+        t_split = split * events.T
+        for run in (lambda: grid_search(events, GridSpec((0.5, 1.0), (1.0,), split), M=8,
+                                        A=A, seed=0),
+                    lambda: _search_beta(events, (0.5, 1.0), 1.0, 8, A, 0, t_split)):
+            with pytest.raises(ValueError, match=f"^{message}$") as exc:
+                run()
+            assert not isinstance(exc.value, FitError)
 
 
 def test_grid_cell_programming_error_propagates(monkeypatch):

@@ -110,11 +110,25 @@ def test_builtin_kernels_are_elementwise():
     (2, (0.1, 0.1), ((zero_kernel(),) * 2,), None, "mu and kernels must have U entries"),
     (2, (0.1, 0.1), ((zero_kernel(),) * 2, (zero_kernel(),)), None,
      "kernels must be a U x U grid"),
-    (1, (0.1,), ((zero_kernel(),),), 4.0, "support_lag must be at least A")])
+    (1, (0.1,), ((zero_kernel(),),), 4.0, "support_lag must be at least A"),
+    # a NaN baseline never lets a draw return, and an infinite one piles its events at 0
+    (2, (0.1, np.nan), ((zero_kernel(),) * 2,) * 2, None, "baseline mu must be finite, got nan"),
+    (1, (np.inf,), ((zero_kernel(),),), None, "baseline mu must be finite, got inf"),
+    # the summed bound goes below 0, so the draw would stop at once with no event
+    (2, (-0.5, 0.3), ((zero_kernel(),) * 2,) * 2, None,
+     "the identity link needs a nonnegative baseline, got -0.5")])
 def test_scenario_spec_rejects_bad_shapes(U, mu, kernels, support_lag, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         ScenarioSpec(U=U, mu=mu, kernels=kernels, link=IdentityLink(), A=5.0,
                      support_lag=support_lag)
+
+
+def test_softplus_scenario_accepts_a_negative_baseline():
+    spec = ScenarioSpec(U=2, mu=(-0.5, 0.3), kernels=((zero_kernel(),) * 2,) * 2,
+                        link=SoftplusLink(100.0), A=5.0)
+    assert spec.mu == (-0.5, 0.3)
+    with pytest.raises(ValueError, match="^baseline mu must be finite, got nan$"):
+        refractory_scenario(np.nan)
 
 
 def test_unbounded_envelope_rejected():
@@ -414,6 +428,24 @@ def test_curves_csv_round_trip(tmp_path):
     assert s[0] == 0.0 and s[-1] == spec.A
     want = true_curves(spec, s)
     assert_allclose(curves, want, rtol=1e-15)
+
+
+def test_curves_csv_rejects_a_grid_that_does_not_increase(tmp_path):
+    # Simpson's rule on such a grid gives a wrong, even negative, delta^2
+    path = tmp_path / "curves.csv"
+    write_curves_csv(path, mutually_exciting_scenario())
+    lines = path.read_text().splitlines()
+    # the interior reversed: lag 0 stays on line 4 (lines[3]) and lag A last
+    lines[4:-1] = lines[-2:3:-1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{path}: non-increasing lag at line 6$"):
+        read_curves_csv(path)
+    lines = path.read_text().splitlines()
+    lines[4:-1] = lines[-2:3:-1]  # increasing again, then one lag repeated
+    lines[9] = lines[8]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{path}: non-increasing lag at line 10$"):
+        read_curves_csv(path)
 
 
 def test_true_curves_shape():
