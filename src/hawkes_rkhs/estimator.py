@@ -368,17 +368,16 @@ _log = logging.getLogger(__name__)
 # A condition estimate above this leaves fewer than 6 of float64's 16 significant
 # digits of the solution trustworthy (relative error up to about cond * 1.1e-16).
 ILL_CONDITIONED = 1e10
-# The float32 route (mixed-precision refinement, as LAPACK's dsposv) runs on
-# systems of order M*U >= MIXED_MIN_ORDER, below which float64 is as fast
-# (CHANGES.md), and gamma ||Z||_1 eps32 < MIXED_MAX_KAPPA_EPS.  Xi is positive
-# semidefinite, so Z's eigenvalues are >= 1/gamma and gamma ||Z||_1 bounds
-# kappa_2(Z).  Refinement shrinks the error by about kappa eps32 per step: on
-# the seed-20 designs it took <= 3 steps below this bound, and 9-13 at 0.25,
-# where it lost to float64.  It is abandoned after MIXED_MAX_STEPS steps.
-MIXED_MIN_ORDER = 700
-MIXED_MAX_KAPPA_EPS = 1e-2
-MIXED_MAX_STEPS = 10
-_EPS32 = np.finfo(np.float32).eps / 2
+# The low-rank route runs on systems of order n = M*U >= LOWRANK_MIN_ORDER, below
+# which float64 is as fast (CHANGES.md).  Xi integrates functions smooth over [0, A],
+# so its numerical rank follows U beta A, not M.  Its pivoted Cholesky stops once
+# gamma tr(Xi - L L^T) <= LOWRANK_TOL, a dimensionless bound on the error each
+# refinement step leaves, and is declined at rank n // LOWRANK_RANK_DIVISOR: a
+# declined system then wastes about a third of float64's factor (CHANGES.md).
+LOWRANK_MIN_ORDER = 700
+LOWRANK_TOL = 1e-6
+LOWRANK_RANK_DIVISOR = 8
+LOWRANK_MAX_STEPS = 10
 # LAPACK's dlamch("Epsilon"), the unit roundoff dsposv's stopping test uses
 _EPS64 = np.finfo(np.float64).eps / 2
 
@@ -419,57 +418,70 @@ def _residual(xi: np.ndarray, x: np.ndarray, rhs: np.ndarray, gamma: float) -> n
     return rhs - (x.T @ xi).T - x * (1.0 / gamma)
 
 
-def _solve_float32(xi: np.ndarray, rhs: np.ndarray, gamma: float):
-    """Solve ((1/gamma) I + xi) x = rhs by a float32 Cholesky factor and
-    float64 iterative refinement to dsposv's stopping test.  Returns
-    (x, condition estimate, steps, residual), or None when the float64 route
-    must run instead: Z overflows float32, gamma ||Z||_1 eps32 (a bound on
-    kappa_2(Z) eps32) reaches MIXED_MAX_KAPPA_EPS, spotrf fails, or
-    refinement misses the test after MIXED_MAX_STEPS steps."""
+def _solve_lowrank(xi: np.ndarray, rhs: np.ndarray, gamma: float):
+    """Solve ((1/gamma) I + xi) x = rhs by float64 iterative refinement to
+    dsposv's stopping test, preconditioned by P = (1/gamma) I + L L^T for a
+    partial pivoted Cholesky factor L of xi (Harbrecht, Peters & Schneider,
+    2012): P^-1 v = gamma (v - L (I/gamma + L^T L)^-1 L^T v).  Returns (x,
+    kappa_2(P) = 1 + gamma lambda_max(L^T L), steps, residual, rank), kappa_2(P)
+    kappa_2(Z) to a relative LOWRANK_TOL; or None when the float64 route must
+    run: xi is not finite or has a negative diagonal, the rank reaches its
+    cap, or refinement misses the test after LOWRANK_MAX_STEPS steps."""
     n = xi.shape[0]
-    with np.errstate(over="ignore"):  # an entry past float32's range reads inf in the norm
-        Z32 = xi.astype(np.float32)
-        Z32.flat[::n + 1] += np.float32(1.0 / gamma)
-    anorm = _lapack.slange("1", Z32.T)
-    if not (np.isfinite(anorm) and gamma * anorm * _EPS32 < MIXED_MAX_KAPPA_EPS):
+    anorm = _lapack.dlange("1", xi.T) + 1.0 / gamma  # ||Z||_1, as xi's diagonal is >= 0
+    left = xi.diagonal().copy()  # the diagonal of xi - L L^T
+    if not (np.isfinite(anorm) and (left >= 0).all()):
         return None
-    c, info = _lapack.spotrf(Z32.T, lower=1, overwrite_a=1, clean=0)
-    if info != 0:
-        return None
-    x = _lapack.spotrs(c, rhs.astype(np.float32), lower=1)[0].astype(np.float64)
-    tol = anorm * _EPS64 * np.sqrt(n)
-    for step in range(MIXED_MAX_STEPS + 1):
+    L = np.empty((n // LOWRANK_RANK_DIVISOR, n))  # row k: column k of the factor
+    rank = 0
+    while gamma * left.sum() > LOWRANK_TOL:
+        if rank == L.shape[0]:
+            return None
+        p = np.argmax(left)
+        # xi is symmetric: its row p is column p, read contiguously
+        row = np.subtract(xi[p], L[:rank, p] @ L[:rank], out=L[rank])
+        row /= np.sqrt(left[p])
+        left = np.maximum(left - row * row, 0.0)
+        left[p] = 0.0
+        rank += 1
+    # LAPACK takes no empty matrix: at rank 0, one zero row stands for the factor
+    L = L[:rank] if rank else np.zeros((1, n))
+    S = L @ L.T  # L^T L of the factor
+    cond = 1.0 + gamma * np.linalg.eigvalsh(S)[-1]
+    S.flat[::S.shape[0] + 1] += 1.0 / gamma
+    c = _lapack.dpotrf(S, lower=1, overwrite_a=1, clean=0)[0]
+    x, r, tol = np.zeros_like(rhs), rhs, anorm * _EPS64 * np.sqrt(n)
+    for step in range(LOWRANK_MAX_STEPS + 1):
+        x += gamma * (r - L.T @ _lapack.dpotrs(c, L @ r, lower=1)[0])
         r = _residual(xi, x, rhs, gamma)
         # dsposv's test, for every right-hand side: ||r||_inf <= ||x||_inf ||Z||_inf eps sqrt(n)
         if (np.abs(r).max(axis=0) <= np.abs(x).max(axis=0) * tol).all():
-            return x, _condition(_lapack.spocon(c, anorm, uplo="L")[0], gamma), step, r
-        if step < MIXED_MAX_STEPS:
-            x += _lapack.spotrs(c, r.astype(np.float32), lower=1)[0]
+            return x, _condition(1.0 / cond, gamma), step, r, rank
     return None
 
 
 def _solve_spd(xi: np.ndarray, rhs: np.ndarray, gamma: float):
     """Solve ((1/gamma) I + xi) x = rhs; returns (x, condition estimate, info).
 
-    A system of order >= MIXED_MIN_ORDER is first tried by ``_solve_float32``,
+    A system of order >= LOWRANK_MIN_ORDER is first tried by ``_solve_lowrank``,
     whose backward error is then at float64 level, so x agrees with the
-    float64 route to about the condition estimate times 1.1e-16.  Any other
-    system, or one that route declines, takes the float64 ``_cholesky``
-    factor.  ``info`` holds the ``solve_route`` ("float32" or
-    "float64"), the ``refine_steps`` and the ``relative_residual``
-    ||Z x - rhs|| / ||rhs||.  Raises FitError naming gamma when rhs is not
-    finite, or as ``_cholesky`` does."""
+    float64 route to about the condition times 1.1e-16.  Any other system,
+    or one that route declines, takes the float64 ``_cholesky`` factor.
+    ``info`` holds the ``solve_route`` ("lowrank" or "float64"), the
+    ``rank`` of the factor (n on the float64 route), the ``refine_steps``
+    and the ``relative_residual`` ||Z x - rhs|| / ||rhs||.  Raises FitError
+    naming gamma when rhs is not finite, or as ``_cholesky`` does."""
     if not np.isfinite(rhs).all():
         raise FitError(f"right-hand side is not finite (gamma={gamma})")
-    mixed = _solve_float32(xi, rhs, gamma) if xi.shape[0] >= MIXED_MIN_ORDER else None
-    if mixed is None:
+    lowrank = _solve_lowrank(xi, rhs, gamma) if xi.shape[0] >= LOWRANK_MIN_ORDER else None
+    if lowrank is None:
         c, cond = _cholesky(xi, gamma)
         x = _lapack.dpotrs(c, rhs, lower=1)[0]
-        steps, residual = 0, _residual(xi, x, rhs, gamma)
+        steps, residual, rank = 0, _residual(xi, x, rhs, gamma), xi.shape[0]
     else:
-        x, cond, steps, residual = mixed
-    return x, cond, {"solve_route": "float64" if mixed is None else "float32",
-                     "refine_steps": steps,
+        x, cond, steps, residual, rank = lowrank
+    return x, cond, {"solve_route": "float64" if lowrank is None else "lowrank",
+                     "rank": rank, "refine_steps": steps,
                      "relative_residual": float(np.linalg.norm(residual) / np.linalg.norm(rhs))}
 
 
@@ -525,9 +537,10 @@ class Design:
         """The model minimizing the penalized contrast over the window, its
         horizon hi and its ``stats`` the solve's diagnostics.
 
-        Factorizes (1/gamma) I + Xi once and solves for the U + 1 right-hand
-        sides (the window vector and the U event sums) by ``_solve_spd``,
-        which names its route.  Baselines are
+        Solves (1/gamma) I + Xi for the U + 1 right-hand sides (the window
+        vector and the U event sums) at once by ``_solve_spd``: a wide system
+        by refinement on a low-rank factor of Xi, any other by a float64
+        Cholesky factor; ``stats`` name the route, rank and steps.  Baselines are
 
             mu_i = (|N_i| - I^T b_i) / (length - I^T b_0),
 

@@ -227,9 +227,9 @@ def bench_factorization(events: EventSequence, m_values, reps: int = 3):
     """Cholesky factorization time versus feature count on a fixed event set.
 
     It times scipy's float64 ``cho_factor`` with its finiteness check and
-    copy: the factorization that narrow systems and the float32 route's
-    fallback use, not ``estimator._cholesky``'s in-place call on its own copy,
-    and not the float32 factor of the route ``estimator._solve_spd`` picks.
+    copy: the factorization of the float64 route (narrow and declined
+    systems) and of ``EquivalentKernel``, not ``estimator._cholesky``'s
+    in-place call on its own copy, nor the low-rank route ``_solve_spd`` picks.
     The system is gamma = 1 over a beta = 1, seed-0 basis.  Returns (rows,
     slopes) with the log-log slope of factorization time against M, which
     needs two M values or more; the expected exponent is 3 (cubic solve cost).

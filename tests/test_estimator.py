@@ -884,7 +884,7 @@ def test_support_window_must_be_positive_and_finite(call, A):
         calls[call]()
 
 
-# --- the float32 route: float32 Cholesky factor, float64 refinement -------------
+# --- the low-rank route: pivoted Cholesky of Xi, float64 refinement ------------
 
 @pytest.fixture(scope="module")
 def seed20_design():
@@ -906,118 +906,156 @@ def solve_rhs(design):
     return np.column_stack([design.window_vec, design.event_sums.T])
 
 
-def float64_factor(design, gamma):
-    """scipy's cho_factor of the Fortran view of (1/gamma) I + Xi."""
+def float64_factor(xi, gamma):
+    """scipy's cho_factor of the Fortran view of (1/gamma) I + xi."""
     from scipy.linalg import cho_factor
-    Z = design.xi.copy()
+    Z = xi.copy()
     Z.flat[::Z.shape[0] + 1] += 1.0 / gamma
     return cho_factor(Z.T, lower=True, overwrite_a=True, check_finite=False)
 
 
-def float64_reference(design, gamma, rhs):
+def float64_reference(xi, gamma, rhs):
     """The float64 route as scipy's wrappers run it: ``float64_factor``, then
     cho_solve."""
     from scipy.linalg import cho_solve
-    return cho_solve(float64_factor(design, gamma), rhs, check_finite=False)
+    return cho_solve(float64_factor(xi, gamma), rhs, check_finite=False)
 
 
-@pytest.mark.parametrize("M", [256, 512])
-@pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
-def test_float32_solve_meets_dsposv_test_and_agrees_with_float64(seed20_design, M, gamma):
-    from hawkes_rkhs.estimator import _cholesky, _residual, _solve_spd
-    design = seed20_design(200.0, M)
+@pytest.mark.parametrize("T,M,gamma", [(200.0, 256, 0.1), (200.0, 256, 1.0), (200.0, 256, 10.0),
+                                       (200.0, 512, 0.1), (200.0, 512, 1.0), (200.0, 512, 10.0),
+                                       (2000.0, 512, 100.0)])
+def test_lowrank_solve_meets_dsposv_test_and_agrees_with_float64(seed20_design, T, M, gamma):
+    from hawkes_rkhs.estimator import _residual, _solve_spd
+    design = seed20_design(T, M)
     rhs = solve_rhs(design)
     x, cond, info = _solve_spd(design.xi, rhs, gamma)
-    assert info["solve_route"] == "float32"
-    assert 1 <= info["refine_steps"] <= estimator.MIXED_MAX_STEPS
     n = 3 * M
+    assert info["solve_route"] == "lowrank"
+    assert 0 < info["rank"] < n // estimator.LOWRANK_RANK_DIVISOR
+    assert 0 <= info["refine_steps"] <= estimator.LOWRANK_MAX_STEPS
     Z = design.xi + np.eye(n) / gamma
     # dsposv's stopping test, for every right-hand side
     r = _residual(design.xi, x, rhs, gamma)
     tol = np.abs(Z).sum(axis=0).max() * np.finfo(float).eps / 2 * np.sqrt(n)
     assert (np.abs(r).max(axis=0) <= np.abs(x).max(axis=0) * tol).all()
     assert info["relative_residual"] == pytest.approx(np.linalg.norm(r) / np.linalg.norm(rhs))
-    want = float64_reference(design, gamma, rhs)
-    _, want_cond = _cholesky(design.xi, gamma)
-    assert cond == pytest.approx(want_cond, rel=0.05)
-    assert np.abs(x - want).max() <= 10 * want_cond * np.finfo(float).eps * np.abs(want).max()
+    # kappa_2(P) is the exact kappa_2(Z) to a relative LOWRANK_TOL
+    eigenvalues = np.linalg.eigvalsh(Z)
+    kappa = eigenvalues[-1] / eigenvalues[0]
+    assert cond == pytest.approx(kappa, rel=1e-5)
+    want = float64_reference(design.xi, gamma, rhs)
+    assert np.abs(x - want).max() <= 10 * kappa * np.finfo(float).eps * np.abs(want).max()
 
 
-@pytest.mark.parametrize("T,M,gamma", [(200.0, 100, 1.0), (2000.0, 512, 100.0)])
-def test_float64_solve_route_below_size_or_past_bound_is_unchanged(seed20_design, monkeypatch,
-                                                                    T, M, gamma):
-    # M*U = 300 is below MIXED_MIN_ORDER; at T=2000, gamma=100 the bound
-    # gamma ||Z||_1 eps32 is about 0.25, past MIXED_MAX_KAPPA_EPS
+def test_float64_solve_route_below_the_order_threshold_is_unchanged(seed20_design, monkeypatch):
+    # M*U = 300 is below LOWRANK_MIN_ORDER
     from hawkes_rkhs.estimator import _cholesky, _solve_spd
 
-    def spotrf(*args, **kwargs):
-        raise AssertionError("the float64 route called spotrf")
-    design = seed20_design(T, M)
+    def lowrank(*args, **kwargs):
+        raise AssertionError("the float64 route tried the low-rank route")
+    design, gamma = seed20_design(200.0, 100), 1.0
     rhs = solve_rhs(design)
-    want = float64_reference(design, gamma, rhs)
-    monkeypatch.setattr(estimator._lapack, "spotrf", spotrf)
+    want = float64_reference(design.xi, gamma, rhs)
+    monkeypatch.setattr(estimator, "_solve_lowrank", lowrank)
     x, cond, info = _solve_spd(design.xi, rhs, gamma)
-    assert info["solve_route"] == "float64" and info["refine_steps"] == 0
+    assert info == {"solve_route": "float64", "rank": 300, "refine_steps": 0,
+                    "relative_residual": info["relative_residual"]}
     assert x.tobytes() == want.tobytes()
     # the factor EquivalentKernel keeps is scipy's, to the bit
     c, cond_cholesky = _cholesky(design.xi, gamma)
-    assert c.tobytes() == float64_factor(design, gamma)[0].tobytes()
+    assert c.tobytes() == float64_factor(design.xi, gamma)[0].tobytes()
     # dpocon's estimate can move by an ulp with the factor's memory alignment
     assert cond_cholesky == pytest.approx(cond, rel=1e-12)
 
 
-@pytest.mark.parametrize("force", ["spotrf fails", "refinement misses the test"])
-def test_float32_solve_falls_back_to_float64(seed20_design, monkeypatch, force):
-    from hawkes_rkhs.estimator import _cholesky, _solve_spd
-    design = seed20_design(200.0, 256)
-    rhs = solve_rhs(design)
-    want = float64_reference(design, 1.0, rhs)
-    _, want_cond = _cholesky(design.xi, 1.0)
-    calls = []
-    spotrf = estimator._lapack.spotrf
-
-    def failing_spotrf(a, **kwargs):
-        calls.append(a.shape)
-        c, info = spotrf(a, **kwargs)
-        return c, 1 if force == "spotrf fails" else info
-    monkeypatch.setattr(estimator._lapack, "spotrf", failing_spotrf)
-    if force != "spotrf fails":
-        # float32 accuracy never meets the test, so no step means no convergence
-        monkeypatch.setattr(estimator, "MIXED_MAX_STEPS", 0)
-    x, cond, info = _solve_spd(design.xi, rhs, 1.0)
-    assert calls == [(768, 768)]
-    assert info["solve_route"] == "float64"
-    assert x.tobytes() == want.tobytes() and cond == pytest.approx(want_cond, rel=1e-12)
+def wide_system(decline, seed20_design):
+    """(xi, gamma, rhs) of order >= LOWRANK_MIN_ORDER that the low-rank route
+    declines for the given reason."""
+    n = estimator.LOWRANK_MIN_ORDER
+    if decline == "no convergence":
+        design = seed20_design(200.0, 256)
+        return design.xi, 1.0, solve_rhs(design)
+    if decline == "rank cap":
+        G = np.random.default_rng(5).standard_normal((n, n))
+        xi = G @ G.T / n  # full rank
+    else:
+        xi = np.eye(n) * (-4.0 if decline == "negative diagonal" else 1.0)
+    if decline in ("nan", "inf"):
+        xi[0, 1] = xi[1, 0] = float(decline)
+    if decline == "indefinite":
+        xi[n - 1, n - 2] = xi[n - 2, n - 1] = 1e39
+    return xi, 0.5, np.ones((n, 2))
 
 
-def test_wide_solver_keeps_float64_errors_and_declines_float32_overflow():
+@pytest.mark.parametrize("decline", ["rank cap", "no convergence", "nan", "inf",
+                                     "negative diagonal", "indefinite"])
+def test_lowrank_solve_declines_to_float64(seed20_design, monkeypatch, decline):
+    from hawkes_rkhs.estimator import _cholesky, _solve_lowrank, _solve_spd
+    finite, definite = r"not finite \(gamma=0\.5, 1-norm=", r"not positive definite \(gamma=0\.5"
+    error = {"nan": finite, "inf": finite, "negative diagonal": definite,
+             "indefinite": definite}.get(decline)
+    xi, gamma, rhs = wide_system(decline, seed20_design)
+    declined = []
+
+    def lowrank(*args):
+        declined.append(_solve_lowrank(*args))
+        return declined[-1]
+    if decline == "no convergence":
+        # one Woodbury solve leaves a residual near LOWRANK_TOL, far from the test
+        monkeypatch.setattr(estimator, "LOWRANK_MAX_STEPS", 0)
+    monkeypatch.setattr(estimator, "_solve_lowrank", lowrank)
+    if error is not None:
+        with pytest.raises(FitError, match=error):
+            _solve_spd(xi, rhs, gamma)
+        with pytest.raises(FitError, match=error):
+            _cholesky(xi, gamma)
+    else:
+        x, cond, info = _solve_spd(xi, rhs, gamma)
+        assert info["solve_route"] == "float64" and info["rank"] == xi.shape[0]
+        assert x.tobytes() == float64_reference(xi, gamma, rhs).tobytes()
+        assert cond == pytest.approx(_cholesky(xi, gamma)[1], rel=1e-12)
+    assert declined == [None]
+
+
+def test_lowrank_solve_at_rank_zero_is_the_ridge_alone():
+    # gamma tr(Xi) <= LOWRANK_TOL takes no pivot: P = (1/gamma) I, condition 1
     from hawkes_rkhs.estimator import _solve_spd
-    n = estimator.MIXED_MIN_ORDER
-    rhs = np.ones((n, 2))
-    for value in (np.nan, np.inf):
-        bad = np.eye(n)
-        bad[0, 1] = bad[1, 0] = value
-        with pytest.raises(FitError, match=r"not finite \(gamma=0\.5, 1-norm="):
-            _solve_spd(bad, rhs, 0.5)
-    with pytest.raises(FitError, match=r"not positive definite \(gamma=0\.5"):
-        _solve_spd(-4.0 * np.eye(n), rhs, 0.5)
-    # entries past float32's range take the float64 route, with no overflow warning
-    big = np.eye(n)
-    big[0, 0] = 1e39
-    x, cond, info = _solve_spd(big, rhs, 0.5)
-    assert info["solve_route"] == "float64"
-    assert x[0] == pytest.approx(1.0 / (1e39 + 2.0)) and x[1:] == pytest.approx(1.0 / 3.0)
-    big = np.eye(n)
-    big[n - 1, n - 2] = big[n - 2, n - 1] = 1e39
-    with pytest.raises(FitError, match="not positive definite"):
-        _solve_spd(big, rhs, 0.5)
+    n = estimator.LOWRANK_MIN_ORDER
+    xi = np.zeros((n, n))
+    xi[0, 0] = 1e-7
+    x, cond, info = _solve_spd(xi, np.ones((n, 2)), 2.0)
+    assert info["solve_route"] == "lowrank" and info["rank"] == 0 and cond == 1.0
+    want = np.full((n, 2), 2.0)
+    want[0] = 1.0 / (0.5 + 1e-7)
+    assert_allclose(x, want, rtol=1e-15)
+
+
+def test_lowrank_solve_does_not_depend_on_time_unit(seed20_design):
+    # times, T and A times 1000, beta and gamma over 1000: gamma tr(Xi) stays,
+    # so the pivots, the rank and the steps do, and the coefficients scale by 1/1000
+    from hawkes_rkhs.features import FeatureBasis
+    from hawkes_rkhs.simulation import mutually_exciting_scenario, simulate
+    c, gamma, spec = 1000.0, 1.0, mutually_exciting_scenario()
+    events = simulate(spec, 200.0, 20).events
+    basis = build_basis(KernelSpec(beta=1.0), 256, 20)
+    scaled_basis = FeatureBasis(omega=basis.omega / c, theta=basis.theta,
+                                beta=basis.beta / c, seed=basis.seed)
+    scaled_events = EventSequence(events.times * c, events.marks, events.T * c, events.U)
+    ref = seed20_design(200.0, 256).solve(gamma)
+    got = Design(scaled_events, scaled_basis, spec.A * c).solve(gamma / c)
+    for key in ("solve_route", "rank", "refine_steps"):
+        assert got.stats[key] == ref.stats[key]
+    assert ref.stats["solve_route"] == "lowrank"
+    assert_allclose(c * got.coeff, ref.coeff, rtol=1e-9, atol=1e-9 * np.abs(ref.coeff).max())
+    assert_allclose(c * got.mu_hat, ref.mu_hat, rtol=1e-9)
 
 
 def test_design_solve_stats_name_route_steps_and_residual(seed20_design):
-    for M, route in ((100, "float64"), (512, "float32")):
+    for M, route in ((100, "float64"), (512, "lowrank")):
         stats = seed20_design(200.0, M).solve(1.0).stats
         assert stats["solve_route"] == route
-        assert (stats["refine_steps"] > 0) == (route == "float32")
+        assert (stats["refine_steps"] > 0) == (route == "lowrank")
+        assert (stats["rank"] < 3 * M / 8) == (route == "lowrank")
         assert 0.0 <= stats["relative_residual"] < 1e-13
 
 
@@ -1071,10 +1109,10 @@ def test_equivalent_kernel_vanishes_under_strong_penalty():
     assert max(vals) <= 1e-8
 
 
-@pytest.mark.parametrize("U,M,route", [(2, 8, "float64"), (3, 256, "float32")])
+@pytest.mark.parametrize("U,M,route", [(2, 8, "float64"), (3, 256, "lowrank")])
 def test_representer_consistency_on_each_solve_route(U, M, route):
     # fitted kernels equal the unit-coefficient expansion in equivalent kernels,
-    # which factor in float64 also where the fit took the float32 route
+    # which factor in float64 also where the fit took the low-rank route
     ev, basis = small_instance(seed=41, U=U, n=10, T=12.0, M=M)
     gamma, A = 0.8, 3.0
     model = fit(ev, FitConfig(gamma=gamma, A=A, basis=basis))
