@@ -103,20 +103,18 @@ _RANGE = 1 << 22
 def _resonance(basis: FeatureBasis, A: float):
     """Split the (m, k) entries of a Gram block by y = (omega_m +- omega_k) A.
 
-    Returns R = R+ + R-, R+-[m, k] = 1 / (M (omega_m +- omega_k)) but 0 where
-    |y| < _CUTOFF, and for each sign the (m, k, y) of those near-resonant
-    entries in row-major order, found in windows of the sorted frequencies;
-    they take the Taylor series in y.  R+ - R- is R^T.  The criterion is
+    Returns (R, R^T), R = R+ + R-, R+-[m, k] = 1 / (M (omega_m +- omega_k)) but
+    0 where |y| < _CUTOFF, both C-contiguous and expanded from one table over
+    the F distinct frequencies, as R depends on the frequencies alone; R+ - R-
+    is R^T.  Then for each sign the (m, k, y) of those near-resonant entries in
+    row-major order, found in windows of the sorted frequencies, which take the
+    Taylor series in y, with each entry's ``pair`` of distinct frequencies and
+    each pair's ``head``, the index of its first entry.  The criterion is
     dimensionless, so it does not depend on the time unit.  Then (freq,
     inverse, lead): the distinct frequencies, omega = freq[inverse], first the
     ``lead`` ones whose lag rows 2..J a near entry with y != 0 reads.
     """
     omega, M, order = basis.omega, basis.M, np.argsort(basis.omega)
-    r_sum = np.empty((M, M))
-    with np.errstate(divide="ignore", invalid="ignore"):  # R as one fraction; near entries below
-        for i in range(0, M, 64):  # blocks of rows, whose temporaries stay in cache
-            rows = omega[i:i + 64, None]
-            np.divide((2.0 / M) * rows, (rows + omega) * (rows - omega), out=r_sum[i:i + 64])
     series, reach = [], 2.0 * _CUTOFF / A  # a window past every near entry
     for sign in (1.0, -1.0):
         lo, hi = np.searchsorted(omega[order], -sign * omega + [[-reach], [reach]])
@@ -125,12 +123,24 @@ def _resonance(basis: FeatureBasis, A: float):
         near = np.abs(omega[m] + sign * omega[k]) * A < _CUTOFF
         m, k = np.divmod(np.sort(m[near] * M + k[near]), M)
         series.append((m, k, (omega[m] + sign * omega[k]) * A))
-        x = omega[m] - sign * omega[k]  # the other sign's term stays, or 0 where it is near too
-        r_sum[m, k] = np.divide(1.0, M * x, out=np.zeros_like(x), where=np.abs(x) * A >= _CUTOFF)
     freq, inverse = np.unique(omega, return_inverse=True)
     live = np.isin(freq, omega[np.concatenate([k[y != 0] for _, k, y in series])])
     first = np.argsort(~live, kind="stable")
-    return r_sum, series, freq[first], np.argsort(first)[inverse], np.count_nonzero(live)
+    freq, inverse = freq[first], np.argsort(first)[inverse]
+    column = freq[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # R as one fraction; near entries below
+        table = np.divide((2.0 / M) * column, (column + freq) * (column - freq))
+    pairs = []
+    for sign, (m, k, y) in zip((1.0, -1.0), series):
+        _, head, pair = np.unique(inverse[m] * freq.size + inverse[k],
+                                  return_index=True, return_inverse=True)
+        pairs.append((m, k, y, pair, head))
+        f, g = inverse[m[head]], inverse[k[head]]
+        x = freq[f] - sign * freq[g]  # the other sign's term stays, or 0 where it is near too
+        table[f, g] = np.divide(1.0, M * x, out=np.zeros_like(x), where=np.abs(x) * A >= _CUTOFF)
+    # take along each axis in turn: C-contiguous, unlike table[inverse][:, inverse]
+    r_sum, r_t = (np.take(np.take(t, inverse, 0), inverse, 1) for t in (table, table.T))
+    return (r_sum, r_t), pairs, freq, inverse, np.count_nonzero(live)
 
 
 def _lag_sums(phasors, first, second, ell, weight, bounds, lead: int) -> np.ndarray:
@@ -172,21 +182,26 @@ def _finish_gram(uncut, sums, edges, halves, resonance, basis: FeatureBasis, A, 
     one GEMM over the rows of X_ij (u = 0, c = t_n' + A, then the edges') and, a
     and c swapped, of X_ji.  On the diagonal Q = P^T and the block is Y + Y^T,
     with Y = R o P + series; the rest are mirrored, so the Gram is exactly symmetric.
+    The lag sums do not depend on the phases, so each sign's series runs
+    Horner's rule once per pair of distinct frequencies (f_m, f_k), on the
+    lag sums of its first entry's k, and each entry then takes e^{i theta_m}
+    e^{+-i theta_k}; (j + 1)! folds into the steps as iy / (j + 1).
     """
-    (r_sum, series), M, J = resonance, basis.M, _SERIES_TERMS
+    ((r_sum, r_t), series), M, J = resonance, basis.M, _SERIES_TERMS
     turn = np.exp(1j * basis.theta)
     F = np.exp(1j * (basis.omega * A + basis.theta))
     event_sums = basis.scale * (turn * (sums[:, 0] - halves[:, None])).real
-    moments = turn * sums[:, 1:] / np.cumprod(np.arange(1.0, J + 1.0))[:, None]
     near = []
-    for (m, k, y), conj in zip(series, (np.asarray, np.conj)):
-        live = np.flatnonzero(y)  # y = 0 reads moment 0 alone
-        acc, iy, tail = conj(moments[:, 0, k]), 1j * y[live], 0.0
-        for order in range(J - 1, 0, -1):  # Horner's rule
-            tail = iy * tail + conj(moments[:, order, k[live]])
-        acc[:, live] += iy * tail
-        near.append((m, k, (A / M) * (turn[m] * acc).real))
-    r_t = np.ascontiguousarray(r_sum.T)
+    for (m, k, y, pair, head), conj in zip(series, (np.asarray, np.conj)):
+        # one series per pair of distinct frequencies, read at its first entry's k
+        k_pair, iy = k[head], 1j * y[head]
+        live = np.flatnonzero(iy)  # y = 0 reads moment 0 alone
+        acc, moments, iy = conj(sums[:, 1, k_pair]), conj(np.take(sums, k_pair[live], 2)), iy[live]
+        tail = moments[:, J]
+        for row in range(J - 1, 1, -1):  # Horner's rule, row r the moment of (iy)^(r-1) / r!
+            tail = moments[:, row] + (iy / (row + 1)) * tail
+        acc[:, live] += (iy / 2) * tail
+        near.append((m, k, (A / M) * (turn[m] * conj(turn[k]) * acc[:, pair]).real))
     out, (P, Q) = np.empty((U, M, U, M)), np.empty((2, M, M))
     # every block's end rows (a, c); made before the M x M arrays, they cost 2 MB more peak RSS
     ends = np.empty((U * U, 2, 2, M), dtype=complex)
@@ -374,11 +389,13 @@ ILL_CONDITIONED = 1e10
 # gamma tr(Xi - L L^T) <= LOWRANK_TOL, a dimensionless bound on the error each
 # refinement step leaves, and is declined at rank n // LOWRANK_RANK_DIVISOR: a
 # declined system then wastes about a third of float64's factor (CHANGES.md).
+# Refinement takes at most LOWRANK_MAX_STEPS steps to dsposv's test with the
+# factor's ||P||_2 <= ||Z||_inf in place of ||Z||_inf, so no pass over Xi takes a norm.
 LOWRANK_MIN_ORDER = 700
 LOWRANK_TOL = 1e-6
 LOWRANK_RANK_DIVISOR = 8
 LOWRANK_MAX_STEPS = 10
-# LAPACK's dlamch("Epsilon"), the unit roundoff dsposv's stopping test uses
+# LAPACK's dlamch("Epsilon"), the unit roundoff of dsposv's stopping test
 _EPS64 = np.finfo(np.float64).eps / 2
 
 
@@ -419,18 +436,21 @@ def _residual(xi: np.ndarray, x: np.ndarray, rhs: np.ndarray, gamma: float) -> n
 
 
 def _solve_lowrank(xi: np.ndarray, rhs: np.ndarray, gamma: float):
-    """Solve ((1/gamma) I + xi) x = rhs by float64 iterative refinement to
-    dsposv's stopping test, preconditioned by P = (1/gamma) I + L L^T for a
-    partial pivoted Cholesky factor L of xi (Harbrecht, Peters & Schneider,
-    2012): P^-1 v = gamma (v - L (I/gamma + L^T L)^-1 L^T v).  Returns (x,
+    """Solve ((1/gamma) I + xi) x = rhs by float64 iterative refinement,
+    preconditioned by P = (1/gamma) I + L L^T for a partial pivoted Cholesky
+    factor L of xi (Harbrecht, Peters & Schneider, 2012): P^-1 v = gamma (v -
+    L (I/gamma + L^T L)^-1 L^T v).  Refinement stops at ||r||_inf <= ||x||_inf
+    ||P||_2 eps sqrt(n) for every right-hand side, ||P||_2 = kappa_2(P) / gamma;
+    as ||P||_2 <= ||Z||_2 <= ||Z||_inf, that is at least as strict as LAPACK
+    dsposv's test with ||Z||_inf, and it costs no pass over xi.  Returns (x,
     kappa_2(P) = 1 + gamma lambda_max(L^T L), steps, residual, rank), kappa_2(P)
     kappa_2(Z) to a relative LOWRANK_TOL; or None when the float64 route must
-    run: xi is not finite or has a negative diagonal, the rank reaches its
-    cap, or refinement misses the test after LOWRANK_MAX_STEPS steps."""
+    run: xi's diagonal, a pivot row or a residual is not finite, the diagonal
+    is negative, the rank reaches its cap, or refinement misses the test after
+    LOWRANK_MAX_STEPS steps."""
     n = xi.shape[0]
-    anorm = _lapack.dlange("1", xi.T) + 1.0 / gamma  # ||Z||_1, as xi's diagonal is >= 0
     left = xi.diagonal().copy()  # the diagonal of xi - L L^T
-    if not (np.isfinite(anorm) and (left >= 0).all()):
+    if not (np.isfinite(left).all() and (left >= 0).all()):
         return None
     L = np.empty((n // LOWRANK_RANK_DIVISOR, n))  # row k: column k of the factor
     rank = 0
@@ -440,6 +460,8 @@ def _solve_lowrank(xi: np.ndarray, rhs: np.ndarray, gamma: float):
         p = np.argmax(left)
         # xi is symmetric: its row p is column p, read contiguously
         row = np.subtract(xi[p], L[:rank, p] @ L[:rank], out=L[rank])
+        if not np.isfinite(row).all():  # a NaN or inf of xi's row would enter the factor
+            return None
         row /= np.sqrt(left[p])
         left = np.maximum(left - row * row, 0.0)
         left[p] = 0.0
@@ -450,11 +472,13 @@ def _solve_lowrank(xi: np.ndarray, rhs: np.ndarray, gamma: float):
     cond = 1.0 + gamma * np.linalg.eigvalsh(S)[-1]
     S.flat[::S.shape[0] + 1] += 1.0 / gamma
     c = _lapack.dpotrf(S, lower=1, overwrite_a=1, clean=0)[0]
-    x, r, tol = np.zeros_like(rhs), rhs, anorm * _EPS64 * np.sqrt(n)
+    x, r, tol = np.zeros_like(rhs), rhs, cond / gamma * _EPS64 * np.sqrt(n)
     for step in range(LOWRANK_MAX_STEPS + 1):
         x += gamma * (r - L.T @ _lapack.dpotrs(c, L @ r, lower=1)[0])
-        r = _residual(xi, x, rhs, gamma)
-        # dsposv's test, for every right-hand side: ||r||_inf <= ||x||_inf ||Z||_inf eps sqrt(n)
+        with np.errstate(invalid="ignore"):  # an inf of xi may meet a 0 inside the GEMM
+            r = _residual(xi, x, rhs, gamma)
+        if not np.isfinite(r).all():  # xi is not finite where no pivot row reads it
+            return None
         if (np.abs(r).max(axis=0) <= np.abs(x).max(axis=0) * tol).all():
             return x, _condition(1.0 / cond, gamma), step, r, rank
     return None

@@ -288,11 +288,23 @@ def near_resonant_basis(A):
     return FeatureBasis(omega=omega, theta=theta)
 
 
+def repeated_frequency_basis(A):
+    """A hand-built basis in which frequencies 0.5 and 0.5 + 0.03 / A carry
+    three phases each and -0.5 + 0.05 / A two, so that one pair of distinct
+    frequencies feeds 3 x 3 entries of the - series at y = 0, another 3 x 3
+    at y = -0.03, and both meet -0.5 + 0.05 / A in the + series (y+ = 0.05
+    and 0.08)."""
+    from hawkes_rkhs.features import FeatureBasis
+    omega = np.array([0.5, 0.5, 0.5, 0.5 + 0.03 / A, 0.5 + 0.03 / A, 0.5 + 0.03 / A,
+                      -0.5 + 0.05 / A, -0.5 + 0.05 / A, 1.3, 2.0])
+    theta = np.array([0.0, -0.5 * np.pi, 1.2, 0.9, -0.5 * np.pi, 0.0, 0.4, -2.1, -0.3, 2.5])
+    return FeatureBasis(omega=omega, theta=theta)
+
+
 def test_xi_near_resonant_entries_agree_with_per_pair_closed_form(monkeypatch):
     import hawkes_rkhs.estimator as est
     A = 4.0
     assert est._CUTOFF == 0.1
-    basis = near_resonant_basis(A)
     resonance, splits = est._resonance, []
 
     def recorded(*args):
@@ -305,19 +317,29 @@ def test_xi_near_resonant_entries_agree_with_per_pair_closed_form(monkeypatch):
     ev = EventSequence(times, rng.integers(1, 3, times.size), 12.0, 2)
     assert cut_pair_counts(ev, A, 3.0, 9.0)[0] > 0       # pairs cut at lo
     assert cut_pair_counts(ev, A, 5.0, 8.0)[2] > 0       # and at both ends
-    for lo, hi in ((0.0, ev.T), (3.0, 9.0), (5.0, 8.0)):
-        splits.clear()
-        got = build_xi(ev, basis, A, lo, hi)[0]
-        # the build took the series on exactly the entries with |y| < 0.1
-        (m_plus, k_plus, y_plus), (m_minus, k_minus, y_minus) = splits[-1][1]
-        plus, minus = set(zip(m_plus, k_plus)), set(zip(m_minus, k_minus))
-        assert {(0, 4), (10, 10)} <= plus                 # y+ = 0.099 and 0
-        assert not {(0, 5), (0, 8), (0, 9)} & plus        # y+ = 0.101, 0.99, 1.01
-        assert {(0, 1), (2, 0)} <= minus                  # y- = 0 and 0.099
-        assert not {(3, 0), (6, 0), (7, 0)} & minus       # y- = 0.101, 0.99, 1.01
-        assert np.abs(y_plus).max() < 0.1 and np.abs(y_minus).max() < 0.1
-        ref = per_pair_xi(ev, basis, A, lo, hi)
-        assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+    for basis, repeated in ((near_resonant_basis(A), False),
+                            (repeated_frequency_basis(A), True)):
+        for lo, hi in ((0.0, ev.T), (3.0, 9.0), (5.0, 8.0)):
+            splits.clear()
+            got = build_xi(ev, basis, A, lo, hi)[0]
+            # the build took the series on exactly the entries with |y| < 0.1
+            (m_plus, k_plus, y_plus, _, _), (m_minus, k_minus, y_minus, pair_minus, _) = (
+                splits[-1][1])
+            plus, minus = set(zip(m_plus, k_plus)), set(zip(m_minus, k_minus))
+            if not repeated:
+                assert {(0, 4), (10, 10)} <= plus                 # y+ = 0.099 and 0
+                assert not {(0, 5), (0, 8), (0, 9)} & plus        # y+ = 0.101, 0.99, 1.01
+                assert {(0, 1), (2, 0)} <= minus                  # y- = 0 and 0.099
+                assert not {(3, 0), (6, 0), (7, 0)} & minus       # y- = 0.101, 0.99, 1.01
+            else:
+                # one pair of distinct frequencies feeds 9 entries, at y = 0 and y != 0
+                assert {(m, k) for m in range(3) for k in range(6)} <= minus
+                assert {(m, k) for m in range(6) for k in (6, 7)} <= plus
+                assert np.bincount(pair_minus[y_minus == 0]).max() >= 9
+                assert np.bincount(pair_minus[y_minus != 0]).max() >= 9
+            assert np.abs(y_plus).max() < 0.1 and np.abs(y_minus).max() < 0.1
+            ref = per_pair_xi(ev, basis, A, lo, hi)
+            assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 def test_gram_blocks_are_symmetric_and_agree_with_per_pair_closed_form(monkeypatch):
@@ -383,13 +405,21 @@ def test_resonance_split_matches_the_full_mask():
     import hawkes_rkhs.estimator as est
     from hawkes_rkhs.features import FeatureBasis
     rng = np.random.default_rng(73)
-    for M, A in ((16, 0.5), (64, 4.0), (64, 40.0), (100, 4.0)):
+    for M, A, repeats in ((16, 0.5, 1), (64, 4.0, 1), (64, 40.0, 1), (100, 4.0, 1),
+                          (16, 0.5, 2), (64, 4.0, 3), (100, 40.0, 2)):
         base = rng.normal(size=M // 4)
-        omega = rng.choice(np.concatenate([base, -base, [0.0], rng.normal(size=M // 4)]), M)
+        omega = rng.choice(np.concatenate([base, -base, [0.0], rng.normal(size=M // 4)]),
+                           M // repeats)
+        # each frequency 1 to 3 times, under a phase of its own each time
+        omega = rng.permutation(np.resize(np.repeat(omega, repeats), M))
         basis = FeatureBasis(omega=omega, theta=rng.uniform(-np.pi, np.pi, M))
-        R, series = est._resonance(basis, A)[:2]
+        (R, R_t), series = est._resonance(basis, A)[:2]
+        assert np.array_equal(R_t, R.T) and R.flags.c_contiguous and R_t.flags.c_contiguous
         want, off = np.zeros((M, M)), np.ones((M, M), dtype=bool)
-        for sign, (m, k, y) in zip((1.0, -1.0), series):
+        for sign, (m, k, y, pair, head) in zip((1.0, -1.0), series):
+            # a pair's entries share its first entry's two frequencies
+            assert np.array_equal(omega[m[head][pair]], omega[m])
+            assert np.array_equal(omega[k[head][pair]], omega[k])
             x = np.add.outer(omega, sign * omega)
             near = np.abs(x) * A < est._CUTOFF
             assert np.count_nonzero(near & ~np.eye(M, dtype=bool)) > 0
@@ -938,6 +968,10 @@ def test_lowrank_solve_meets_dsposv_test_and_agrees_with_float64(seed20_design, 
     r = _residual(design.xi, x, rhs, gamma)
     tol = np.abs(Z).sum(axis=0).max() * np.finfo(float).eps / 2 * np.sqrt(n)
     assert (np.abs(r).max(axis=0) <= np.abs(x).max(axis=0) * tol).all()
+    # and the stricter test the route stops at: ||P||_2 = kappa_2(P) / gamma <= ||Z||_inf
+    strict = cond / gamma * np.finfo(float).eps / 2 * np.sqrt(n)
+    assert strict <= tol
+    assert (np.abs(r).max(axis=0) <= np.abs(x).max(axis=0) * strict).all()
     assert info["relative_residual"] == pytest.approx(np.linalg.norm(r) / np.linalg.norm(rhs))
     # kappa_2(P) is the exact kappa_2(Z) to a relative LOWRANK_TOL
     eigenvalues = np.linalg.eigvalsh(Z)
@@ -1015,6 +1049,27 @@ def test_lowrank_solve_declines_to_float64(seed20_design, monkeypatch, decline):
         assert x.tobytes() == float64_reference(xi, gamma, rhs).tobytes()
         assert cond == pytest.approx(_cholesky(xi, gamma)[1], rel=1e-12)
     assert declined == [None]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_lowrank_solve_declines_a_non_finite_entry_no_pivot_row_reads(value):
+    # Xi is nonzero only in its leading 4 x 4 block, so every pivot row is one
+    # of its first 4; an entry far from them reaches the route only through
+    # the residual, and the float64 route then names it
+    from hawkes_rkhs.estimator import _cholesky, _solve_lowrank, _solve_spd
+    n, gamma = estimator.LOWRANK_MIN_ORDER, 0.5
+    G = np.random.default_rng(13).standard_normal((4, 4))
+    xi = np.zeros((n, n))
+    xi[:4, :4] = G @ G.T
+    rhs = np.ones((n, 2))
+    assert _solve_lowrank(xi, rhs, gamma)[4] == 4
+    xi[n - 1, n - 2] = xi[n - 2, n - 1] = value
+    assert _solve_lowrank(xi, rhs, gamma) is None
+    finite = r"not finite \(gamma=0\.5, 1-norm="
+    with pytest.raises(FitError, match=finite):
+        _solve_spd(xi, rhs, gamma)
+    with pytest.raises(FitError, match=finite):
+        _cholesky(xi, gamma)
 
 
 def test_lowrank_solve_at_rank_zero_is_the_ridge_alone():
