@@ -94,53 +94,41 @@ def _pairs_lag_in_window(starts: np.ndarray, a: int):
 # _CUTOFF^J/(J+1)! ~ 2.5e-18 of the sum's scale
 _CUTOFF, _SERIES_TERMS = 0.1, 10
 # elements per array of a chunk of pair entries in ``_lag_sums`` (1 MB):
-# entries x distinct frequencies x (re, im)
+# entries x frequencies x (re, im)
 _CHUNK = 1 << 17
 # reals a range of events may hold in ``build_xi`` (32 MB), whatever the event count
 _RANGE = 1 << 22
 
 
 def _resonance(basis: FeatureBasis, A: float):
-    """Split the (m, k) entries of a Gram block by y = (omega_m +- omega_k) A.
+    """Split the F x F table over the basis's F = M/2 frequencies by y =
+    (omega_f +- omega_g) A.
 
-    Returns (R, R^T), R = R+ + R-, R+-[m, k] = 1 / (M (omega_m +- omega_k)) but
-    0 where |y| < _CUTOFF, both C-contiguous and expanded from one table over
-    the F distinct frequencies, as R depends on the frequencies alone; R+ - R-
-    is R^T.  Then for each sign the (m, k, y) of those near-resonant entries in
-    row-major order, found in windows of the sorted frequencies, which take the
-    Taylor series in y, with each entry's ``pair`` of distinct frequencies and
-    each pair's ``head``, the index of its first entry.  The criterion is
-    dimensionless, so it does not depend on the time unit.  Then (freq,
-    inverse, lead): the distinct frequencies, omega = freq[inverse], first the
+    Returns (T, T^T), T = R+ + R-, R+-[f, g] = 1 / (M (omega_f +- omega_g)) but
+    0 where |y| < _CUTOFF, both C-contiguous; R+ - R- is T^T.  Then for each
+    sign the (f, g, y) of those near-resonant entries in row-major order, found
+    in windows of the sorted frequencies, which take the Taylor series in y.
+    The criterion is dimensionless, so it does not depend on the time unit.
+    Then (order, lead): the frequencies in the lag pass's order, first the
     ``lead`` ones whose lag rows 2..J a near entry with y != 0 reads.
     """
-    omega, M, order = basis.omega, basis.M, np.argsort(basis.omega)
+    M, omega = basis.M, basis.omega[:basis.M // 2]
+    F, order = omega.size, np.argsort(omega)
+    column = omega[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # T as one fraction; near entries below
+        table = np.divide((2.0 / M) * column, (column + omega) * (column - omega))
     series, reach = [], 2.0 * _CUTOFF / A  # a window past every near entry
     for sign in (1.0, -1.0):
         lo, hi = np.searchsorted(omega[order], -sign * omega + [[-reach], [reach]])
-        m = np.repeat(np.arange(M), hi - lo)
-        k = order[np.arange(m.size) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)]
-        near = np.abs(omega[m] + sign * omega[k]) * A < _CUTOFF
-        m, k = np.divmod(np.sort(m[near] * M + k[near]), M)
-        series.append((m, k, (omega[m] + sign * omega[k]) * A))
-    freq, inverse = np.unique(omega, return_inverse=True)
-    live = np.isin(freq, omega[np.concatenate([k[y != 0] for _, k, y in series])])
-    first = np.argsort(~live, kind="stable")
-    freq, inverse = freq[first], np.argsort(first)[inverse]
-    column = freq[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):  # R as one fraction; near entries below
-        table = np.divide((2.0 / M) * column, (column + freq) * (column - freq))
-    pairs = []
-    for sign, (m, k, y) in zip((1.0, -1.0), series):
-        _, head, pair = np.unique(inverse[m] * freq.size + inverse[k],
-                                  return_index=True, return_inverse=True)
-        pairs.append((m, k, y, pair, head))
-        f, g = inverse[m[head]], inverse[k[head]]
-        x = freq[f] - sign * freq[g]  # the other sign's term stays, or 0 where it is near too
+        f = np.repeat(np.arange(F), hi - lo)
+        g = order[np.arange(f.size) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)]
+        near = np.abs(omega[f] + sign * omega[g]) * A < _CUTOFF
+        f, g = np.divmod(np.sort(f[near] * F + g[near]), F)
+        series.append((f, g, (omega[f] + sign * omega[g]) * A))
+        x = omega[f] - sign * omega[g]  # the other sign's term stays, or 0 where it is near too
         table[f, g] = np.divide(1.0, M * x, out=np.zeros_like(x), where=np.abs(x) * A >= _CUTOFF)
-    # take along each axis in turn: C-contiguous, unlike table[inverse][:, inverse]
-    r_sum, r_t = (np.take(np.take(t, inverse, 0), inverse, 1) for t in (table, table.T))
-    return (r_sum, r_t), pairs, freq, inverse, np.count_nonzero(live)
+    live = np.bincount(np.concatenate([g[y != 0] for _, g, y in series]), minlength=F) > 0
+    return (table, table.T.copy()), series, np.argsort(~live, kind="stable"), live.sum()
 
 
 def _lag_sums(phasors, first, second, ell, weight, bounds, lead: int) -> np.ndarray:
@@ -175,38 +163,38 @@ def _lag_sums(phasors, first, second, ell, weight, bounds, lead: int) -> np.ndar
 def _finish_gram(uncut, sums, edges, halves, resonance, basis: FeatureBasis, A, U):
     """Gram and event sums of ``build_xi`` from its per-block lag sums over the
     pairs that end at t_n' + A (uncut) and over all pairs (sums), each edge's
-    marks and rows (a, c), and ``_resonance`` split.  Block b's event sums are
-    its u = 0 lag sum less halves[b], the weight of its self pairs.  With X_b =
-    R o S_b + R^T o S~_b + series_b as in ``build_xi``, Gram block i <= j is R o
-    P + R^T o Q plus series, P = S_ij + S~_ji^T and Q = S~_ij + S_ji^T each from
-    one GEMM over the rows of X_ij (u = 0, c = t_n' + A, then the edges') and, a
-    and c swapped, of X_ji.  On the diagonal Q = P^T and the block is Y + Y^T,
-    with Y = R o P + series; the rest are mirrored, so the Gram is exactly symmetric.
-    The lag sums do not depend on the phases, so each sign's series runs
-    Horner's rule once per pair of distinct frequencies (f_m, f_k), on the
-    lag sums of its first entry's k, and each entry then takes e^{i theta_m}
-    e^{+-i theta_k}; (j + 1)! folds into the steps as iy / (j + 1).
+    marks and F-vector rows (a, c), and ``_resonance`` split.  Block b's event
+    sums are its u = 0 lag sum less halves[b], the weight of its self pairs, on
+    the cos (1) and sin (-i) features.  With X_b = R o S_b + R^T o S~_b +
+    series_b as in ``build_xi``, Gram block i <= j is R o P + R^T o Q plus
+    series, P = S_ij + S~_ji^T and Q = S~_ij + S_ji^T over the rows of X_ij
+    and, a and c swapped, of X_ji.  As a sin feature's row is -i times its cos
+    twin's, P = [Im a, -Re a]^T [Re c, Im c] is one GEMM, on whose (cos, sin)
+    quadrants R is T, R^T is T^T and Q[p, q] = -+P[1 - p, 1 - q] (- for p = q).
+    On the diagonal Q = P^T and the block is Y + Y^T, with Y = R o P + series;
+    the rest are mirrored, so the Gram is exactly symmetric.  A near entry (f,
+    g) runs Horner's rule on the lag sums at g, (j + 1)! folded into the steps
+    as iy / (j + 1), to a value v that enters its quadrants as [[Re v, Im v],
+    [Im v, -Re v]] for + and [[Re v, -Im v], [Im v, Re v]] for -.
     """
-    ((r_sum, r_t), series), M, J = resonance, basis.M, _SERIES_TERMS
-    turn = np.exp(1j * basis.theta)
-    F = np.exp(1j * (basis.omega * A + basis.theta))
-    event_sums = basis.scale * (turn * (sums[:, 0] - halves[:, None])).real
+    ((table, table_t), series), M, F, J = resonance, basis.M, basis.M // 2, _SERIES_TERMS
+    event_sums = basis.scale * ((sums[:, 0] - halves[:, None])[:, None] * [[1], [-1j]]).real
     near = []
-    for (m, k, y, pair, head), conj in zip(series, (np.asarray, np.conj)):
-        # one series per pair of distinct frequencies, read at its first entry's k
-        k_pair, iy = k[head], 1j * y[head]
-        live = np.flatnonzero(iy)  # y = 0 reads moment 0 alone
-        acc, moments, iy = conj(sums[:, 1, k_pair]), conj(np.take(sums, k_pair[live], 2)), iy[live]
+    for (f, g, y), sign, conj in zip(series, (1.0, -1.0), (np.asarray, np.conj)):
+        live = np.flatnonzero(y)  # y = 0 reads moment 0 alone
+        acc, moments, iy = conj(sums[:, 1, g]), conj(np.take(sums, g[live], 2)), 1j * y[live]
         tail = moments[:, J]
         for row in range(J - 1, 1, -1):  # Horner's rule, row r the moment of (iy)^(r-1) / r!
             tail = moments[:, row] + (iy / (row + 1)) * tail
         acc[:, live] += (iy / 2) * tail
-        near.append((m, k, (A / M) * (turn[m] * conj(turn[k]) * acc[:, pair]).real))
-    out, (P, Q) = np.empty((U, M, U, M)), np.empty((2, M, M))
+        v = (A / M) * acc
+        near.append((np.concatenate([f, f, f + F, f + F]), np.concatenate([g, g + F, g, g + F]),
+                     np.concatenate([v.real, sign * v.imag, v.imag, -sign * v.real], axis=1)))
+    out, P, spare = np.empty((U, M, U, M)), np.empty((M, M)), np.empty((F, F))
     # every block's end rows (a, c); made before the M x M arrays, they cost 2 MB more peak RSS
-    ends = np.empty((U * U, 2, 2, M), dtype=complex)
-    ends[:, 0, 0], ends[:, 0, 1], ends[:, 1, 0], ends[:, 1, 1] = (
-        F * np.conj(uncut[:, 0]), -turn, F, turn * sums[:, 0])
+    ends = np.empty((U * U, 2, 2, F), dtype=complex)
+    ends[:, 1, 0], ends[:, 0, 1], ends[:, 1, 1] = np.exp(1j * basis.omega[:F] * A), -1.0, sums[:, 0]
+    ends[:, 0, 0] = ends[:, 1, 0] * np.conj(uncut[:, 0])
     mark, rows = (np.concatenate(e) for e in zip(*edges))
     split = np.cumsum(np.bincount(mark, minlength=U))[:-1]
     # by mark: rows[i][j] holds the edge rows (a, c) of block (i, j)
@@ -216,11 +204,14 @@ def _finish_gram(uncut, sums, edges, halves, resonance, basis: FeatureBasis, A, 
             ij, ji = i * U + j, j * U + i
             # the rows of X_ij, then those of X_ji with a and c swapped
             a, c = np.concatenate([ends[ij], rows[i][j], ends[ji, ::-1], rows[j][i, ::-1]], axis=1)
-            left_p, right_p, left_q, right_q = np.array([a.imag, c.real, a.real, c.imag])
-            Y = np.multiply(r_sum, np.matmul(left_p.T, right_p, out=P),
-                            out=P if i == j else out[i, :, j])
-            if i < j:
-                Y += np.multiply(r_t, np.matmul(left_q.T, right_q, out=Q), out=Q)
+            left, right = np.concatenate([a.imag, -a.real], 1), np.concatenate([c.real, c.imag], 1)
+            quads = np.matmul(left.T, right, out=P).reshape(2, F, 2, F)
+            Y = P if i == j else out[i, :, j]
+            np.multiply(table[:, None], quads, out=Y.reshape(2, F, 2, F))
+            for p, q in np.ndindex(2, 2) if i < j else ():
+                mirror = np.multiply(table_t, quads[1 - p, :, 1 - q], out=spare)
+                corner = Y[p * F:(p + 1) * F, q * F:(q + 1) * F]
+                (np.subtract if p == q else np.add)(corner, mirror, out=corner)
             for m, k, value in near:
                 Y[m, k] += value[ij]
                 if i < j:
@@ -247,32 +238,33 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
     L_lo = a - t_n.  The end u = L of J, at time c = t_n + L, is
     sin(alpha_m + beta_k) R+ + sin(alpha_m - beta_k) R- with alpha =
     omega (c - t_n) + theta, beta = omega (c - t_n') + theta and R+- =
-    1 / (M (omega_m +- omega_k)); that is the row (a, c) = (e^{i alpha},
-    e^{i beta}) of Im(a_m) Re(c_k) (R+ + R-) + Re(a_m) Im(c_k) (R+ - R-).  Over
-    the pairs of a block, u = 0 sums to the row (-e^{i theta}, G) with G_k =
-    sum_p exp(i(omega_k D_p + theta_k)), and c = t_n' + A to (E, F) with E_m =
-    sum_p exp(i(omega_m (A - D_p) + theta_m)) and F_k = exp(i(omega_k A +
-    theta_k)).  At a window edge c in {lo, hi}, with b_n = exp(i omega (c -
-    t_n)), a pair cut there has the row (e^{i theta} b_n, sign e^{i theta}
-    b_n'), sign +1 at hi and -1 at lo.  As rounding is monotone and the edges
-    are floats, the pairs n' <= n of edge events are exactly those cut at hi
-    (events with t + A > hi, none when lo = hi) and the early ones (t < lo <
-    min(t + A, hi)).  Block (i, j) thus takes a row (e^{i theta} b_n, e^{i
-    theta} S_n[j]) per mark-i edge event n, S_n[j] the running sum of sign
-    b_n' over the mark-j edge events n' <= n, n' = n at weight 1/2.  A block
-    X_b is (R+ + R-) o sum_r Im(a_r) Re(c_r)^T + (R+ - R-) o sum_r Re(a_r)
-    Im(c_r)^T over its rows r, with S_b and S~_b its two sums.  Entries with
-    |y| < _CUTOFF, y = (omega_m +- omega_k) A, take instead the series (A/M)
-    Re[e^{i theta_m} sum_{j<J} (iy)^j / (j+1)! H_k^(j)] (conj H for -) for
-    J(L) as a whole, J = _SERIES_TERMS, with H_k^(j) = sum_p (L_p/A)^(j+1)
-    exp(i(omega_k D_p + theta_k)), at an edge sum_n ((c - t_n)/A)^(j+1)
-    conj(b_n) S_n[j].  The pair pass takes the pairs that end at t_n' + A <=
-    hi, at L = A - D; the edges add those cut at hi and every early pair
-    again, with its weight negated: their u = 0 terms cancel, and the event
-    sums are the u = 0 row less the self pairs.  The same edge events give
-    the window vector: block i is counts_i int_0^A phi less sign int_{c -
-    t_n}^A phi for each mark-i edge event n, so every window decision reads
-    one comparison of t + A with an edge.
+    1 / (M (omega_m +- omega_k)); that is Im(a_m) Re(c_k) (R+ + R-) + Re(a_m)
+    Im(c_k) (R+ - R-) for the row (a, c) = (e^{i alpha}, e^{i beta}), which on
+    the sin features (theta = -pi/2) is -i times its part on the cos ones
+    (theta = 0): the rows below are those parts, over the F = M/2 frequencies.
+    Over the pairs of a block, u = 0 sums to the row (-1, G) with G_f = sum_p
+    exp(i omega_f D_p), and c = t_n' + A to (E, F) with E_f = sum_p exp(i
+    omega_f (A - D_p)) and F_f = exp(i omega_f A).  At a window edge c in {lo,
+    hi}, with b_n = exp(i omega (c - t_n)), a pair cut there has the row (b_n,
+    sign b_n'), sign +1 at hi and -1 at lo.  As rounding is monotone and the
+    edges are floats, the pairs n' <= n of edge events are exactly those cut at
+    hi (events with t + A > hi, none when lo = hi) and the early ones (t < lo <
+    min(t + A, hi)).  Block (i, j) thus takes a row (b_n, S_n[j]) per mark-i
+    edge event n, S_n[j] the running sum of sign b_n' over the mark-j edge
+    events n' <= n, n' = n at weight 1/2.  A block X_b is (R+ + R-) o sum_r
+    Im(a_r) Re(c_r)^T + (R+ - R-) o sum_r Re(a_r) Im(c_r)^T over its rows r,
+    with S_b and S~_b its two sums.  Entries with |y| < _CUTOFF,
+    y = (omega_m +- omega_k) A, take instead the series (A/M) Re[e^{i theta_m}
+    e^{+-i theta_k} sum_{j<J} (iy)^j / (j+1)! H_k^(j)] (conj H for -) for J(L)
+    as a whole, J = _SERIES_TERMS, with H_k^(j) = sum_p (L_p/A)^(j+1)
+    exp(i omega_k D_p), at an edge sum_n ((c - t_n)/A)^(j+1) conj(b_n) S_n[j].
+    The pair pass takes the pairs that end at t_n' + A <= hi, at L = A - D; the
+    edges add those cut at hi and every early pair again, with its weight
+    negated: their u = 0 terms cancel, and the event sums are the u = 0 row
+    less the self pairs.  The same edge events give the window vector: block i
+    is counts_i int_0^A phi less sign int_{c - t_n}^A phi for each mark-i edge
+    event n, so every window decision reads one comparison of t + A with an
+    edge.
 
     The lag exponentials come from per-event phasors: time is cut into
     segments whose length is a power of two of at least 2A, and
@@ -287,13 +279,13 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
     starts after lo - A; one more A covers rounding), walked in ranges of
     consecutive events of about ``_RANGE`` reals each: 2M per phasor row and
     about 16 per pair entry, with one gather per ``_CHUNK`` for all blocks.  Lag
-    rows 0 and 1 cover all F distinct frequencies, rows 2..J only the F_s that
-    a near entry with y != 0 reads; ``_finish_gram`` forms the M^2 terms after
-    the last range, with the edge rows.  A build costs O(N_w M) exponentials,
+    rows 0 and 1 cover all F frequencies, rows 2..J only the F_s that a near
+    entry with y != 0 reads; ``_finish_gram`` forms the M^2 terms after the
+    last range, with the edge rows.  A build costs O(N_w M) exponentials,
     O(P_w (2 F + (J - 1) F_s)) multiply-adds for the P_w pairs of those events,
-    O(E U M) exponentials and O(U E (M^2 + U J M)) GEMM work for the E events
+    O(E F) exponentials and O(U E (M^2 + U J F)) GEMM work for the E events
     within A of an edge, one pass per edge for all marks, and O(U^2 M^2)
-    arithmetic, in O(_RANGE + N_w + E U M + U^2 M^2) memory whatever N is.
+    arithmetic, in O(_RANGE + N_w + E U F + U^2 M^2) memory whatever N is.
     """
     if not 0 < A < np.inf:
         raise ValueError(f"support window A must be positive and finite, got {A}")
@@ -302,8 +294,9 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
     if not 0.0 <= lo <= hi <= events.T:
         raise ValueError(f"window [{lo}, {hi}] must lie inside [0, {events.T}]")
     times, marks = events.times, events.marks
-    M, U, J = basis.M, events.U, _SERIES_TERMS
-    *resonance, freq, inverse, lead = _resonance(basis, A)
+    M, F, U, J = basis.M, basis.M // 2, events.U, _SERIES_TERMS
+    *resonance, order, lead = _resonance(basis, A)
+    freq = basis.omega[order]  # the lag pass's frequencies, ``lead`` first
     # segments of a power-of-two length >= 2A: t / span, its floor and the
     # offset t - seg span are exact, and a lag <= A crosses at most one boundary
     span = 2.0 ** np.ceil(np.log2(2.0 * A))
@@ -312,7 +305,7 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
     # reals held by the events before each; a range ends where this passes a multiple of _RANGE
     cost = np.cumsum(np.concatenate([[0], 2 * M + 16 * (np.arange(first, last) + 1 - starts)]))
     ends = np.unique(np.r_[np.searchsorted(cost, np.arange(0, cost[-1], _RANGE)), last - first])
-    lags = np.zeros((U * U, J + 1, freq.size), dtype=complex)
+    lags = np.zeros((U * U, J + 1, F), dtype=complex)
     for a, b in zip(ends[:-1], ends[1:]):
         base = starts[a]  # partners are monotone: the range's first reaches furthest
         n, n2 = _pairs_lag_in_window(starts[a:b], first + a)
@@ -338,14 +331,14 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
         np.cos(own.real, out=own.real)
         np.multiply(own, np.exp(-1j * freq * span), out=phasors[local.size:])
         second = n2 + local.size * (seg[n2] < seg[n])
-        lags += _lag_sums(phasors, n, second, ell, weight, bounds, lead)
+        lags[:, :, order] += _lag_sums(phasors, n, second, ell, weight, bounds, lead)
 
     t_w, mark_w = times[first:last], marks[first:last] - 1
     counts = np.bincount(marks[inside:last] - 1, minlength=U).astype(float)
     # each event in [lo, hi) adds int_0^A phi; an edge takes off int_{c - t}^A phi per edge event
     window_vec = np.multiply.outer(counts, integral_phi_range(basis, 0.0, A))
-    edge_sums = np.zeros((U, U, J + 1, M), dtype=complex)
-    edges = [(mark_w[:0], np.empty((0, U, 2, M), dtype=complex))]  # an entry when none is cut
+    edge_sums = np.zeros((U, U, J + 1, F), dtype=complex)
+    edges = [(mark_w[:0], np.empty((0, U, 2, F), dtype=complex))]  # an entry when none is cut
     for c, sign, at in ((hi, 1.0, (t_w + A > hi) & (lo < hi)),
                         (lo, -1.0, (t_w < lo) & (np.minimum(t_w + A, hi) > lo))):
         if not at.any():
@@ -355,15 +348,14 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
         # per mark, its events' tails summed in event order; +0 in place of the other marks'
         tails = np.where(hot[:, :, None], sign * integral_phi_range(basis, lag, A)[:, None], 0.0)
         window_vec -= tails.sum(axis=0)
-        phases = np.exp(1j * (np.multiply.outer(lag, basis.omega) + basis.theta))  # e^{i alpha}
+        phases = np.exp(1j * np.multiply.outer(lag, basis.omega[:F]))  # b_n
         steps = hot[:, :, None] * (sign * phases)[:, None]
-        running = np.cumsum(steps, axis=0) - 0.5 * steps  # e^{i theta} S_n[j]
+        running = np.cumsum(steps, axis=0) - 0.5 * steps  # S_n[j]
         # row p of block (i, j) weighs its mark-i events by ((c - t_n) / A)^p; all blocks at once
         powers = hot.T[:, None] * np.vander(lag / A, J + 1, increasing=True).T
         edge_sums += powers[:, None] @ (np.conj(phases)[:, None] * running).transpose(1, 0, 2)
-        # per event, its row (a, c) = (e^{i alpha}, e^{i theta} S_n[j]) of each block (mark, j)
+        # per event, its row (a, c) = (b_n, S_n[j]) of each block (mark, j)
         edges.append((mark, np.stack(np.broadcast_arrays(phases[:, None], running), axis=2)))
-    lags = lags[:, :, inverse]
     # a self pair, lag 0, enters block (i, i) at weight 1/2 for each mark-i event in [lo, hi)
     xi, event_sums = _finish_gram(lags, lags + edge_sums.reshape(lags.shape), edges,
                                   np.diag(counts / 2.0).ravel(), resonance, basis, A, U)
@@ -658,6 +650,8 @@ class FittedModel:
             raise ValueError(f"mu_hat has shape {model.mu_hat.shape}, expected ({model.U},)")
         if model.coeff.shape != (model.U, basis.M * model.U):
             raise ValueError("coefficient array shape inconsistent with U and M")
+        if not (np.isfinite(model.mu_hat).all() and np.isfinite(model.coeff).all()):
+            raise ValueError("mu_hat and coeff must be finite")
         return model
 
 

@@ -1,13 +1,13 @@
 """Quasi-Monte-Carlo Fourier feature bases for shift-invariant kernels.
 
 A basis of M features phi_m(s) = sqrt(2/M) cos(omega_m s + theta_m) is built
-from M/2 frequencies sampled from the spectral density of the kernel, each
-frequency duplicated with a -pi/2 phase shift so the features come in
-(cos, sin) pairs and phi(s)^T phi(s') approximates k(s, s').
+from F = M/2 frequencies sampled from the spectral density of the kernel, each
+under phases 0 and -pi/2, so that the features come in (cos, sin) pairs, the
+one layout ``FeatureBasis`` holds, and phi(s)^T phi(s') approximates k(s, s').
 ``integral_phi_range`` is the closed form of a window integral of phi that a
 fit runs; ``estimator.build_xi`` forms the Gram's pair integrals in a lag-sum
-form.  ``WindowIntegralTable`` is the per-event oracle of the window vector,
-kept for the benchmark's ``features.window_table`` span.
+form over the F frequencies.  ``WindowIntegralTable`` is the per-event oracle
+of the window vector, kept for the benchmark's ``features.window_table`` span.
 """
 
 from __future__ import annotations
@@ -37,13 +37,13 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class FeatureBasis:
-    """Immutable Fourier feature basis.
+    """Immutable Fourier feature basis of (cos, sin) pairs.
 
-    ``omega`` and ``theta`` have length M; for m > M/2 the frequency repeats
-    omega[m - M/2] and the phase is -pi/2 (sin partner of the cos feature),
-    while theta[m] = 0 for m <= M/2.  Construction is deterministic given
-    (beta, M, seed); ``family`` names the kernel in the basis document and
-    must be "gaussian".
+    ``omega`` and ``theta`` have length M; for m >= F = M/2 the frequency
+    repeats omega[m - F] and the phase is -pi/2 (sin partner of the cos
+    feature), while theta[m] = 0 for m < F.  Any other layout, or a non-finite
+    entry, raises ValueError; repeated and zero frequencies are allowed.
+    ``family`` names the kernel in the basis document and must be "gaussian".
     """
 
     omega: np.ndarray
@@ -61,6 +61,11 @@ class FeatureBasis:
             raise ValueError("omega and theta must be 1-d arrays of equal length")
         if omega.size < 2 or omega.size % 2:
             raise ValueError(f"feature count must be even and >= 2, got {omega.size}")
+        F = omega.size // 2
+        if not (np.isfinite(omega).all() and np.array_equal(omega[F:], omega[:F])
+                and np.array_equal(theta, np.repeat([0.0, -0.5 * np.pi], F))):
+            raise ValueError("not a (cos, sin) pair basis: omega must be finite and repeat its "
+                             "first half, under phases 0 then -pi/2")
         omega.setflags(write=False)
         theta.setflags(write=False)
         object.__setattr__(self, "omega", omega)
@@ -115,9 +120,8 @@ def build_basis(spec: KernelSpec, M: int, seed: int) -> FeatureBasis:
     u = (np.arange(1, n + 1) - rng.random()) / n
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
     half = ndtri(u) * (np.sqrt(2.0) * spec.beta)  # the spectral density's std
-    omega = np.concatenate([half, half])
-    theta = np.concatenate([np.zeros(n), np.full(n, -0.5 * np.pi)])
-    return FeatureBasis(omega=omega, theta=theta, beta=spec.beta, seed=seed)
+    return FeatureBasis(omega=np.tile(half, 2), theta=np.repeat([0.0, -0.5 * np.pi], n),
+                        beta=spec.beta, seed=seed)
 
 
 def sinc_u(x):

@@ -1,8 +1,10 @@
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import operator
 import os
 import re
 import subprocess
@@ -501,6 +503,32 @@ CLI_ERRORS = {
     "evaluate-model-without-key": (
         ["evaluate", "--model", "{d}/keyless.json", "--scenario", "refractory",
          "--out", "{d}/r.json"], 1, "cannot load model {d}/keyless.json: 'basis_ref'"),
+    # a model file whose basis is not finite, or not the (cos, sin) pair layout
+    # every built basis has, or whose fit is not finite: evaluating one would
+    # report delta_sq NaN
+    "evaluate-infinite-frequency-model": (
+        ["evaluate", "--model", "{d}/inf_omega.json", "--scenario", "refractory",
+         "--out", "{d}/r.json"], 1,
+        "cannot load model {d}/inf_omega.json: not a (cos, sin) pair basis: omega must be "
+        "finite and repeat its first half, under phases 0 then -pi/2"),
+    "evaluate-non-pair-phase-model": (
+        ["evaluate", "--model", "{d}/non_pair_theta.json", "--scenario", "refractory",
+         "--out", "{d}/r.json"], 1,
+        "cannot load model {d}/non_pair_theta.json: not a (cos, sin) pair basis: omega "
+        "must be finite and repeat its first half, under phases 0 then -pi/2"),
+    "evaluate-unequal-halves-model": (
+        ["evaluate", "--model", "{d}/unequal_omega.json", "--scenario", "refractory",
+         "--out", "{d}/r.json"], 1,
+        "cannot load model {d}/unequal_omega.json: not a (cos, sin) pair basis: omega "
+        "must be finite and repeat its first half, under phases 0 then -pi/2"),
+    "evaluate-nan-baseline-model": (
+        ["evaluate", "--model", "{d}/nan_mu.json", "--scenario", "refractory",
+         "--out", "{d}/r.json"], 1,
+        "cannot load model {d}/nan_mu.json: mu_hat and coeff must be finite"),
+    "evaluate-nan-coefficient-model": (
+        ["evaluate", "--model", "{d}/nan_coeff.json", "--scenario", "refractory",
+         "--out", "{d}/r.json"], 1,
+        "cannot load model {d}/nan_coeff.json: mu_hat and coeff must be finite"),
     "evaluate-unknown-scenario": (
         ["evaluate", "--model", "{d}/model.json", "--scenario", "nope", "--out",
          "{d}/r.json"], 2,
@@ -679,6 +707,17 @@ def error_inputs(tmp_path_factory):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["fit", "--events", str(d / "events.csv"), "--features", "2",
                          "--window", "1", "--out", str(d / "model.json")]) == 0
+    # model.json (M = 2) with one value changed
+    fitted = (d / "model.json").read_text()
+    for name, (*path, last), value in (
+            ("inf_omega", ("basis_ref", "omega", 0), float("inf")),
+            ("non_pair_theta", ("basis_ref", "theta", 1), 0.0),
+            ("unequal_omega", ("basis_ref", "omega", 1), 1.5),
+            ("nan_mu", ("mu_hat", 0), float("nan")),
+            ("nan_coeff", ("coeff", 0, 1), float("nan"))):
+        doc = json.loads(fitted)
+        functools.reduce(operator.getitem, path, doc)[last] = value
+        (d / f"{name}.json").write_text(json.dumps(doc))
     return d
 
 
@@ -731,24 +770,27 @@ def test_refractory_draw_files_match_benchmark_digests(tmp_path):
 # SHA-256 of every file a small simulate -> fit -> evaluate run writes, as the
 # code wrote them before the CSV writers shared one function; the fitted files
 # were re-recorded when the event sums moved onto the Gram's u = 0 lag row (a
-# change of at most 2.5e-14 relative) and when each Gram block pair came to be
-# formed once (at most 9.3e-16 of a file's largest value), and assume IEEE
+# change of at most 2.5e-14 relative), when each Gram block pair came to be
+# formed once (at most 9.3e-16 of a file's largest value), and when the Gram
+# moved onto the pair basis's M/2 frequencies (model.json, the nine pair_g*.csv,
+# report.json and report_file.json, by at most 4.9e-16 of a file's largest
+# value; a coefficient by 4.4e-14, 5.4e-14 of the largest), and assume IEEE
 # float64 arithmetic with numpy's own BLAS
 PIPELINE_DIGESTS = {
     "ev.csv": "63800c39de7543d6aa3b73786d9059f72b3abcf5a05f011070f6cb44b7aad672",
     "ev_curves.csv": "d2a4b642f571d9ddea76fc1e261d13d90b39627ae6e1ff76503d4e197e32b2c2",
-    "model.json": "db4b2cca6ad6c39b9ea35575023e23ee4edb7f4470691cc4bffe8b57c0002536",
-    "pair_g11.csv": "928a43b8a6cde5283982bc4903d641349518640ac2dedb8c51732ef84f46d8ad",
-    "pair_g12.csv": "987f5e1ec568c73a5c90485f8860ba22a752cf9b5c559c7e339540f05ba69354",
-    "pair_g13.csv": "2145ed53fd630aad2117475628f68fce30fb8daa061386c96ac6bfab2a1da3f8",
-    "pair_g21.csv": "2c9b6af7b0e238029d073d211c5a3bcb7f4436e030bb0084858834ad2b39edd1",
-    "pair_g22.csv": "d5ff6e54e68c019eb1bf5b50f0f545278417653a18e65562aa2efdbe9d4f32be",
-    "pair_g23.csv": "06164bafe2952a1aed4faed655134c31fd489a85ce295ab019159e63294d877e",
-    "pair_g31.csv": "ae653a94545acdd7c2e2e720bacd985e026c1370b42ff444b13af547f4476868",
-    "pair_g32.csv": "716766d3845ab4b858ccd25c8d2b58b3caf67628fd1fdbae9f8ef23d918a1dde",
-    "pair_g33.csv": "86f4359a33d782f852fc4a97d1d5a1172a20b705f5685dbf9b844417d60fcafd",
-    "report.json": "9661526a389cfd0024be9622120a9d3f99166a71140806a28362bcca4e96d952",
-    "report_file.json": "ab3d8c41566259aaee214b305a7f2aaf44b7637df90a2a667b34e8d5732ca918",
+    "model.json": "688c35b501dc5f6a4d9ab95e927ebd496c9b953e7637771c047f3c37e94b83b1",
+    "pair_g11.csv": "75388276e3f62cea71b1f07dbef068875f21a4bb7f804d3e075ad2eb62a7a0c4",
+    "pair_g12.csv": "d591c9a6ed545b1275c3b3711c1ad700ceccf6d7a17193da56b72bfa63b908c7",
+    "pair_g13.csv": "e6d5ccca0686611a82a45ab6118289859dee8d3965aa734882c69a576daae66c",
+    "pair_g21.csv": "e245724e21e4342da0b5af5a1c9b29087af7b94a39f9ad2042af4f53daaa866b",
+    "pair_g22.csv": "ae4bef9ee8ad77ea3b349ecd483d79cc494f6dc18fb4cca26345650b5279de69",
+    "pair_g23.csv": "83a56dcc23140bb48656f919918437a71757f57fecad129a6129e4c4dc46bc15",
+    "pair_g31.csv": "0117580de8405e64671fa47367d8cb3da6ca17867ee2a87e5e8a1833692a57c9",
+    "pair_g32.csv": "e2944459a735b3a68c2448f5def091459c982d34f4afec2c54a38b9e5229e6eb",
+    "pair_g33.csv": "4824a0a147ee17df7601c3d8fd03d738066fa98215fcbf6bad75b51938330339",
+    "report.json": "19248e3f52efbcf5b93b7bfe2bad38dd0ae570d33dd528c9c731511c5e96712d",
+    "report_file.json": "ed659bedd77186d6eb3ce1a20ef98760a7d242e709cae24d43e43dcd6ff3ae12",
 }
 
 

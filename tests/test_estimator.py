@@ -274,31 +274,31 @@ def test_pair_pass_takes_no_pair_cut_at_the_window_end(monkeypatch):
         assert sum(entries) == meets.sum() - at_hi.sum()
 
 
-def near_resonant_basis(A):
-    """A hand-built basis: an exact resonance (repeated and zero frequencies)
-    and (m, k) entries with |omega_m -+ omega_k| A at 0.099 and 0.101, on
-    both sides of the switch to the Taylor series at 0.1, and at 0.99 and
-    1.01, which take the closed form; phases need not be 0 or -pi/2."""
+def pair_basis(half):
+    """The (cos, sin) pair basis on the frequencies ``half``, M = 2 len(half)."""
     from hawkes_rkhs.features import FeatureBasis
-    omega = np.array([0.5, 0.5, 0.5 + 0.099 / A, 0.5 + 0.101 / A,
-                      -0.5 + 0.099 / A, -0.5 + 0.101 / A, 0.5 + 0.99 / A, 0.5 + 1.01 / A,
-                      -0.5 + 0.99 / A, -0.5 + 1.01 / A, 0.0, 2.0])
-    theta = np.array([0.0, -0.5 * np.pi, 0.3, -0.5 * np.pi, 1.1, 0.0, 0.7, -0.2,
-                      -1.3, 0.4, 0.7, -0.2])
-    return FeatureBasis(omega=omega, theta=theta)
+    half = np.asarray(half, dtype=float)
+    return FeatureBasis(omega=np.concatenate([half, half]),
+                        theta=np.repeat([0.0, -0.5 * np.pi], half.size))
+
+
+def near_resonant_basis(A):
+    """A pair basis on hand-picked frequencies: an exact resonance (repeated
+    and zero frequencies) and (f, g) entries with |omega_f -+ omega_g| A at
+    0.099 and 0.101, on both sides of the switch to the Taylor series at 0.1,
+    and at 0.99 and 1.01, which take the closed form."""
+    return pair_basis([0.5, 0.5, 0.5 + 0.099 / A, 0.5 + 0.101 / A,
+                       -0.5 + 0.099 / A, -0.5 + 0.101 / A, 0.5 + 0.99 / A, 0.5 + 1.01 / A,
+                       -0.5 + 0.99 / A, -0.5 + 1.01 / A, 0.0, 2.0])
 
 
 def repeated_frequency_basis(A):
-    """A hand-built basis in which frequencies 0.5 and 0.5 + 0.03 / A carry
-    three phases each and -0.5 + 0.05 / A two, so that one pair of distinct
-    frequencies feeds 3 x 3 entries of the - series at y = 0, another 3 x 3
-    at y = -0.03, and both meet -0.5 + 0.05 / A in the + series (y+ = 0.05
-    and 0.08)."""
-    from hawkes_rkhs.features import FeatureBasis
-    omega = np.array([0.5, 0.5, 0.5, 0.5 + 0.03 / A, 0.5 + 0.03 / A, 0.5 + 0.03 / A,
-                      -0.5 + 0.05 / A, -0.5 + 0.05 / A, 1.3, 2.0])
-    theta = np.array([0.0, -0.5 * np.pi, 1.2, 0.9, -0.5 * np.pi, 0.0, 0.4, -2.1, -0.3, 2.5])
-    return FeatureBasis(omega=omega, theta=theta)
+    """A pair basis in which frequencies 0.5 and 0.5 + 0.03 / A appear three
+    times each and -0.5 + 0.05 / A twice, so that one pair of frequencies
+    feeds 3 x 3 entries of the - series at y = 0, another 3 x 3 at y = -0.03,
+    and both meet -0.5 + 0.05 / A in the + series (y+ = 0.05 and 0.08)."""
+    return pair_basis([0.5, 0.5, 0.5, 0.5 + 0.03 / A, 0.5 + 0.03 / A, 0.5 + 0.03 / A,
+                       -0.5 + 0.05 / A, -0.5 + 0.05 / A, 1.3, 2.0])
 
 
 def test_xi_near_resonant_entries_agree_with_per_pair_closed_form(monkeypatch):
@@ -323,20 +323,21 @@ def test_xi_near_resonant_entries_agree_with_per_pair_closed_form(monkeypatch):
             splits.clear()
             got = build_xi(ev, basis, A, lo, hi)[0]
             # the build took the series on exactly the entries with |y| < 0.1
-            (m_plus, k_plus, y_plus, _, _), (m_minus, k_minus, y_minus, pair_minus, _) = (
-                splits[-1][1])
-            plus, minus = set(zip(m_plus, k_plus)), set(zip(m_minus, k_minus))
+            (f_plus, g_plus, y_plus), (f_minus, g_minus, y_minus) = splits[-1][1]
+            plus, minus = set(zip(f_plus, g_plus)), set(zip(f_minus, g_minus))
             if not repeated:
                 assert {(0, 4), (10, 10)} <= plus                 # y+ = 0.099 and 0
                 assert not {(0, 5), (0, 8), (0, 9)} & plus        # y+ = 0.101, 0.99, 1.01
                 assert {(0, 1), (2, 0)} <= minus                  # y- = 0 and 0.099
                 assert not {(3, 0), (6, 0), (7, 0)} & minus       # y- = 0.101, 0.99, 1.01
             else:
-                # one pair of distinct frequencies feeds 9 entries, at y = 0 and y != 0
-                assert {(m, k) for m in range(3) for k in range(6)} <= minus
-                assert {(m, k) for m in range(6) for k in (6, 7)} <= plus
-                assert np.bincount(pair_minus[y_minus == 0]).max() >= 9
-                assert np.bincount(pair_minus[y_minus != 0]).max() >= 9
+                # one pair of frequencies feeds 9 entries, at y = 0 and y != 0
+                assert {(f, g) for f in range(3) for g in range(6)} <= minus
+                assert {(f, g) for f in range(6) for g in (6, 7)} <= plus
+                half = basis.omega[:basis.M // 2]
+                for at in (y_minus == 0, y_minus != 0):
+                    pairs = np.c_[half[f_minus], half[g_minus]][at]
+                    assert np.unique(pairs, axis=0, return_counts=True)[1].max() >= 9
             assert np.abs(y_plus).max() < 0.1 and np.abs(y_minus).max() < 0.1
             ref = per_pair_xi(ev, basis, A, lo, hi)
             assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
@@ -380,13 +381,13 @@ def test_lag_rows_2_to_J_only_where_a_near_entry_reads_them(monkeypatch):
     resonance = est._resonance
 
     def every(*args):
-        *rest, freq, inverse, _ = resonance(*args)
-        return (*rest, freq, inverse, freq.size)
+        *rest, order, _ = resonance(*args)
+        return (*rest, order, order.size)
 
     for basis, tol in ((build_basis(KernelSpec(beta=1.0), 100, 20), 0.0),
                        (near_resonant_basis(A), 1e-14),
                        (build_basis(KernelSpec(beta=0.5), 100, 20), 1e-14)):
-        lead = resonance(basis, A)[4]
+        lead = resonance(basis, A)[3]
         assert (lead == 0) == (tol == 0.0)
         for window in ((0.0, ev.T), (20.0, 35.0)):
             monkeypatch.setattr(est, "_resonance", resonance)
@@ -398,39 +399,36 @@ def test_lag_rows_2_to_J_only_where_a_near_entry_reads_them(monkeypatch):
 
 
 def test_resonance_split_matches_the_full_mask():
-    # random bases with repeated, zero and exactly opposite frequencies: the
-    # near entries found in windows of the sorted frequencies are those of the
-    # full |y| < _CUTOFF mask, in np.nonzero order, and R is the sum of the two
-    # reciprocals exactly on them and within 4e-16 of its largest entry off them
+    # random pair bases with repeated, zero and exactly opposite frequencies:
+    # the near entries found in windows of the sorted frequencies are those of
+    # the full |y| < _CUTOFF mask over the F frequencies, in np.nonzero order,
+    # and the F x F table is the sum of the two reciprocals exactly on them and
+    # within 4e-16 of its largest entry off them
     import hawkes_rkhs.estimator as est
-    from hawkes_rkhs.features import FeatureBasis
     rng = np.random.default_rng(73)
-    for M, A, repeats in ((16, 0.5, 1), (64, 4.0, 1), (64, 40.0, 1), (100, 4.0, 1),
+    for F, A, repeats in ((16, 0.5, 1), (64, 4.0, 1), (64, 40.0, 1), (100, 4.0, 1),
                           (16, 0.5, 2), (64, 4.0, 3), (100, 40.0, 2)):
-        base = rng.normal(size=M // 4)
-        omega = rng.choice(np.concatenate([base, -base, [0.0], rng.normal(size=M // 4)]),
-                           M // repeats)
-        # each frequency 1 to 3 times, under a phase of its own each time
-        omega = rng.permutation(np.resize(np.repeat(omega, repeats), M))
-        basis = FeatureBasis(omega=omega, theta=rng.uniform(-np.pi, np.pi, M))
-        (R, R_t), series = est._resonance(basis, A)[:2]
-        assert np.array_equal(R_t, R.T) and R.flags.c_contiguous and R_t.flags.c_contiguous
-        want, off = np.zeros((M, M)), np.ones((M, M), dtype=bool)
-        for sign, (m, k, y, pair, head) in zip((1.0, -1.0), series):
-            # a pair's entries share its first entry's two frequencies
-            assert np.array_equal(omega[m[head][pair]], omega[m])
-            assert np.array_equal(omega[k[head][pair]], omega[k])
+        base = rng.normal(size=F // 4)
+        omega = rng.choice(np.concatenate([base, -base, [0.0], rng.normal(size=F // 4)]),
+                           F // repeats)
+        # each frequency 1 to 3 times
+        omega = rng.permutation(np.resize(np.repeat(omega, repeats), F))
+        basis = pair_basis(omega)
+        (T, T_t), series = est._resonance(basis, A)[:2]
+        assert np.array_equal(T_t, T.T) and T.flags.c_contiguous and T_t.flags.c_contiguous
+        want, off = np.zeros((F, F)), np.ones((F, F), dtype=bool)
+        for sign, (f, g, y) in zip((1.0, -1.0), series):
             x = np.add.outer(omega, sign * omega)
             near = np.abs(x) * A < est._CUTOFF
-            assert np.count_nonzero(near & ~np.eye(M, dtype=bool)) > 0
-            for got, ref in zip((m, k, y), (*np.nonzero(near), x[near] * A)):
+            assert np.count_nonzero(near & ~np.eye(F, dtype=bool)) > 0
+            for got, ref in zip((f, g, y), (*np.nonzero(near), x[near] * A)):
                 assert got.dtype == ref.dtype and np.array_equal(got, ref)
             off &= ~near
-            x *= M
+            x *= basis.M
             x[near] = np.inf
             want += 1.0 / x
-        assert np.array_equal(R[~off], want[~off])
-        assert np.abs(R - want)[off].max() <= 4e-16 * np.abs(want).max()
+        assert np.array_equal(T[~off], want[~off])
+        assert np.abs(T - want)[off].max() <= 4e-16 * np.abs(want).max()
 
 
 def test_series_cutoff_and_term_count_bound_both_errors():
@@ -979,6 +977,21 @@ def test_lowrank_solve_meets_dsposv_test_and_agrees_with_float64(seed20_design, 
     assert cond == pytest.approx(kappa, rel=1e-5)
     want = float64_reference(design.xi, gamma, rhs)
     assert np.abs(x - want).max() <= 10 * kappa * np.finfo(float).eps * np.abs(want).max()
+
+
+def test_lowrank_solve_refines_until_its_stopping_tolerance(seed20_design):
+    # at gamma = 0.007 the seed-20 M = 256 system's residual after step 1 sits
+    # at 2.4-3.6 times the tolerance ||x||_inf ||P||_2 eps sqrt(n) (3.6 at
+    # gamma = 0.006, 2.4 at 0.009), so refinement takes step 2; a tolerance 4
+    # times looser would stop at step 1
+    from hawkes_rkhs.estimator import _residual, _solve_spd
+    design, gamma = seed20_design(200.0, 256), 0.007
+    rhs = solve_rhs(design)
+    x, cond, info = _solve_spd(design.xi, rhs, gamma)
+    assert info["solve_route"] == "lowrank" and info["refine_steps"] == 2
+    r = _residual(design.xi, x, rhs, gamma)
+    tol = cond / gamma * np.finfo(float).eps / 2 * np.sqrt(design.xi.shape[0])
+    assert (np.abs(r).max(axis=0) <= np.abs(x).max(axis=0) * tol).all()
 
 
 def test_float64_solve_route_below_the_order_threshold_is_unchanged(seed20_design, monkeypatch):

@@ -215,6 +215,44 @@ def test_basis_rejects_bad_frequencies(omega, theta, message):
         FeatureBasis(omega=np.array(omega), theta=np.array(theta))
 
 
+PAIR_MESSAGE = ("not a (cos, sin) pair basis: omega must be finite and repeat its first half, "
+                "under phases 0 then -pi/2")
+
+
+@pytest.mark.parametrize("omega, theta", [
+    ([1.0, 2.0], [0.0, -np.pi / 2]),                            # unequal halves
+    ([1.0, 2.0, 1.0, 2.5], [0.0, 0.0, -np.pi / 2, -np.pi / 2]),
+    ([1.0, 1.0], [0.0, 0.0]),                                    # no sin partner
+    ([1.0, 1.0], [-np.pi / 2, 0.0]),                             # halves swapped
+    ([1.0, 1.0], [0.3, -np.pi / 2 + 0.3]),                       # shifted phases
+    ([1.0, 1.0, 1.0, 1.0], [0.0, -np.pi / 2, 0.0, -np.pi / 2]),  # interleaved
+    ([np.inf, np.inf], [0.0, -np.pi / 2]),
+    ([np.nan, np.nan], [0.0, -np.pi / 2]),
+    ([1.0, 1.0], [0.0, np.nan])])
+def test_basis_rejects_anything_but_finite_cos_sin_pairs(omega, theta):
+    # in the constructor and through a basis document alike
+    with pytest.raises(ValueError, match=f"^{re.escape(PAIR_MESSAGE)}$"):
+        FeatureBasis(omega=np.array(omega), theta=np.array(theta))
+    doc = build_basis(KernelSpec(beta=0.7), len(omega), 1).to_dict()
+    doc["omega"], doc["theta"] = omega, theta
+    with pytest.raises(ValueError, match=f"^{re.escape(PAIR_MESSAGE)}$"):
+        FeatureBasis.from_dict(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("beta, M, seed", [(1.0, 2, 0), (0.5, 8, 3), (1.5, 100, 20),
+                                           (1.0, 512, 20), (1e-3, 100, 7), (1e3, 64, 9)])
+def test_built_and_rescaled_bases_are_pair_bases(beta, M, seed):
+    # every built basis, its document and the basis rescaled to another time
+    # unit (frequencies over c) pass the pair check, repeated or zero frequencies too
+    basis = build_basis(KernelSpec(beta=beta), M, seed)
+    FeatureBasis.from_dict(json.loads(json.dumps(basis.to_dict())))
+    for c in (1e-3, 0.7, 1e3):
+        FeatureBasis(omega=basis.omega / c, theta=basis.theta, beta=basis.beta / c,
+                     seed=basis.seed)
+    for half in ([0.0, 0.0], [0.5, 0.5, -0.5, 0.0]):
+        FeatureBasis(omega=np.array(half * 2), theta=np.repeat([0.0, -np.pi / 2], len(half)))
+
+
 def test_basis_from_dict_rejects_wrong_feature_count():
     doc = build_basis(KernelSpec(beta=0.7), 4, 1).to_dict()
     doc["M"] = 6
