@@ -5,8 +5,9 @@ feature basis.  Minimizing the least-squares contrast plus a ridge penalty
 (1/gamma) sum ||b_ij||^2 reduces, per output dimension i, to one symmetric
 positive-definite linear system in the MU-dimensional stacked coefficient
 vector.  The system matrix (1/gamma) I + Xi is shared across dimensions, so
-a single Cholesky factorization serves all U + 1 right-hand sides, and the
-baseline estimates mu_i follow in closed form from the same solves.
+one factorization serves all U + 1 right-hand sides (and the equivalent
+kernels' solves), and the baseline estimates mu_i follow in closed form from
+the same solves.
 """
 
 from __future__ import annotations
@@ -62,7 +63,10 @@ def _support_start(times: np.ndarray, s, A: float):
 
 def phi_tilde(events: EventSequence, basis: FeatureBasis, A: float, s: float) -> np.ndarray:
     """Stacked windowed feature sum at time s: block i is the sum of
-    phi(s - t_n) over events of dimension i with 0 < s - t_n <= A."""
+    phi(s - t_n) over events of dimension i with 0 < s - t_n <= A.  Raises
+    ValueError unless s is finite."""
+    if not np.isfinite(s):
+        raise ValueError(f"time s must be finite, got {s}")
     times, marks = events.times, events.marks
     lo = _support_start(times, s, A)
     hi = np.searchsorted(times, s, side="left")
@@ -362,6 +366,13 @@ def build_xi(events: EventSequence, basis: FeatureBasis, A: float,
     return xi, window_vec.ravel(), event_sums, counts
 
 
+def _check_dimensions(U: int, *indices) -> None:
+    """Raise ValueError unless every 1-based dimension index lies in 1..U."""
+    for i in indices:
+        if not 1 <= i <= U:
+            raise ValueError(f"dimension index must lie in 1..{U}, got {i}")
+
+
 def _check_fittable(has_events: bool, A: float, length: float):
     """Raise ValueError for a window without events or with A beyond it."""
     if not has_events:
@@ -372,8 +383,8 @@ def _check_fittable(has_events: bool, A: float, length: float):
 
 _log = logging.getLogger(__name__)
 
-# A condition estimate above this leaves fewer than 6 of float64's 16 significant
-# digits of the solution trustworthy (relative error up to about cond * 1.1e-16).
+# A condition above this leaves fewer than 6 of float64's 16 significant digits
+# of the solution trustworthy (relative error up to about cond * 1.1e-16).
 ILL_CONDITIONED = 1e10
 # The low-rank route runs on systems of order n = M*U >= LOWRANK_MIN_ORDER, below
 # which float64 is as fast (CHANGES.md).  Xi integrates functions smooth over [0, A],
@@ -391,22 +402,10 @@ LOWRANK_MAX_STEPS = 10
 _EPS64 = np.finfo(np.float64).eps / 2
 
 
-def _condition(rcond: float, gamma: float) -> float:
-    """The condition estimate 1 / rcond of Z = (1/gamma) I + Xi; logs a
-    warning when it passes ILL_CONDITIONED."""
-    cond = np.inf if rcond == 0 else 1.0 / rcond
-    if cond > ILL_CONDITIONED:
-        _log.warning("ill-conditioned system at gamma=%g: condition estimate %.3e exceeds "
-                     "%.0e, so fewer than 6 significant digits may be correct",
-                     gamma, cond, ILL_CONDITIONED)
-    return cond
-
-
-def _cholesky(xi: np.ndarray, gamma: float):
-    """Float64 Cholesky factor of Z = (1/gamma) I + xi, formed in a copy of xi;
-    returns (c, condition estimate), c the lower factor as ``dpotrs`` takes it.
-    Raises FitError naming gamma when Z is not finite or not numerically
-    positive definite."""
+def _cholesky(xi: np.ndarray, gamma: float) -> np.ndarray:
+    """Float64 Cholesky factor of Z = (1/gamma) I + xi, formed in a copy of xi:
+    the lower factor as ``dpotrs`` takes it.  Raises FitError naming gamma when
+    Z is not finite or not numerically positive definite."""
     Z = xi.copy()
     Z.flat[::Z.shape[0] + 1] += 1.0 / gamma
     # Z.T: Z in the Fortran order LAPACK reads without a copy; NaN and inf carry into the norm
@@ -418,28 +417,27 @@ def _cholesky(xi: np.ndarray, gamma: float):
         raise FitError(
             f"(1/gamma) I + Xi is not positive definite (gamma={gamma}, "
             f"1-norm={anorm:.3e}); the system is numerically singular")
-    return c, _condition(_lapack.dpocon(c, anorm, uplo="L")[0], gamma)
+    return c
 
 
-def _residual(xi: np.ndarray, x: np.ndarray, rhs: np.ndarray, gamma: float) -> np.ndarray:
-    """rhs - ((1/gamma) I + xi) x, in float64."""
-    # xi is symmetric, and x^T xi reads it row by row, faster than xi x
-    return rhs - (x.T @ xi).T - x * (1.0 / gamma)
+def _lambda_max(xi: np.ndarray) -> float:
+    """lambda_max of the positive semidefinite xi: the Rayleigh quotient after
+    10 power steps from its diagonal, or 0 once the iterate vanishes."""
+    v, lam = xi.diagonal(), 0.0
+    for _ in range(10):
+        if not v.any():
+            break
+        u = v / np.linalg.norm(v)
+        v = xi @ u
+        lam = u @ v
+    return lam
 
 
-def _solve_lowrank(xi: np.ndarray, rhs: np.ndarray, gamma: float):
-    """Solve ((1/gamma) I + xi) x = rhs by float64 iterative refinement,
-    preconditioned by P = (1/gamma) I + L L^T for a partial pivoted Cholesky
-    factor L of xi (Harbrecht, Peters & Schneider, 2012): P^-1 v = gamma (v -
-    L (I/gamma + L^T L)^-1 L^T v).  Refinement stops at ||r||_inf <= ||x||_inf
-    ||P||_2 eps sqrt(n) for every right-hand side, ||P||_2 = kappa_2(P) / gamma;
-    as ||P||_2 <= ||Z||_2 <= ||Z||_inf, that is at least as strict as LAPACK
-    dsposv's test with ||Z||_inf, and it costs no pass over xi.  Returns (x,
-    kappa_2(P) = 1 + gamma lambda_max(L^T L), steps, residual, rank), kappa_2(P)
-    kappa_2(Z) to a relative LOWRANK_TOL; or None when the float64 route must
-    run: xi's diagonal, a pivot row or a residual is not finite, the diagonal
-    is negative, the rank reaches its cap, or refinement misses the test after
-    LOWRANK_MAX_STEPS steps."""
+def _pivoted_cholesky(xi: np.ndarray, gamma: float):
+    """Partial pivoted Cholesky factor L of xi (Harbrecht, Peters & Schneider,
+    2012) as L^T, shape (rank, n), to the LOWRANK_TOL stop; None where the
+    diagonal or a pivot row is not finite, the diagonal is negative or the
+    rank reaches its cap."""
     n = xi.shape[0]
     left = xi.diagonal().copy()  # the diagonal of xi - L L^T
     if not (np.isfinite(left).all() and (left >= 0).all()):
@@ -458,47 +456,88 @@ def _solve_lowrank(xi: np.ndarray, rhs: np.ndarray, gamma: float):
         left = np.maximum(left - row * row, 0.0)
         left[p] = 0.0
         rank += 1
-    # LAPACK takes no empty matrix: at rank 0, one zero row stands for the factor
-    L = L[:rank] if rank else np.zeros((1, n))
-    S = L @ L.T  # L^T L of the factor
-    cond = 1.0 + gamma * np.linalg.eigvalsh(S)[-1]
-    S.flat[::S.shape[0] + 1] += 1.0 / gamma
-    c = _lapack.dpotrf(S, lower=1, overwrite_a=1, clean=0)[0]
-    x, r, tol = np.zeros_like(rhs), rhs, cond / gamma * _EPS64 * np.sqrt(n)
-    for step in range(LOWRANK_MAX_STEPS + 1):
-        x += gamma * (r - L.T @ _lapack.dpotrs(c, L @ r, lower=1)[0])
-        with np.errstate(invalid="ignore"):  # an inf of xi may meet a 0 inside the GEMM
-            r = _residual(xi, x, rhs, gamma)
-        if not np.isfinite(r).all():  # xi is not finite where no pivot row reads it
-            return None
-        if (np.abs(r).max(axis=0) <= np.abs(x).max(axis=0) * tol).all():
-            return x, _condition(1.0 / cond, gamma), step, r, rank
-    return None
+    return L[:rank]
 
 
-def _solve_spd(xi: np.ndarray, rhs: np.ndarray, gamma: float):
-    """Solve ((1/gamma) I + xi) x = rhs; returns (x, condition estimate, info).
+def _residual(xi: np.ndarray, x: np.ndarray, rhs: np.ndarray, gamma: float) -> np.ndarray:
+    """rhs - ((1/gamma) I + xi) x, in float64."""
+    # xi is symmetric, and x^T xi reads it row by row, faster than xi x
+    return rhs - (x.T @ xi).T - x * (1.0 / gamma)
 
-    A system of order >= LOWRANK_MIN_ORDER is first tried by ``_solve_lowrank``,
-    whose backward error is then at float64 level, so x agrees with the
-    float64 route to about the condition times 1.1e-16.  Any other system,
-    or one that route declines, takes the float64 ``_cholesky`` factor.
-    ``info`` holds the ``solve_route`` ("lowrank" or "float64"), the
-    ``rank`` of the factor (n on the float64 route), the ``refine_steps``
-    and the ``relative_residual`` ||Z x - rhs|| / ||rhs||.  Raises FitError
-    naming gamma when rhs is not finite, or as ``_cholesky`` does."""
-    if not np.isfinite(rhs).all():
-        raise FitError(f"right-hand side is not finite (gamma={gamma})")
-    lowrank = _solve_lowrank(xi, rhs, gamma) if xi.shape[0] >= LOWRANK_MIN_ORDER else None
-    if lowrank is None:
-        c, cond = _cholesky(xi, gamma)
-        x = _lapack.dpotrs(c, rhs, lower=1)[0]
-        steps, residual, rank = 0, _residual(xi, x, rhs, gamma), xi.shape[0]
-    else:
-        x, cond, steps, residual, rank = lowrank
-    return x, cond, {"solve_route": "float64" if lowrank is None else "lowrank",
-                     "rank": rank, "refine_steps": steps,
-                     "relative_residual": float(np.linalg.norm(residual) / np.linalg.norm(rhs))}
+
+class _RidgeSolver:
+    """Solves Z x = rhs, Z = (1/gamma) I + xi, from one factorization, named
+    by ``route`` and ``rank`` (n on "float64").
+
+    At order >= LOWRANK_MIN_ORDER the "lowrank" route refines in float64 on
+    P = (1/gamma) I + L L^T, L the ``_pivoted_cholesky`` factor, with P^-1 v =
+    gamma (v - L (I/gamma + L^T L)^-1 L^T v), to ||r||_inf <= ||x||_inf ||P||_2
+    eps sqrt(n) for every right-hand side, ||P||_2 = condition / gamma.  Any
+    other system takes the float64 ``_cholesky`` factor, whose FitError it
+    raises, and so from then on does a declined factor or refinement.
+    ``condition`` is 1 + gamma lambda_max(xi), which bounds kappa_2(Z) for
+    xi >= 0 and equals it where xi is singular: lambda_max(L^T L) puts it
+    within LOWRANK_TOL, and the float64 route takes ``_lambda_max``.  Past
+    ILL_CONDITIONED it logs a warning.
+    """
+
+    def __init__(self, xi: np.ndarray, gamma: float):
+        self.xi, self.gamma = xi, gamma
+        L = _pivoted_cholesky(xi, gamma) if xi.shape[0] >= LOWRANK_MIN_ORDER else None
+        if L is None:
+            self._use_float64()
+            lam = _lambda_max(xi)
+        else:
+            self.route, self.rank = "lowrank", L.shape[0]
+            # LAPACK takes no empty matrix: at rank 0, one zero row stands for the factor
+            self._L = L if self.rank else np.zeros((1, xi.shape[0]))
+            S = self._L @ self._L.T  # L^T L of the factor
+            lam = np.linalg.eigvalsh(S)[-1]
+            S.flat[::S.shape[0] + 1] += 1.0 / gamma
+            self._inner = _lapack.dpotrf(S, lower=1, overwrite_a=1, clean=0)[0]
+        self.condition = 1.0 + gamma * lam
+        if self.condition > ILL_CONDITIONED:
+            _log.warning("ill-conditioned system at gamma=%g: condition 1 + gamma lambda_max(Xi) "
+                         "= %.3e exceeds %.0e, so fewer than 6 significant digits may be correct",
+                         gamma, self.condition, ILL_CONDITIONED)
+
+    def _use_float64(self):
+        self._factor = _cholesky(self.xi, self.gamma)
+        self.route, self.rank = "float64", self.xi.shape[0]
+
+    def _refine(self, rhs: np.ndarray):
+        """(x, steps, residual) by refinement on the low-rank factor; None
+        where that declines, and the float64 factor serves from then on."""
+        xi, gamma, L = self.xi, self.gamma, self._L
+        tol = self.condition / gamma * _EPS64 * np.sqrt(xi.shape[0])
+        x, r = np.zeros_like(rhs), rhs
+        for step in range(LOWRANK_MAX_STEPS + 1):
+            x += gamma * (r - L.T @ _lapack.dpotrs(self._inner, L @ r, lower=1)[0])
+            with np.errstate(invalid="ignore"):  # an inf of xi may meet a 0 inside the GEMM
+                r = _residual(xi, x, rhs, gamma)
+            if not np.isfinite(r).all():  # xi is not finite where no pivot row reads it
+                break
+            if (np.abs(r).max(axis=0) <= np.abs(x).max(axis=0) * tol).all():
+                return x, step, r
+        self._use_float64()
+        return None
+
+    def solve(self, rhs: np.ndarray):
+        """(x, info), ``info`` the ``condition_estimate``, ``solve_route``,
+        ``rank``, ``refine_steps`` and ``relative_residual`` ||Z x - rhs|| /
+        ||rhs||.  Raises FitError naming gamma when rhs is not finite."""
+        if not np.isfinite(rhs).all():
+            raise FitError(f"right-hand side is not finite (gamma={self.gamma})")
+        refined = self._refine(rhs) if self.route == "lowrank" else None
+        if refined is None:  # the float64 route, or a refinement that just declined
+            x = _lapack.dpotrs(self._factor, rhs, lower=1)[0]
+            refined = x, 0, _residual(self.xi, x, rhs, self.gamma)
+        x, steps, r = refined
+        # a zero rhs (phi_tilde before the first event) leaves x = 0 and r = 0, not 0 / 0
+        scale = np.linalg.norm(rhs) or 1.0
+        return x, {"condition_estimate": self.condition, "solve_route": self.route,
+                   "rank": self.rank, "refine_steps": steps,
+                   "relative_residual": float(np.linalg.norm(r) / scale)}
 
 
 class Design:
@@ -554,7 +593,7 @@ class Design:
         horizon hi and its ``stats`` the solve's diagnostics.
 
         Solves (1/gamma) I + Xi for the U + 1 right-hand sides (the window
-        vector and the U event sums) at once by ``_solve_spd``: a wide system
+        vector and the U event sums) at once by ``_RidgeSolver``: a wide system
         by refinement on a low-rank factor of Xi, any other by a float64
         Cholesky factor; ``stats`` name the route, rank and steps.  Baselines are
 
@@ -569,15 +608,15 @@ class Design:
         _check_fittable(self.counts.any(), self.A, self.length)
         t0 = time.perf_counter()
         rhs = np.column_stack([self.window_vec, self.event_sums.T])
-        solved, cond, info = _solve_spd(self.xi, rhs, gamma)
-        stats = {"solve_s": time.perf_counter() - t0, "condition_estimate": cond, **info}
+        solved, info = _RidgeSolver(self.xi, gamma).solve(rhs)
+        stats = {"solve_s": time.perf_counter() - t0, **info}
         b0, b_dims = solved[:, 0], solved[:, 1:]
         denom = self.length - self.window_vec @ b0
         stats["mu_denominator"] = denom
         if denom <= 0:
             raise FitError(
                 f"degenerate design: baseline denominator length - I^T b0 = {denom:.3e} <= 0 "
-                f"(gamma={gamma}, condition estimate {cond:.3e})")
+                f"(gamma={gamma}, condition estimate {stats['condition_estimate']:.3e})")
         mu_hat = (self.counts - self.window_vec @ b_dims) / denom
         coeff = (b_dims - np.outer(b0, mu_hat)).T
         return FittedModel(mu_hat=mu_hat, coeff=coeff, basis=self.basis, config=config,
@@ -619,6 +658,9 @@ class FittedModel:
         return np.maximum(self.mu_hat, 0.0)
 
     def coeff_block(self, i: int, j: int) -> np.ndarray:
+        """The M coefficients of g_ij (1-based dimensions); raises ValueError
+        for an index outside 1..U."""
+        _check_dimensions(self.U, i, j)
         M = self.basis.M
         return self.coeff[i - 1, (j - 1) * M:j * M]
 
@@ -676,7 +718,9 @@ def g_curve(model: FittedModel, i: int, j: int, s) -> np.ndarray:
 
 def intensity(model: FittedModel, events: EventSequence, i: int, t: float) -> float:
     """Predicted intensity of dimension i at time t given the event history,
-    mu_i + c_i^T phi_tilde(t); it is not clipped at zero."""
+    mu_i + c_i^T phi_tilde(t); it is not clipped at zero.  Raises ValueError
+    unless 1 <= i <= U and t is finite."""
+    _check_dimensions(model.U, i)
     window_sum = phi_tilde(events, model.basis, model.config.A, t)
     return float(model.mu_hat[i - 1] + model.coeff[i - 1] @ window_sum)
 
@@ -686,8 +730,9 @@ class EquivalentKernel:
     expand with unit coefficients.
 
     h_j(s, s') = phi(s)^T [((1/gamma) I + Xi)^{-1} phi_tilde(s')]_(block j).
-    The ``_cholesky`` factor is formed once at construction, in float64 at
-    any order; evaluations are solves against phi_tilde right-hand sides.
+    The system is factored once at construction, by the ``_RidgeSolver`` a
+    fit at the same gamma runs, so h_j takes the fit's route; evaluations
+    are solves against phi_tilde right-hand sides.
     """
 
     def __init__(self, events: EventSequence, basis: FeatureBasis,
@@ -699,23 +744,24 @@ class EquivalentKernel:
         self.A = A
         design = Design(events, basis, A)
         self.window_vec = design.window_vec
-        c, self.condition = _cholesky(design.xi, gamma)
-        self._factor = (c, True)  # as cho_solve takes it
-        self._window_solution = _lapack.dpotrs(c, self.window_vec, lower=1)[0]
+        self._solver = _RidgeSolver(design.xi, gamma)
+        self.condition = self._solver.condition
+        self._window_solution = self._solver.solve(self.window_vec)[0]
 
     def coefficients(self, s_prime: float) -> np.ndarray:
         """Solution vector ((1/gamma) I + Xi)^{-1} phi_tilde(s')."""
-        rhs = np.asarray_chkfinite(phi_tilde(self.events, self.basis, self.A, s_prime))
-        return _lapack.dpotrs(self._factor[0], rhs, lower=1)[0]
+        return self._solver.solve(phi_tilde(self.events, self.basis, self.A, s_prime))[0]
 
     def h(self, j: int, s, s_prime: float) -> np.ndarray:
         """h_j(s, s') at a lag s or on an array of lags, for one fixed s'."""
+        _check_dimensions(self.events.U, j)
         c = self.coefficients(s_prime)
         M = self.basis.M
         return feature_matrix(self.basis, s) @ c[(j - 1) * M:j * M]
 
     def integral_second(self, j: int, s: float) -> float:
         """Closed form of int_0^T h_j(s, t) dt."""
+        _check_dimensions(self.events.U, j)
         M = self.basis.M
         return float(feature_matrix(self.basis, s) @ self._window_solution[(j - 1) * M:j * M])
 

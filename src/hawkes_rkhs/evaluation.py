@@ -106,9 +106,9 @@ def _map(fn, jobs, workers: int):
 def _search_beta(events: EventSequence, gammas, beta: float, M: int, A: float,
                  seed: int, t_split: float):
     """Score every gamma for one beta: a training design on [0, t_split] and a
-    validation design on [t_split, T] serve all gammas, at one Cholesky
-    factorization per gamma.  Returns one report per gamma and the design over
-    [0, T], the sum of the two."""
+    validation design on [t_split, T] serve all gammas, at one factorization
+    of the training system per gamma.  Returns one report per gamma and the
+    design over [0, T], the sum of the two."""
     basis = build_basis(KernelSpec(beta=beta), M, seed)
     train = Design(events, basis, A, 0.0, t_split)
     valid = Design(events, basis, A, t_split, events.T)
@@ -228,8 +228,9 @@ def bench_factorization(events: EventSequence, m_values, reps: int = 3):
 
     It times scipy's float64 ``cho_factor`` with its finiteness check and
     copy: the factorization of the float64 route (narrow and declined
-    systems) and of ``EquivalentKernel``, not ``estimator._cholesky``'s
-    in-place call on its own copy, nor the low-rank route ``_solve_spd`` picks.
+    systems), not ``estimator._cholesky``'s in-place call on its own copy,
+    nor the low-rank factor that ``estimator._RidgeSolver`` forms for wide
+    systems, in fits and equivalent kernels alike.
     The system is gamma = 1 over a beta = 1, seed-0 basis.  Returns (rows,
     slopes) with the log-log slope of factorization time against M, which
     needs two M values or more; the expected exponent is 3 (cubic solve cost).

@@ -15,7 +15,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
 from scipy.stats import expon, kstest
 
 from hawkes_rkhs.estimator import (
@@ -230,7 +229,7 @@ def test_criterion_4_fredholm_residual_and_exchange_identity():
             s_i = np.zeros(U * M)
             for k in events.dim_indices(i):
                 s_i += phi_tilde_loop(events, basis, A, events.times[k])
-            y = cho_solve(eq._factor, s_i)
+            y = eq._solver.solve(s_i)[0]
             lhs = sum(table.vectors[k]
                       @ y[(events.marks[k] - 1) * M:events.marks[k] * M]
                       for k in range(len(events)))

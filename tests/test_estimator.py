@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,19 @@ def test_phi_tilde_matches_naive_loop_randomized(seed, s):
     got = phi_tilde(ev, basis, 4.0, s)
     want = phi_tilde_loop(ev, basis, 4.0, s)
     assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", ["phi_tilde", "intensity", "EquivalentKernel.h"])
+def test_evaluation_time_must_be_finite(call, s):
+    # a non-finite time matched no event window, so it read as "no history"
+    ev, basis = small_instance()
+    model = fit(ev, FitConfig(gamma=1.0, A=3.0, basis=basis))
+    calls = {"phi_tilde": lambda: phi_tilde(ev, basis, 3.0, s),
+             "intensity": lambda: intensity(model, ev, 1, s),
+             "EquivalentKernel.h": lambda: EquivalentKernel(ev, basis, 1.0, 3.0).h(1, 0.5, s)}
+    with pytest.raises(ValueError, match=f"^time s must be finite, got {s}$"):
+        calls[call]()
 
 
 def test_phi_tilde_window_edges():
@@ -867,16 +881,19 @@ def test_solver_rejects_non_finite_systems(entries):
 
 def test_solver_rejects_non_finite_right_hand_side():
     # a grid cell reports FitError alone, so this numerical failure must be one
-    from hawkes_rkhs.estimator import _solve_spd
+    from hawkes_rkhs.estimator import _RidgeSolver
+    solver = _RidgeSolver(np.eye(3) + 0.1 - np.eye(3) / 0.5, gamma=0.5)
     with pytest.raises(FitError, match=r"right-hand side is not finite \(gamma=0\.5\)"):
-        _solve_spd(np.eye(3) + 0.1 - np.eye(3) / 0.5, np.array([1.0, np.nan, 1.0]), gamma=0.5)
+        solver.solve(np.array([1.0, np.nan, 1.0]))
 
 
-@pytest.mark.parametrize("small,warned", [(1e-11, True), (1e-9, False)])
-def test_solver_warns_past_the_condition_threshold(caplog, small, warned):
-    from hawkes_rkhs.estimator import _cholesky
+@pytest.mark.parametrize("lam,warned", [(1.01e10 / 2.0, True), (0.99e10 / 2.0, False)])
+def test_solver_warns_past_the_condition_threshold(caplog, lam, warned):
+    # Xi = diag(lam, 0): the condition 1 + gamma lam is kappa_2(Z) exactly
+    from hawkes_rkhs.estimator import _RidgeSolver
     with caplog.at_level(logging.WARNING, logger="hawkes_rkhs.estimator"):
-        _, cond = _cholesky(np.diag([1.0, small]) - np.eye(2) / 2.0, gamma=2.0)
+        cond = _RidgeSolver(np.diag([lam, 0.0]), gamma=2.0).condition
+    assert cond == 1.0 + 2.0 * lam
     assert (cond > estimator.ILL_CONDITIONED) == warned
     messages = [r.getMessage() for r in caplog.records if r.name == "hawkes_rkhs.estimator"]
     if warned:
@@ -953,10 +970,11 @@ def float64_reference(xi, gamma, rhs):
                                        (200.0, 512, 0.1), (200.0, 512, 1.0), (200.0, 512, 10.0),
                                        (2000.0, 512, 100.0)])
 def test_lowrank_solve_meets_dsposv_test_and_agrees_with_float64(seed20_design, T, M, gamma):
-    from hawkes_rkhs.estimator import _residual, _solve_spd
+    from hawkes_rkhs.estimator import _residual, _RidgeSolver
     design = seed20_design(T, M)
     rhs = solve_rhs(design)
-    x, cond, info = _solve_spd(design.xi, rhs, gamma)
+    x, info = _RidgeSolver(design.xi, gamma).solve(rhs)
+    cond = info["condition_estimate"]
     n = 3 * M
     assert info["solve_route"] == "lowrank"
     assert 0 < info["rank"] < n // estimator.LOWRANK_RANK_DIVISOR
@@ -984,10 +1002,11 @@ def test_lowrank_solve_refines_until_its_stopping_tolerance(seed20_design):
     # at 2.4-3.6 times the tolerance ||x||_inf ||P||_2 eps sqrt(n) (3.6 at
     # gamma = 0.006, 2.4 at 0.009), so refinement takes step 2; a tolerance 4
     # times looser would stop at step 1
-    from hawkes_rkhs.estimator import _residual, _solve_spd
+    from hawkes_rkhs.estimator import _residual, _RidgeSolver
     design, gamma = seed20_design(200.0, 256), 0.007
     rhs = solve_rhs(design)
-    x, cond, info = _solve_spd(design.xi, rhs, gamma)
+    x, info = _RidgeSolver(design.xi, gamma).solve(rhs)
+    cond = info["condition_estimate"]
     assert info["solve_route"] == "lowrank" and info["refine_steps"] == 2
     r = _residual(design.xi, x, rhs, gamma)
     tol = cond / gamma * np.finfo(float).eps / 2 * np.sqrt(design.xi.shape[0])
@@ -996,23 +1015,22 @@ def test_lowrank_solve_refines_until_its_stopping_tolerance(seed20_design):
 
 def test_float64_solve_route_below_the_order_threshold_is_unchanged(seed20_design, monkeypatch):
     # M*U = 300 is below LOWRANK_MIN_ORDER
-    from hawkes_rkhs.estimator import _cholesky, _solve_spd
+    from hawkes_rkhs.estimator import _cholesky, _RidgeSolver
 
     def lowrank(*args, **kwargs):
         raise AssertionError("the float64 route tried the low-rank route")
     design, gamma = seed20_design(200.0, 100), 1.0
     rhs = solve_rhs(design)
     want = float64_reference(design.xi, gamma, rhs)
-    monkeypatch.setattr(estimator, "_solve_lowrank", lowrank)
-    x, cond, info = _solve_spd(design.xi, rhs, gamma)
-    assert info == {"solve_route": "float64", "rank": 300, "refine_steps": 0,
-                    "relative_residual": info["relative_residual"]}
+    monkeypatch.setattr(estimator, "_pivoted_cholesky", lowrank)
+    x, info = _RidgeSolver(design.xi, gamma).solve(rhs)
+    assert info == {"condition_estimate": info["condition_estimate"], "solve_route": "float64",
+                    "rank": 300, "refine_steps": 0, "relative_residual": info["relative_residual"]}
     assert x.tobytes() == want.tobytes()
-    # the factor EquivalentKernel keeps is scipy's, to the bit
-    c, cond_cholesky = _cholesky(design.xi, gamma)
-    assert c.tobytes() == float64_factor(design.xi, gamma)[0].tobytes()
-    # dpocon's estimate can move by an ulp with the factor's memory alignment
-    assert cond_cholesky == pytest.approx(cond, rel=1e-12)
+    # the factor is scipy's, to the bit
+    assert _cholesky(design.xi, gamma).tobytes() == float64_factor(design.xi, gamma)[0].tobytes()
+    # the power steps read the same bits each time
+    assert _RidgeSolver(design.xi, gamma).condition == info["condition_estimate"]
 
 
 def wide_system(decline, seed20_design):
@@ -1037,31 +1055,35 @@ def wide_system(decline, seed20_design):
 @pytest.mark.parametrize("decline", ["rank cap", "no convergence", "nan", "inf",
                                      "negative diagonal", "indefinite"])
 def test_lowrank_solve_declines_to_float64(seed20_design, monkeypatch, decline):
-    from hawkes_rkhs.estimator import _cholesky, _solve_lowrank, _solve_spd
+    from hawkes_rkhs.estimator import _cholesky, _pivoted_cholesky, _RidgeSolver
     finite, definite = r"not finite \(gamma=0\.5, 1-norm=", r"not positive definite \(gamma=0\.5"
     error = {"nan": finite, "inf": finite, "negative diagonal": definite,
              "indefinite": definite}.get(decline)
     xi, gamma, rhs = wide_system(decline, seed20_design)
-    declined = []
+    factors = []
 
     def lowrank(*args):
-        declined.append(_solve_lowrank(*args))
-        return declined[-1]
+        factors.append(_pivoted_cholesky(*args))
+        return factors[-1]
     if decline == "no convergence":
         # one Woodbury solve leaves a residual near LOWRANK_TOL, far from the test
         monkeypatch.setattr(estimator, "LOWRANK_MAX_STEPS", 0)
-    monkeypatch.setattr(estimator, "_solve_lowrank", lowrank)
+    monkeypatch.setattr(estimator, "_pivoted_cholesky", lowrank)
     if error is not None:
         with pytest.raises(FitError, match=error):
-            _solve_spd(xi, rhs, gamma)
+            _RidgeSolver(xi, gamma).solve(rhs)
         with pytest.raises(FitError, match=error):
             _cholesky(xi, gamma)
     else:
-        x, cond, info = _solve_spd(xi, rhs, gamma)
+        solver = _RidgeSolver(xi, gamma)
+        x, info = solver.solve(rhs)
         assert info["solve_route"] == "float64" and info["rank"] == xi.shape[0]
         assert x.tobytes() == float64_reference(xi, gamma, rhs).tobytes()
-        assert cond == pytest.approx(_cholesky(xi, gamma)[1], rel=1e-12)
-    assert declined == [None]
+        # the float64 factor is kept: a second solve runs no refinement
+        monkeypatch.setattr(solver, "_refine", None)
+        assert solver.solve(rhs)[0].tobytes() == x.tobytes()
+    # the factor declines, but for "no convergence", where refinement does
+    assert len(factors) == 1 and (factors[0] is None) == (decline != "no convergence")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -1069,53 +1091,76 @@ def test_lowrank_solve_declines_a_non_finite_entry_no_pivot_row_reads(value):
     # Xi is nonzero only in its leading 4 x 4 block, so every pivot row is one
     # of its first 4; an entry far from them reaches the route only through
     # the residual, and the float64 route then names it
-    from hawkes_rkhs.estimator import _cholesky, _solve_lowrank, _solve_spd
+    from hawkes_rkhs.estimator import _cholesky, _RidgeSolver
     n, gamma = estimator.LOWRANK_MIN_ORDER, 0.5
     G = np.random.default_rng(13).standard_normal((4, 4))
     xi = np.zeros((n, n))
     xi[:4, :4] = G @ G.T
     rhs = np.ones((n, 2))
-    assert _solve_lowrank(xi, rhs, gamma)[4] == 4
+    assert _RidgeSolver(xi, gamma).solve(rhs)[1]["rank"] == 4
     xi[n - 1, n - 2] = xi[n - 2, n - 1] = value
-    assert _solve_lowrank(xi, rhs, gamma) is None
+    solver = _RidgeSolver(xi, gamma)
+    assert (solver.route, solver.rank) == ("lowrank", 4)
     finite = r"not finite \(gamma=0\.5, 1-norm="
     with pytest.raises(FitError, match=finite):
-        _solve_spd(xi, rhs, gamma)
+        solver.solve(rhs)
     with pytest.raises(FitError, match=finite):
         _cholesky(xi, gamma)
 
 
 def test_lowrank_solve_at_rank_zero_is_the_ridge_alone():
     # gamma tr(Xi) <= LOWRANK_TOL takes no pivot: P = (1/gamma) I, condition 1
-    from hawkes_rkhs.estimator import _solve_spd
+    from hawkes_rkhs.estimator import _RidgeSolver
     n = estimator.LOWRANK_MIN_ORDER
     xi = np.zeros((n, n))
     xi[0, 0] = 1e-7
-    x, cond, info = _solve_spd(xi, np.ones((n, 2)), 2.0)
-    assert info["solve_route"] == "lowrank" and info["rank"] == 0 and cond == 1.0
+    x, info = _RidgeSolver(xi, 2.0).solve(np.ones((n, 2)))
+    assert info["solve_route"] == "lowrank" and info["rank"] == 0
+    assert info["condition_estimate"] == 1.0
     want = np.full((n, 2), 2.0)
     want[0] = 1.0 / (0.5 + 1e-7)
     assert_allclose(x, want, rtol=1e-15)
 
 
-def test_lowrank_solve_does_not_depend_on_time_unit(seed20_design):
-    # times, T and A times 1000, beta and gamma over 1000: gamma tr(Xi) stays,
-    # so the pivots, the rank and the steps do, and the coefficients scale by 1/1000
+@pytest.mark.parametrize("M,route", [(256, "lowrank"), (100, "float64")])
+def test_solve_does_not_depend_on_time_unit(seed20_design, M, route):
+    # times, T and A times 1000, beta and gamma over 1000: gamma Xi stays, so
+    # the pivots, the rank, the steps and the condition do, and the
+    # coefficients scale by 1/1000
     from hawkes_rkhs.features import FeatureBasis
     from hawkes_rkhs.simulation import mutually_exciting_scenario, simulate
     c, gamma, spec = 1000.0, 1.0, mutually_exciting_scenario()
     events = simulate(spec, 200.0, 20).events
-    basis = build_basis(KernelSpec(beta=1.0), 256, 20)
+    basis = build_basis(KernelSpec(beta=1.0), M, 20)
     scaled_basis = FeatureBasis(omega=basis.omega / c, theta=basis.theta,
                                 beta=basis.beta / c, seed=basis.seed)
     scaled_events = EventSequence(events.times * c, events.marks, events.T * c, events.U)
-    ref = seed20_design(200.0, 256).solve(gamma)
+    ref = seed20_design(200.0, M).solve(gamma)
     got = Design(scaled_events, scaled_basis, spec.A * c).solve(gamma / c)
     for key in ("solve_route", "rank", "refine_steps"):
         assert got.stats[key] == ref.stats[key]
-    assert ref.stats["solve_route"] == "lowrank"
+    assert ref.stats["solve_route"] == route
+    assert got.stats["condition_estimate"] == pytest.approx(ref.stats["condition_estimate"],
+                                                            rel=1e-9)
     assert_allclose(c * got.coeff, ref.coeff, rtol=1e-9, atol=1e-9 * np.abs(ref.coeff).max())
     assert_allclose(c * got.mu_hat, ref.mu_hat, rtol=1e-9)
+
+
+@pytest.mark.parametrize("T,M,gamma,route", [(200.0, 256, 1.0, "lowrank"),
+                                             (200.0, 256, 1.0, "float64"),
+                                             (2000.0, 100, 0.1, "float64"),
+                                             (2000.0, 100, 1.0, "float64"),
+                                             (2000.0, 100, 10.0, "float64")])
+def test_condition_is_kappa_2_on_both_routes(seed20_design, monkeypatch, T, M, gamma, route):
+    # Xi is numerically singular, so 1 + gamma lambda_max(Xi) is kappa_2(Z)
+    from hawkes_rkhs.estimator import _RidgeSolver
+    design = seed20_design(T, M)
+    if route == "float64":
+        monkeypatch.setattr(estimator, "LOWRANK_MIN_ORDER", design.xi.shape[0] + 1)
+    solver = _RidgeSolver(design.xi, gamma)
+    assert solver.route == route
+    eigenvalues = np.linalg.eigvalsh(design.xi + np.eye(design.xi.shape[0]) / gamma)
+    assert solver.condition == pytest.approx(eigenvalues[-1] / eigenvalues[0], rel=1e-5)
 
 
 def test_design_solve_stats_name_route_steps_and_residual(seed20_design):
@@ -1168,6 +1213,25 @@ def test_intensity_matches_double_loop():
                 intensity_loop(model, ev, i, t), abs=1e-12)
 
 
+@pytest.mark.parametrize("index", [0, -1, 3])
+@pytest.mark.parametrize("call", ["coeff_block i", "coeff_block j", "g_curve", "intensity",
+                                  "EquivalentKernel.h", "integral_second"])
+def test_dimension_index_must_lie_in_one_to_u(call, index):
+    # 1-based: 0 and -1 would wrap around to the last dimensions
+    ev, basis = small_instance()
+    assert ev.U == 2
+    model = fit(ev, FitConfig(gamma=1.0, A=3.0, basis=basis))
+    eq = EquivalentKernel(ev, basis, 1.0, 3.0)
+    calls = {"coeff_block i": lambda: model.coeff_block(index, 1),
+             "coeff_block j": lambda: model.coeff_block(1, index),
+             "g_curve": lambda: g_curve(model, 1, index, 0.5),
+             "intensity": lambda: intensity(model, ev, index, 5.0),
+             "EquivalentKernel.h": lambda: eq.h(index, 0.5, 5.0),
+             "integral_second": lambda: eq.integral_second(index, 0.5)}
+    with pytest.raises(ValueError, match=f"^dimension index must lie in 1..2, got {index}$"):
+        calls[call]()
+
+
 # --- equivalent kernels ---------------------------------------------------------
 
 def test_equivalent_kernel_vanishes_under_strong_penalty():
@@ -1180,7 +1244,7 @@ def test_equivalent_kernel_vanishes_under_strong_penalty():
 @pytest.mark.parametrize("U,M,route", [(2, 8, "float64"), (3, 256, "lowrank")])
 def test_representer_consistency_on_each_solve_route(U, M, route):
     # fitted kernels equal the unit-coefficient expansion in equivalent kernels,
-    # which factor in float64 also where the fit took the low-rank route
+    # which take the fit's route
     ev, basis = small_instance(seed=41, U=U, n=10, T=12.0, M=M)
     gamma, A = 0.8, 3.0
     model = fit(ev, FitConfig(gamma=gamma, A=A, basis=basis))
@@ -1194,6 +1258,21 @@ def test_representer_consistency_on_each_solve_route(U, M, route):
                 expansion -= model.mu_hat[i - 1] * eq.integral_second(j, s)
                 got = g_curve(model, i, j, s)
                 assert abs(got - expansion) <= 1e-8 * (1.0 + abs(expansion))
+    assert eq._solver.route == route
+
+
+@pytest.mark.parametrize("U,M,route", [(2, 8, "float64"), (3, 256, "lowrank")])
+def test_equivalent_kernel_coefficients_are_zero_before_the_first_event(U, M, route):
+    # phi_tilde is 0 there: the solve of a zero right-hand side is exactly 0,
+    # with no 0 / 0 in its relative residual
+    ev, basis = small_instance(seed=41, U=U, n=10, T=12.0, M=M)
+    eq = EquivalentKernel(ev, basis, 0.8, 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coefficients = eq.coefficients(ev.times[0] / 2.0)
+        info = eq._solver.solve(np.zeros(U * M))[1]
+    assert coefficients.shape == (U * M,) and np.all(coefficients == 0.0)
+    assert info["relative_residual"] == 0.0 and info["solve_route"] == route
 
 
 def test_identity_sum_exchange():
@@ -1201,14 +1280,13 @@ def test_identity_sum_exchange():
     ev, basis = small_instance(seed=43, U=2, n=9, T=12.0)
     gamma, A = 0.6, 3.0
     eq = EquivalentKernel(ev, basis, gamma, A)
-    from scipy.linalg import cho_solve
     table = WindowIntegralTable(basis, ev.times, ev.T, A)
     M = basis.M
     for i in (1, 2):
         s_i = np.zeros(ev.U * M)
         for n in ev.dim_indices(i):
             s_i += phi_tilde_loop(ev, basis, A, ev.times[n])
-        y = cho_solve(eq._factor, s_i)
+        y = eq._solver.solve(s_i)[0]
         lhs = sum(table.vectors[n] @ y[(ev.marks[n] - 1) * M:ev.marks[n] * M]
                   for n in range(len(ev)))
         z = eq._window_solution
