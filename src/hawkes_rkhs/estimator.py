@@ -144,6 +144,7 @@ def _lag_sums(phasors, first, second, ell, weight, bounds, lead: int) -> np.ndar
     out = np.zeros((bounds.size - 1, _SERIES_TERMS + 1, 2 * phasors.shape[1]))
     step = max(1, _CHUNK // out.shape[2])
     gathered = np.empty((2, min(step, first.size), phasors.shape[1]), dtype=complex)
+    partners = np.conjugate(phasors)
     for start in range(0, first.size, step):
         part = slice(start, start + step)
         W = np.empty((out.shape[1] if lead else 2, first[part].size))
@@ -153,8 +154,8 @@ def _lag_sums(phasors, first, second, ell, weight, bounds, lead: int) -> np.ndar
         W[1:] *= W[0]
         Z, Q = gathered[:, :W.shape[1]]
         np.take(phasors, first[part], axis=0, out=Z, mode="clip")
-        np.take(phasors, second[part], axis=0, out=Q, mode="clip")
-        Z *= np.conjugate(Q, out=Q)
+        np.take(partners, second[part], axis=0, out=Q, mode="clip")
+        Z *= Q
         cuts = np.minimum(np.maximum(bounds - start, 0), W.shape[1])  # each block's slice of it
         for b in np.flatnonzero(cuts[1:] > cuts[:-1]):
             rows, Y = W[:, cuts[b]:cuts[b + 1]], Z[cuts[b]:cuts[b + 1]].view(float)
@@ -476,9 +477,9 @@ class _RidgeSolver:
     other system takes the float64 ``_cholesky`` factor, whose FitError it
     raises, and so from then on does a declined factor or refinement.
     ``condition`` is 1 + gamma lambda_max(xi), which bounds kappa_2(Z) for
-    xi >= 0 and equals it where xi is singular: lambda_max(L^T L) puts it
-    within LOWRANK_TOL, and the float64 route takes ``_lambda_max``.  Past
-    ILL_CONDITIONED it logs a warning.
+    xi >= 0 and equals it where xi is singular: ``_lambda_max`` of xi on the
+    float64 route, of L^T L (within LOWRANK_TOL of it) on the low-rank one.
+    Past ILL_CONDITIONED it logs a warning.
     """
 
     def __init__(self, xi: np.ndarray, gamma: float):
@@ -486,16 +487,15 @@ class _RidgeSolver:
         L = _pivoted_cholesky(xi, gamma) if xi.shape[0] >= LOWRANK_MIN_ORDER else None
         if L is None:
             self._use_float64()
-            lam = _lambda_max(xi)
+            self.condition = 1.0 + gamma * _lambda_max(xi)
         else:
             self.route, self.rank = "lowrank", L.shape[0]
             # LAPACK takes no empty matrix: at rank 0, one zero row stands for the factor
             self._L = L if self.rank else np.zeros((1, xi.shape[0]))
             S = self._L @ self._L.T  # L^T L of the factor
-            lam = np.linalg.eigvalsh(S)[-1]
+            self.condition = 1.0 + gamma * _lambda_max(S)
             S.flat[::S.shape[0] + 1] += 1.0 / gamma
             self._inner = _lapack.dpotrf(S, lower=1, overwrite_a=1, clean=0)[0]
-        self.condition = 1.0 + gamma * lam
         if self.condition > ILL_CONDITIONED:
             _log.warning("ill-conditioned system at gamma=%g: condition 1 + gamma lambda_max(Xi) "
                          "= %.3e exceeds %.0e, so fewer than 6 significant digits may be correct",
@@ -743,10 +743,8 @@ class EquivalentKernel:
         self.gamma = gamma
         self.A = A
         design = Design(events, basis, A)
-        self.window_vec = design.window_vec
         self._solver = _RidgeSolver(design.xi, gamma)
-        self.condition = self._solver.condition
-        self._window_solution = self._solver.solve(self.window_vec)[0]
+        self._window_solution = self._solver.solve(design.window_vec)[0]
 
     def coefficients(self, s_prime: float) -> np.ndarray:
         """Solution vector ((1/gamma) I + Xi)^{-1} phi_tilde(s')."""

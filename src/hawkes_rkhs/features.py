@@ -125,15 +125,9 @@ def build_basis(spec: KernelSpec, M: int, seed: int) -> FeatureBasis:
 
 
 def sinc_u(x):
-    """Unnormalized sinc, sin(x)/x, with a 4-term Taylor series below
-    |x| = 1e-4 so the x -> 0 limit is exact."""
+    """Unnormalized sinc, sin(x)/x, and its limit 1 at x = 0."""
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    safe = np.where(small, 1.0, x)
-    direct = np.sin(safe) / safe
-    x2 = x * x
-    series = 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0))
-    return np.where(small, series, direct)
+    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
 
 
 def feature_matrix(basis: FeatureBasis, s) -> np.ndarray:

@@ -742,13 +742,17 @@ def test_bench_rejects_a_single_horizon(capsys):
 
 def test_console_script_runs_cli_main():
     # tier-1 runs the package with python -m; an installed hawkes-rkhs command
-    # runs the [project.scripts] target instead, which must resolve to cli.main
+    # runs the [project.scripts] target instead, which must hand its arguments
+    # to cli.main and return its exit code
     import importlib
     import tomllib
 
     project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
     module, _, attr = project["project"]["scripts"]["hawkes-rkhs"].partition(":")
-    assert getattr(importlib.import_module(module), attr) is cli.main
+    entry = getattr(importlib.import_module(module), attr)
+    with mock.patch.dict(os.environ), mock.patch.object(cli, "main", return_value=7) as main:
+        assert entry(["fit"]) == 7
+    main.assert_called_once_with(["fit"])
 
 
 def _sha256(path) -> str:
