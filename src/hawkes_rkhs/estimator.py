@@ -678,7 +678,15 @@ class FittedModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FittedModel":
+        """The model ``to_dict`` wrote; a missing key raises KeyError, other faults ValueError."""
+        if not (isinstance(doc, dict) and isinstance(doc.get("basis_ref", {}), dict)):
+            raise ValueError("expected a JSON object whose 'basis_ref' is an object")
+        for key in ("gamma", "A", "T", "U"):
+            if not isinstance(doc.get(key, 0), (int, float, str)):
+                raise ValueError(f"'{key}' is not a number: {doc[key]!r}")
         basis = FeatureBasis.from_dict(doc["basis_ref"])
+        if doc["M"] != basis.M:
+            raise ValueError(f"'M' is {doc['M']!r}, but the basis has {basis.M} features")
         config = FitConfig(gamma=float(doc["gamma"]), A=float(doc["A"]), basis=basis)
         model = cls(
             mu_hat=np.asarray(doc["mu_hat"], dtype=float),

@@ -21,12 +21,20 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class EventRuleError(ValueError):
+    """Event ``index`` breaks ``rule``; the message is the one API callers see."""
+
+    def __init__(self, index: int, rule: str, message: str | None = None):
+        super().__init__(message or rule)
+        self.index, self.rule = index, rule
+
+
 @dataclass(frozen=True)
 class EventSequence:
     """Realization of a U-dimensional point process over [0, T].
 
-    Times are strictly increasing and strictly below T (an event at or past
-    the horizon is rejected); marks are dimension labels in {1..U}.
+    Times are strictly increasing and below T, marks dimension labels in
+    {1..U}; the first event that breaks a rule raises ``EventRuleError``.
     """
 
     times: np.ndarray
@@ -43,27 +51,22 @@ class EventSequence:
             raise ValueError(f"horizon T must be positive and finite, got {self.T}")
         if not (isinstance(self.U, (int, np.integer)) and self.U >= 1):
             raise ValueError(f"dimension count U must be an integer >= 1, got {self.U}")
-        if times.size:
-            if not np.isfinite(times).all():
-                k = int(np.flatnonzero(~np.isfinite(times))[0])
-                raise ValueError(f"event time {times[k]} at index {k} is not finite")
-            fractional = marks != np.trunc(marks)  # NaN too
-            if fractional.any():
-                raise ValueError(f"mark {marks[fractional][0]} is not an integer")
-            if times[0] < 0:
-                raise ValueError(f"negative event time {times[0]}")
-            diffs = np.diff(times)
-            if np.any(diffs == 0):
-                k = int(np.flatnonzero(diffs == 0)[0])
-                raise ValueError(f"duplicate event time {times[k]} at index {k + 1}")
-            if np.any(diffs < 0):
-                raise ValueError("event times must be strictly increasing")
-            if times[-1] >= self.T:
-                raise ValueError(
-                    f"event time {times[-1]} is at or past the horizon T={self.T}")
-            if marks.min() < 1 or marks.max() > self.U:
-                bad = marks[(marks < 1) | (marks > self.U)][0]
-                raise ValueError(f"mark {bad} outside 1..{self.U}")
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN; the finite-time rule is first
+            step = np.diff(times, prepend=-np.inf)
+        # (events breaking a rule, the rule, the message API callers see), in check order
+        for broken, rule, message in (
+                (~np.isfinite(times), "event time {t} is not finite",
+                 "event time {t} at index {k} is not finite"),
+                (marks != np.trunc(marks), "mark {m} is not an integer", None),  # NaN too
+                ((np.arange(times.size) == 0) & (times < 0), "negative event time {t}", None),
+                (step == 0, "duplicate event time {t}", "duplicate event time {t} at index {k}"),
+                (step < 0, "event times must be strictly increasing", None),
+                (times >= self.T, "event time {t} is at or past the horizon T={T}", None),
+                ((marks < 1) | (marks > self.U), "mark {m:.0f} outside 1..{U}", None)):
+            if broken.any():
+                k = int(np.argmax(broken))
+                names = dict(k=k, t=times[k], m=marks[k], T=self.T, U=self.U)
+                raise EventRuleError(k, rule.format(**names), (message or rule).format(**names))
         marks = marks.astype(int)
         times.setflags(write=False)
         marks.setflags(write=False)
@@ -102,13 +105,14 @@ def write_table(path, meta: dict, header, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_table(path):
-    """Parse the layout ``write_table`` writes; returns (meta, (line number,
-    header fields), [(line number, fields), ...]), the header (None, None) if
-    there is none.  A ``#`` line anywhere adds its ``key=value`` to meta;
-    the callers check the fields."""
+def read_table(path, expect: str | None = None):
+    """Parse the layout ``write_table`` writes: (meta, header fields, rows,
+    row line numbers), the header () if absent, rows a float array with a
+    column per header field; ``#`` lines anywhere add their ``key=value`` to
+    meta.  A header other than ``expect`` (if given) or a row not one number
+    per field raises ValueError naming the file and the line."""
     meta: dict[str, str] = {}
-    lines = []
+    header, data, lines = (), [], []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -116,9 +120,21 @@ def read_table(path):
                 key, eq, value = line[1:].partition("=")
                 if eq:
                     meta[key.strip()] = value.strip()
+            elif line and not header:
+                header = line.split(",")
+                if expect and ",".join(header).replace(" ", "") != expect:
+                    raise ValueError(f"{path}: line {lineno}: expected header {expect!r}, "
+                                     f"got {','.join(header)!r}")
             elif line:
-                lines.append((lineno, line.split(",")))
-    return meta, (lines[0] if lines else (None, None)), lines[1:]
+                fields = line.split(",")
+                try:
+                    if len(fields) != len(header):
+                        raise ValueError(f"expected {len(header)} values, got {len(fields)}")
+                    data.extend(map(float, fields))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
+                lines.append(lineno)
+    return meta, header, np.array(data).reshape(len(lines), len(header)), lines
 
 
 def write_events_csv(path, events: EventSequence, meta: dict | None = None) -> None:
@@ -144,34 +160,14 @@ def read_events_csv(path, T: float | None = None):
     """Parse an events file; returns (EventSequence, metadata dict).
 
     The horizon comes from ``T`` when given, else from the file metadata, and
-    the dimension count from the metadata, else the largest mark.  Malformed
-    rows raise ValueError naming the offending line number, and every
-    ValueError names the file.
+    the dimension count from the metadata, else the largest mark.  A row that
+    is not two numbers, or whose event breaks a rule of ``EventSequence``,
+    raises ValueError naming its line, and every ValueError names the file.
     """
-    meta, (lineno, header), rows = read_table(path)
-    if header is None:
+    meta, header, data, lines = read_table(path, "time,mark")
+    if not header:
         raise ValueError(f"{path}: missing 'time,mark' header")
-    if ",".join(header).replace(" ", "") != "time,mark":
-        raise ValueError(
-            f"{path}: line {lineno}: expected header 'time,mark', got {','.join(header)!r}")
-    times: list[float] = []
-    marks: list[int] = []
-    for lineno, fields in rows:
-        if len(fields) != 2:
-            raise ValueError(
-                f"{path}: line {lineno}: expected 'time,mark', got {','.join(fields)!r}")
-        try:
-            t = float(fields[0])
-            m = int(fields[1])
-        except ValueError:
-            raise ValueError(
-                f"{path}: line {lineno}: malformed row {','.join(fields)!r}") from None
-        if times and t == times[-1]:
-            raise ValueError(f"{path}: duplicate event time at line {lineno}")
-        if times and t < times[-1]:
-            raise ValueError(f"{path}: non-increasing event time at line {lineno}")
-        times.append(t)
-        marks.append(m)
+    times, marks = data.T
     if T is None:
         T = meta_value(path, meta, "T", float)
         if T is None:
@@ -179,9 +175,12 @@ def read_events_csv(path, T: float | None = None):
                 f"{path}: no horizon: pass one explicitly or add a '# T=...' comment")
         if not 0.0 < T < np.inf:
             raise ValueError(f"{path}: '# T=' is not a positive finite horizon: {meta['T']!r}")
-    U = meta_value(path, meta, "U", int, max(marks) if marks else 1)
+    # a mark that is not finite is the rule's to refuse, naming its line
+    U = meta_value(path, meta, "U", int, int(marks[np.isfinite(marks)].max(initial=1)))
     try:
-        events = EventSequence(np.asarray(times), np.asarray(marks, dtype=int), T, U)
+        events = EventSequence(times, marks, T, U)
+    except EventRuleError as exc:
+        raise ValueError(f"{path}: line {lines[exc.index]}: {exc.rule}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return events, meta

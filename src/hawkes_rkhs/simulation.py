@@ -355,31 +355,23 @@ def write_curves_csv(path, spec: ScenarioSpec) -> None:
 
 def read_curves_csv(path):
     """Parse a kernel-curve file; returns (s grid, curves (U, U, n), U).
-    A short or non-numeric row, or a lag not above the one before it, raises
-    ValueError naming its line, and a last lag off the declared ``# A=`` by
-    more than 1e-12 A one naming the file."""
-    meta, (_, header), rows = read_table(path)
-    if header is None or not rows:
+    A row that is not one number per column, or a lag not above the one
+    before it, raises ValueError naming its line, and a last lag off the
+    declared ``# A=`` by more than 1e-12 A one naming the file."""
+    meta, header, data, lines = read_table(path)
+    if not lines:
         raise ValueError(f"{path}: no curve data")
     n_pairs = len(header) - 1
     U = meta_value(path, meta, "U", int, round(math.sqrt(n_pairs)))
     if U * U != n_pairs:
         raise ValueError(f"{path}: expected U^2 kernel columns, got {n_pairs}")
-    data = np.empty((len(rows), len(header)))
-    for k, (lineno, fields) in enumerate(rows):
-        try:
-            if len(fields) != len(header):
-                raise ValueError(f"expected {len(header)} values, got {len(fields)}")
-            data[k] = [float(x) for x in fields]
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
     steps = np.flatnonzero(~(np.diff(data[:, 0]) > 0))  # NaN lags too
     if steps.size:
-        raise ValueError(f"{path}: non-increasing lag at line {rows[steps[0] + 1][0]}")
+        raise ValueError(f"{path}: non-increasing lag at line {lines[steps[0] + 1]}")
     A = meta_value(path, meta, "A", float, data[-1, 0])
     if not abs(data[-1, 0] - A) <= 1e-12 * A:
         raise ValueError(f"{path}: the lag grid ends at {data[-1, 0]}, not at '# A={A}'")
-    return data[:, 0], data[:, 1:].T.reshape(U, U, len(rows)), U
+    return data[:, 0], data[:, 1:].T.reshape(U, U, len(lines)), U
 
 
 __all__ = [

@@ -343,7 +343,7 @@ def test_criterion_8_complexity_scaling():
     steady = ScenarioSpec(U=1, mu=(0.5,), kernels=((exp_decay(0.5, 1.0),),),
                           link=IdentityLink(), A=5.0, support_lag=30.0)
     events = simulate(steady, 40.0, 3).events
-    _, fact_slopes = bench_factorization(events, [256, 512, 1024], reps=3)
+    _, fact_slopes = bench_factorization(events, [256, 512, 1024], reps=7)
     slope_m = fact_slopes["factorize_vs_M"]
     assert 2.5 <= slope_m <= 3.5
 

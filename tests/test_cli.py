@@ -162,7 +162,7 @@ def test_fit_reports_duplicate_timestamp(tmp_path):
     bad.write_text("# T=10\n# U=1\ntime,mark\n0.5,1\n0.5,1\n")
     out = run_cli("fit", "--events", str(bad), "--out", str(tmp_path / "m.json"))
     assert out.returncode == 1
-    assert "duplicate event time at line 5" in out.stderr
+    assert out.stderr == f"error: {bad}: line 5: duplicate event time 0.5\n"
 
 
 def test_fit_programming_error_propagates(tmp_path, monkeypatch):
@@ -446,7 +446,7 @@ CLI_ERRORS = {
     "fit-unwritable": (["fit", "--events", "{d}/events.csv", "--out", "{d}/missing/m.json"], 1,
                        "cannot write to {d}/missing/m.json"),
     "fit-unreadable": (["fit", "--events", "{d}/dup.csv", "--out", "{d}/m.json"], 1,
-                       "{d}/dup.csv: duplicate event time at line 5"),
+                       "{d}/dup.csv: line 5: duplicate event time 0.5"),
     "fit-missing-events": (["fit", "--events", "{d}/none.csv", "--out", "{d}/m.json"], 1,
                            "[Errno 2] No such file or directory: '{d}/none.csv'"),
     "fit-bad-horizon-metadata": (
@@ -529,6 +529,33 @@ CLI_ERRORS = {
         ["evaluate", "--model", "{d}/nan_coeff.json", "--scenario", "refractory",
          "--out", "{d}/r.json"], 1,
         "cannot load model {d}/nan_coeff.json: mu_hat and coeff must be finite"),
+    # a model file with a value of the wrong JSON type, or whose M is not its basis's
+    "evaluate-list-model": (
+        ["evaluate", "--model", "{d}/list_model.json", "--scenario", "refractory",
+         "--out", "{d}/r.json"], 1,
+        "cannot load model {d}/list_model.json: expected a JSON object whose 'basis_ref' "
+        "is an object"),
+    "evaluate-number-basis-model": (
+        ["evaluate", "--model", "{d}/number_basis.json", "--scenario", "refractory",
+         "--out", "{d}/r.json"], 1,
+        "cannot load model {d}/number_basis.json: expected a JSON object whose 'basis_ref' "
+        "is an object"),
+    "evaluate-null-horizon-model": (
+        ["evaluate", "--model", "{d}/null_t.json", "--scenario", "refractory",
+         "--out", "{d}/r.json"], 1,
+        "cannot load model {d}/null_t.json: 'T' is not a number: None"),
+    "evaluate-list-gamma-model": (
+        ["evaluate", "--model", "{d}/list_gamma.json", "--scenario", "refractory",
+         "--out", "{d}/r.json"], 1,
+        "cannot load model {d}/list_gamma.json: 'gamma' is not a number: [1]"),
+    "evaluate-null-feature-count-model": (
+        ["evaluate", "--model", "{d}/null_m.json", "--scenario", "refractory",
+         "--out", "{d}/r.json"], 1,
+        "cannot load model {d}/null_m.json: 'M' is None, but the basis has 2 features"),
+    "evaluate-wrong-feature-count-model": (
+        ["evaluate", "--model", "{d}/wrong_m.json", "--scenario", "refractory",
+         "--out", "{d}/r.json"], 1,
+        "cannot load model {d}/wrong_m.json: 'M' is 4, but the basis has 2 features"),
     "evaluate-unknown-scenario": (
         ["evaluate", "--model", "{d}/model.json", "--scenario", "nope", "--out",
          "{d}/r.json"], 2,
@@ -543,6 +570,9 @@ CLI_ERRORS = {
     "evaluate-curves-short-row": (
         ["evaluate", "--model", "{d}/model.json", "--truth-curves", "{d}/short_curves.csv",
          "--out", "{d}/r.json"], 1, "{d}/short_curves.csv: line 5: expected 2 values, got 1"),
+    "evaluate-curves-long-row": (
+        ["evaluate", "--model", "{d}/model.json", "--truth-curves", "{d}/long_curves.csv",
+         "--out", "{d}/r.json"], 1, "{d}/long_curves.csv: line 5: expected 2 values, got 3"),
     "evaluate-curves-no-rows": (
         ["evaluate", "--model", "{d}/model.json", "--truth-curves", "{d}/bare_curves.csv",
          "--out", "{d}/r.json"], 1, "{d}/bare_curves.csv: no curve data"),
@@ -630,13 +660,20 @@ CLI_ERRORS = {
          "{d}/m.json"], 2, "{d}/array.toml: features = [16] is not a valid int"),
     "fit-event-past-horizon": (
         ["fit", "--events", "{d}/events.csv", "--horizon", "2", "--out", "{d}/m.json"], 1,
-        "{d}/events.csv: event time 2.5 is at or past the horizon T=2.0"),
+        "{d}/events.csv: line 5: event time 2.5 is at or past the horizon T=2.0"),
     "fit-mark-above-dimension": (
         ["fit", "--events", "{d}/high_mark.csv", "--out", "{d}/m.json"], 1,
-        "{d}/high_mark.csv: mark 2 outside 1..1"),
+        "{d}/high_mark.csv: line 4: mark 2 outside 1..1"),
     "fit-nan-event-time": (
         ["fit", "--events", "{d}/nan_time.csv", "--out", "{d}/m.json"], 1,
-        "{d}/nan_time.csv: event time nan at index 1 is not finite"),
+        "{d}/nan_time.csv: line 4: event time nan is not finite"),
+    "fit-fractional-mark": (
+        ["fit", "--events", "{d}/fractional_mark.csv", "--out", "{d}/m.json"], 1,
+        "{d}/fractional_mark.csv: line 5: mark 1.5 is not an integer"),
+    # with no '# U=' the largest finite mark sets U, and the NaN is refused by its line
+    "fit-nan-mark": (
+        ["fit", "--events", "{d}/nan_mark.csv", "--out", "{d}/m.json"], 1,
+        "{d}/nan_mark.csv: line 4: mark nan is not an integer"),
     "fit-events-no-header": (
         ["fit", "--events", "{d}/no_header.csv", "--out", "{d}/m.json"], 1,
         "{d}/no_header.csv: missing 'time,mark' header"),
@@ -645,13 +682,13 @@ CLI_ERRORS = {
         "{d}/wrong_header.csv: line 2: expected header 'time,mark', got 'time,dim'"),
     "fit-events-three-fields": (
         ["fit", "--events", "{d}/three_fields.csv", "--out", "{d}/m.json"], 1,
-        "{d}/three_fields.csv: line 4: expected 'time,mark', got '2.5,1,1'"),
+        "{d}/three_fields.csv: line 4: expected 2 values, got 3"),
     "fit-events-decreasing-time": (
         ["fit", "--events", "{d}/decreasing.csv", "--out", "{d}/m.json"], 1,
-        "{d}/decreasing.csv: non-increasing event time at line 4"),
+        "{d}/decreasing.csv: line 4: event times must be strictly increasing"),
     "fit-negative-event-time": (
         ["fit", "--events", "{d}/negative_time.csv", "--out", "{d}/m.json"], 1,
-        "{d}/negative_time.csv: negative event time -0.5"),
+        "{d}/negative_time.csv: line 4: negative event time -0.5"),
     "fit-nan-horizon-metadata": (
         ["fit", "--events", "{d}/nan_t.csv", "--out", "{d}/m.json"], 1,
         "{d}/nan_t.csv: '# T=' is not a positive finite horizon: 'nan'"),
@@ -703,13 +740,22 @@ def error_inputs(tmp_path_factory):
     (d / "wrong_header.csv").write_text("# T=10\ntime,dim\n0.5,1\n")
     (d / "three_fields.csv").write_text("# T=10\ntime,mark\n0.5,1\n2.5,1,1\n")
     (d / "decreasing.csv").write_text("# T=10\ntime,mark\n2.5,1\n0.5,1\n")
+    (d / "long_curves.csv").write_text("# A=1\n# U=1\ns,g_11\n0,0.5\n0.5,0.25,1\n1,0\n")
+    (d / "fractional_mark.csv").write_text("# T=10\n# U=2\ntime,mark\n0.5,1\n2.5,1.5\n")
+    (d / "nan_mark.csv").write_text("# T=10\ntime,mark\n0.5,2\n2.5,nan\n")
     (d / "two_pair_curves.csv").write_text("# A=1\n# U=1\ns,g_11,g_12\n0,0.5,0.5\n1,0,0\n")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["fit", "--events", str(d / "events.csv"), "--features", "2",
                          "--window", "1", "--out", str(d / "model.json")]) == 0
+    (d / "list_model.json").write_text("[]\n")
     # model.json (M = 2) with one value changed
     fitted = (d / "model.json").read_text()
     for name, (*path, last), value in (
+            ("number_basis", ("basis_ref",), 5),
+            ("null_t", ("T",), None),
+            ("list_gamma", ("gamma",), [1]),
+            ("null_m", ("M",), None),
+            ("wrong_m", ("M",), 4),
             ("inf_omega", ("basis_ref", "omega", 0), float("inf")),
             ("non_pair_theta", ("basis_ref", "theta", 1), 0.0),
             ("unequal_omega", ("basis_ref", "omega", 1), 1.5),

@@ -396,38 +396,83 @@ def test_mutually_exciting_count_smoke():
 # --- curve and event files -------------------------------------------------------
 
 def test_events_csv_round_trip(tmp_path):
+    # the reader gives back, bit for bit, the arrays the writer wrote
     res = simulate(mutually_exciting_scenario(), 80.0, 5)
     path = tmp_path / "events.csv"
     write_events_csv(path, res.events, {"scenario": "mutually-exciting", "seed": 5})
     clone, meta = read_events_csv(path)
-    assert np.array_equal(clone.times, res.events.times)
-    assert np.array_equal(clone.marks, res.events.marks)
+    for got, want in ((clone.times, res.events.times), (clone.marks, res.events.marks)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert clone.T == res.events.T and clone.U == res.events.U
     assert meta["scenario"] == "mutually-exciting"
 
 
-def test_events_csv_errors(tmp_path):
+def test_events_csv_reads_an_integral_mark_written_as_a_float(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_text("# T=10\ntime,mark\n0.5,1.0\n2.5,2\n")
+    events, _ = read_events_csv(path)
+    assert events.marks.dtype == np.dtype(int) and events.marks.tolist() == [1, 2]
+    assert events.U == 2
+
+
+# each way an events file can be refused, with the whole message: a row that
+# is not two numbers, or an event that breaks a rule of EventSequence, names
+# its line
+EVENTS_CSV_ERRORS = {
+    "infinite-time": ("# T=10\n# U=2\ntime,mark\n1.0,1\ninf,2\n",
+                      "line 5: event time inf is not finite"),
+    "fractional-mark": ("# T=10\n# U=2\ntime,mark\n1.0,1\n2.0,1.5\n",
+                        "line 5: mark 1.5 is not an integer"),
+    "negative-time": ("# T=10\n# U=2\ntime,mark\n-1.0,1\n2.0,1\n",
+                      "line 4: negative event time -1.0"),
+    "duplicate-time": ("# T=10\n# U=2\ntime,mark\n1.0,1\n1.0,2\n",
+                       "line 5: duplicate event time 1.0"),
+    "decreasing-time": ("# T=10\n# U=2\ntime,mark\n2.0,1\n1.0,2\n",
+                        "line 5: event times must be strictly increasing"),
+    # the first event at or past the horizon, not the last
+    "time-past-horizon": ("# T=3\n# U=2\ntime,mark\n1.0,1\n4.0,2\n5.0,2\n",
+                          "line 5: event time 4.0 is at or past the horizon T=3.0"),
+    "mark-above-dimension": ("# T=10\n# U=2\ntime,mark\n1.0,1\n2.0,3\n",
+                             "line 5: mark 3 outside 1..2"),
+    "zero-mark": ("# T=10\n# U=2\ntime,mark\n1.0,0\n", "line 4: mark 0 outside 1..2"),
+    # without '# U=' the dimension count is the largest finite mark
+    "nan-mark-without-dimension": ("# T=10\ntime,mark\n1.0,2\n2.0,nan\n",
+                                   "line 4: mark nan is not an integer"),
+    "infinite-mark-without-dimension": ("# T=10\ntime,mark\n1.0,2\n2.0,inf\n",
+                                        "line 4: mark inf outside 1..2"),
+    "text-mark": ("# T=10\n# U=2\ntime,mark\n1.0,oops\n",
+                  "line 4: could not convert string to float: 'oops'"),
+    "short-row": ("# T=10\n# U=2\ntime,mark\n1.0,1\n2.0\n",
+                  "line 5: expected 2 values, got 1"),
+    # the header is checked before the rows it would misread
+    "three-field-header": ("# T=10\ntime,mark,x\n1.0,1\n",
+                           "line 2: expected header 'time,mark', got 'time,mark,x'"),
+    "no-horizon": ("time,mark\n1.0,1\n",
+                   "no horizon: pass one explicitly or add a '# T=...' comment"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVENTS_CSV_ERRORS))
+def test_events_csv_errors(tmp_path, case):
+    text, message = EVENTS_CSV_ERRORS[case]
     path = tmp_path / "bad.csv"
-    path.write_text("# T=10\n# U=2\ntime,mark\n1.0,1\n1.0,2\n")
-    with pytest.raises(ValueError, match="line 5"):
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
         read_events_csv(path)
-    path.write_text("# T=10\n# U=2\ntime,mark\n1.0,oops\n")
-    with pytest.raises(ValueError, match="line 4"):
-        read_events_csv(path)
-    path.write_text("time,mark\n1.0,1\n")
-    with pytest.raises(ValueError, match="horizon"):
-        read_events_csv(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_curves_csv_round_trip(tmp_path):
+    # the reader gives back, bit for bit, the grid and curves the writer wrote
     spec = mutually_exciting_scenario()
     path = tmp_path / "curves.csv"
     write_curves_csv(path, spec)
     s, curves, U = read_curves_csv(path)
     assert U == 3 and s.size == CURVE_POINTS
-    assert s[0] == 0.0 and s[-1] == spec.A
-    want = true_curves(spec, s)
-    assert_allclose(curves, want, rtol=1e-15)
+    want_s = np.linspace(0.0, spec.A, CURVE_POINTS)
+    want = true_curves(spec, want_s)
+    assert s.tobytes() == want_s.tobytes()
+    assert curves.shape == want.shape and curves.tobytes() == want.tobytes()
 
 
 def test_curves_csv_rejects_a_grid_that_does_not_increase(tmp_path):
